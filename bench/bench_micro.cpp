@@ -279,7 +279,9 @@ void BM_ShardedThroughput(benchmark::State& state) {
   // conservative lookahead, so every window covers a full WAN round.
   cfg.cluster.latency.cross_dc = {msec(2), 0.3, msec(1)};
   cfg.workload = workload::WorkloadSpec::ycsb_a();
-  cfg.workload.op_count = 30'000;
+  // Large enough that one iteration spans ~10^5 windows, so thread start-up
+  // and the first-window warm-up amortize away.
+  cfg.workload.op_count = 250'000;
   cfg.workload.record_count = 10'000;
   cfg.workload.clients_per_dc = 32;
   cfg.policy = core::static_level(cluster::Level::kOne);
@@ -326,7 +328,7 @@ void BM_KeyRangeShardedThroughput(benchmark::State& state) {
   cfg.cluster.latency.same_rack.floor = usec(150);
   cfg.cluster.latency.same_dc.floor = usec(150);
   cfg.workload = workload::WorkloadSpec::ycsb_a();
-  cfg.workload.op_count = 30'000;
+  cfg.workload.op_count = 250'000;  // ~10^5 windows per iteration
   cfg.workload.record_count = 10'000;
   cfg.workload.clients_per_dc = 32;
   cfg.policy = core::static_level(cluster::Level::kOne);

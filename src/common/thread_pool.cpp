@@ -1,41 +1,11 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <exception>
 
 #include "common/check.h"
-#include "common/thread_annotations.h"
+#include "common/first_error.h"
 
 namespace harmony {
-
-namespace {
-
-/// First-exception capture shared by parallel_for workers. The hot flag is a
-/// relaxed atomic so iterations can poll for early exit without taking the
-/// lock; the exception itself is GUARDED_BY the mutex so -Wthread-safety can
-/// prove the store/rethrow handoff is raced-free.
-class FirstError {
- public:
-  void capture(std::exception_ptr e) EXCLUDES(mutex_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!error_) error_ = std::move(e);
-    failed_.store(true, std::memory_order_relaxed);
-  }
-
-  bool failed() const { return failed_.load(std::memory_order_relaxed); }
-
-  void rethrow_if_failed() EXCLUDES(mutex_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  std::mutex mutex_;
-  std::exception_ptr error_ GUARDED_BY(mutex_);
-  std::atomic<bool> failed_{false};
-};
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

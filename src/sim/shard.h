@@ -35,6 +35,7 @@
 // kernel.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -57,8 +58,8 @@ inline thread_local Shard* tls_current_shard = nullptr;
 
 /// Cross-shard hand-off buffer for one (source, destination) shard pair.
 /// Single-writer (the source shard's worker, during a window), single-reader
-/// (the control thread, at the barrier) — phase separation through the
-/// window barrier replaces atomics. Steady state is allocation-free: entries
+/// (the control thread, between windows) — phase separation through the
+/// window handoff replaces atomics. Steady state is allocation-free: entries
 /// land in a fixed slab sized at configure time; overflow spills into a
 /// growable vector (counted, so benchmarks can see backpressure) rather than
 /// dropping or blocking.
@@ -116,7 +117,7 @@ class Mailbox {
 /// One event shard: a queue, a clock, and the id the cluster layer uses to
 /// route. All fields are owned by exactly one thread at any time (the
 /// worker assigned to this shard during a window; the control thread
-/// otherwise) — the window barrier transfers ownership.
+/// otherwise) — the window handoff transfers ownership.
 struct Shard {
   EventQueue queue;
   SimTime now = 0;
@@ -147,16 +148,21 @@ class ShardSet {
   void route_event(Shard& from, SimTime when, const TypedEvent& ev) {
     const std::uint64_t seq = from.queue.alloc_seq();
     Shard& dest = *shards_[ev.shard];
-    if (&dest == &from || !parallel_phase_) {
-      dest.queue.push_typed_stamped(when, seq, ev);
-      return;
+    if (&dest != &from) {
+      // Mid-window cross-shard send: the lookahead bound must hold, or the
+      // destination could have already run past `when` — a determinism bug
+      // at the schedule site, not something to paper over. Merged-serial
+      // windows check it too, so a run that passes at one thread passes at
+      // all of them. window_end_ is 0 outside windows (set-up, fence
+      // instants, hooks).
+      HARMONY_CHECK_MSG(when >= window_end_,
+                        "cross-shard event inside the lookahead window");
+      if (parallel_phase_) {
+        mailbox(from.id, dest.id).push(when, seq, ev);
+        return;
+      }
     }
-    // Mid-window cross-shard send: the lookahead bound must hold, or the
-    // destination could have already run past `when` — a determinism bug at
-    // the schedule site, not something to paper over.
-    HARMONY_CHECK_MSG(when >= window_end_,
-                      "cross-shard event inside the lookahead window");
-    mailbox(from.id, dest.id).push(when, seq, ev);
+    dest.queue.push_typed_stamped(when, seq, ev);
   }
 
   /// Fault instants (and any other cross-shard-state mutation) must execute
@@ -175,10 +181,28 @@ class ShardSet {
 
   std::uint64_t events_processed() const;
   std::uint64_t mailbox_spills() const;
+  /// Windows executed so far, fence instants included. A function of the
+  /// schedule alone: equal at every thread count.
+  std::uint64_t windows() const { return windows_; }
   bool idle() const;
 
  private:
   friend class Simulation;
+
+  /// One side of the window handoff: a counter that threads wait on by
+  /// spinning, then parking in std::atomic::wait. `parked` counts the
+  /// parked waiters, so a writer makes the notify syscall only when one
+  /// exists. Own cache line: waiters spin on `value` without sharing a line
+  /// with the other word.
+  struct alignas(64) HandoffWord {
+    std::atomic<std::uint32_t> value{0};
+    std::atomic<std::uint32_t> parked{0};
+  };
+  /// Wait until done(w.value): pause-spin (if `spin`), yield, then park;
+  /// see shard.cpp.
+  template <typename Done>
+  static std::uint32_t await(HandoffWord& w, bool spin, Done done);
+  static void wake(HandoffWord& w);
 
   Mailbox& mailbox(std::uint32_t src, std::uint32_t dst) {
     return mailboxes_[src * count() + dst];
@@ -206,11 +230,20 @@ class ShardSet {
   BarrierHook barrier_hook_ = nullptr;
   void* barrier_ctx_ = nullptr;
 
-  // Window state, written by the control thread strictly before the barrier
-  // workers cross to read it (std::barrier gives the happens-before edge).
+  // Window state. The control thread writes it, then publishes the window
+  // by bumping epoch_ (seq_cst, so also a release); a worker reads it only
+  // after seeing the new epoch (acquire). Each worker bumps arrived_ when
+  // its slice is done, and the control thread touches shard state again
+  // only after seeing all of them (acquire). Both sides spin, then park:
+  // workers on epoch_ while the control thread drains mailboxes and runs
+  // the barrier hook, the control thread on arrived_ while the slowest
+  // worker finishes.
   SimTime window_end_ = 0;
   bool parallel_phase_ = false;
   bool done_ = false;
+  std::uint64_t windows_ = 0;
+  HandoffWord epoch_;
+  HandoffWord arrived_;
 };
 
 }  // namespace harmony::sim

@@ -129,6 +129,11 @@ class Simulation {
     return shards_ ? shards_->mailbox_spills() : 0;
   }
 
+  /// See ShardSet::windows. 0 when unsharded.
+  std::uint64_t shard_windows() const {
+    return shards_ ? shards_->windows() : 0;
+  }
+
   /// Master RNG; entities should fork substreams at construction time.
   Rng& rng() { return master_rng_; }
   Rng fork_rng(std::uint64_t salt) { return master_rng_.fork(salt); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "cluster/versioned_value.h"
 #include "common/check.h"
 
@@ -16,13 +18,27 @@ TEST(Consistency, QuorumOf) {
   EXPECT_EQ(quorum_of(5), 3);
 }
 
+// gtest names each case by a byte dump of the parameter, so the padding is
+// spelled out and zeroed: implicit padding bytes are indeterminate and would
+// make the case names vary from build to build.
 struct LevelCase {
+  LevelCase(Level level, int rf, int local_rf, int expected_count,
+            bool local_only)
+      : level(level),
+        rf(rf),
+        local_rf(local_rf),
+        expected_count(expected_count),
+        local_only(local_only) {}
+
   Level level;
+  std::uint8_t pad_after_level[3] = {};
   int rf;
   int local_rf;
   int expected_count;
   bool local_only;
+  std::uint8_t pad_after_local_only[3] = {};
 };
+static_assert(sizeof(LevelCase) == 20, "LevelCase must have no implicit padding");
 
 class ResolveLevels : public ::testing::TestWithParam<LevelCase> {};
 

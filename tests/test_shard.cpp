@@ -12,9 +12,12 @@
 //     bit for bit at 1, 2, and 4 worker threads;
 //   * fence instants running merged-serial (cross-shard mutation is safe);
 //   * barrier-hook safe-time monotonicity;
-//   * shards with zero events neither stalling nor perturbing the run.
+//   * shards with zero events neither stalling nor perturbing the run;
+//   * the window handoff's park path (a barrier hook or a shard slow enough
+//     to outlast the spin budget) and an 8-shard x 8-thread plan;
+//   * a failed check on any thread surfacing as a catchable CheckError.
 //
-// Built as its own binary so CI's TSan job can exercise the window barrier,
+// Built as its own binary so CI's TSan job can exercise the window handoff,
 // mailbox hand-off, and fence protocol under the race detector directly.
 #include <gtest/gtest.h>
 
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "alloc_guard.h"
+#include "common/check.h"
 #include "common/time_types.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
@@ -46,6 +50,12 @@ std::uint64_t splitmix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+/// `rounds` dependent splitmix steps: deterministic busy work.
+std::uint64_t burn(std::uint64_t x, std::uint64_t rounds) {
+  for (std::uint64_t i = 0; i < rounds; ++i) x = splitmix(x);
+  return x;
 }
 
 // ------------------------------------------------------------------ Mailbox
@@ -159,6 +169,9 @@ struct ShardProbe {
   std::array<PerShard, 8> per_shard{};
   std::uint32_t shard_count = 1;
   SimDuration lookahead = 0;
+  /// Every event on the last shard burns this many splitmix rounds, so that
+  /// shard's worker finishes long after the others (which then park).
+  std::uint64_t last_shard_burn = 0;
 
   static void dispatch(const TypedEvent& ev) {
     static_cast<ShardProbe*>(ev.target)->on_event(ev);
@@ -171,6 +184,7 @@ struct ShardProbe {
     const std::uint64_t hops = ev.u.raw[1];
     ps.fp = mix(ps.fp, static_cast<std::uint64_t>(sim->now()));
     ps.fp = mix(ps.fp, state);
+    if (s + 1 == shard_count) ps.fp = mix(ps.fp, burn(state, last_shard_burn));
     ++ps.events;
     if (hops == 0) return;
 
@@ -201,26 +215,51 @@ struct ShardProbe {
   }
 };
 
+/// Extra deterministic work that makes one side of the window handoff wait
+/// past its spin budget. Zero = none.
+struct ProbeLoad {
+  std::uint64_t hook_burn = 0;        ///< splitmix rounds per barrier hook call
+  std::uint64_t last_shard_burn = 0;  ///< see ShardProbe::last_shard_burn
+};
+
+/// Barrier hook that burns `rounds` splitmix rounds per call while the
+/// workers wait for the next window; the result feeds the fingerprint.
+struct BurnHook {
+  std::uint64_t rounds = 0;
+  std::uint64_t acc = kFnvOffset;
+
+  static void call(void* ctx, SimTime safe) {
+    auto* h = static_cast<BurnHook*>(ctx);
+    h->acc = mix(h->acc, burn(static_cast<std::uint64_t>(safe), h->rounds));
+  }
+};
+
 /// Run one probe scenario: K shards, `chains` seed events per shard, `hops`
-/// follow-ups each. Returns {fingerprint, events_processed, end_time}.
+/// follow-ups each. Returns {fingerprint, events_processed, end_time,
+/// windows}.
 struct ProbeResult {
   std::uint64_t fp = 0;
   std::uint64_t events = 0;
   SimTime end_time = 0;
+  std::uint64_t windows = 0;
 };
 
 ProbeResult run_probe(std::uint32_t shards, unsigned threads,
                       std::uint32_t mailbox_capacity, int chains, int hops,
-                      bool fence = false) {
+                      bool fence = false, const ProbeLoad& load = {}) {
   constexpr SimDuration kLookahead = 1000;
   Simulation sim(42);
   sim.configure_shards(shards, kLookahead, threads, mailbox_capacity);
   sim.set_event_dispatcher(EventDomain::kUser, &ShardProbe::dispatch);
+  BurnHook hook;
+  hook.rounds = load.hook_burn;
+  if (load.hook_burn > 0) sim.set_barrier_hook(&BurnHook::call, &hook);
 
   ShardProbe probe;
   probe.sim = &sim;
   probe.shard_count = shards;
   probe.lookahead = kLookahead;
+  probe.last_shard_burn = load.last_shard_burn;
 
   for (std::uint32_t s = 0; s < shards; ++s) {
     sim.set_setup_shard(s);
@@ -245,9 +284,10 @@ ProbeResult run_probe(std::uint32_t shards, unsigned threads,
   sim.run();
 
   ProbeResult out;
-  out.fp = probe.fingerprint();
+  out.fp = mix(probe.fingerprint(), hook.acc);
   out.events = sim.events_processed();
   out.end_time = sim.now();
+  out.windows = sim.shard_windows();
   return out;
 }
 
@@ -259,6 +299,51 @@ TEST(ShardSet, InterleavedStreamsReproduceSerialMergeAcrossThreadCounts) {
     EXPECT_EQ(serial.fp, par.fp) << "threads " << threads;
     EXPECT_EQ(serial.events, par.events) << "threads " << threads;
     EXPECT_EQ(serial.end_time, par.end_time) << "threads " << threads;
+    EXPECT_EQ(serial.windows, par.windows) << "threads " << threads;
+  }
+}
+
+TEST(ShardSet, EightShardsOnEightThreadsReproduceSerialMerge) {
+  const ProbeResult serial = run_probe(8, 1, 64, 16, 40);
+  EXPECT_GT(serial.windows, 0u);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const ProbeResult par = run_probe(8, threads, 64, 16, 40);
+    EXPECT_EQ(serial.fp, par.fp) << "threads " << threads;
+    EXPECT_EQ(serial.events, par.events) << "threads " << threads;
+    EXPECT_EQ(serial.end_time, par.end_time) << "threads " << threads;
+    EXPECT_EQ(serial.windows, par.windows) << "threads " << threads;
+  }
+}
+
+// Each call below burns far longer than the handoff's spin phase (about a
+// millisecond against tens of microseconds of pause and yield), so waiters
+// must park in std::atomic::wait and be woken.
+constexpr std::uint64_t kParkBurn = 1u << 18;
+
+TEST(ShardSet, SlowBarrierHookParksWorkersWithoutChangingTheMerge) {
+  // Workers wait for the next epoch while the control thread runs the hook.
+  ProbeLoad load;
+  load.hook_burn = kParkBurn;
+  const ProbeResult serial = run_probe(4, 1, 64, 4, 12, false, load);
+  for (const unsigned threads : {2u, 4u}) {
+    const ProbeResult par = run_probe(4, threads, 64, 4, 12, false, load);
+    EXPECT_EQ(serial.fp, par.fp) << "threads " << threads;
+    EXPECT_EQ(serial.events, par.events) << "threads " << threads;
+    EXPECT_EQ(serial.windows, par.windows) << "threads " << threads;
+  }
+}
+
+TEST(ShardSet, SlowShardParksTheControlThreadWithoutChangingTheMerge) {
+  // The control thread (slice 0) waits for the arrival of the worker that
+  // owns the slow last shard.
+  ProbeLoad load;
+  load.last_shard_burn = kParkBurn / 4;
+  const ProbeResult serial = run_probe(4, 1, 64, 4, 12, false, load);
+  for (const unsigned threads : {2u, 4u}) {
+    const ProbeResult par = run_probe(4, threads, 64, 4, 12, false, load);
+    EXPECT_EQ(serial.fp, par.fp) << "threads " << threads;
+    EXPECT_EQ(serial.events, par.events) << "threads " << threads;
+    EXPECT_EQ(serial.windows, par.windows) << "threads " << threads;
   }
 }
 
@@ -515,6 +600,103 @@ TEST(ShardSet, BarrierHookSafeTimeIsMonotoneAndFinalCallIsSentinel) {
   }
   // The final flush reports "everything executed": the sentinel max value.
   EXPECT_EQ(log.safes.back(), std::numeric_limits<SimTime>::max());
+}
+
+// ------------------------------------------------------------ failed checks
+
+/// Local chains of hops on every shard; on `bad_shard`, the hop that reaches
+/// `hops_left == bad_hop` also sends a cross-shard event *inside* the
+/// lookahead window, a schedule-site bug route_event must reject.
+struct EarlySendProbe {
+  Simulation* sim = nullptr;
+  std::uint32_t shard_count = 1;
+  std::uint32_t bad_shard = 0;
+  std::uint64_t bad_hop = 0;
+  SimDuration lookahead = 0;
+
+  static void dispatch(const TypedEvent& ev) {
+    auto* p = static_cast<EarlySendProbe*>(ev.target);
+    const std::uint32_t s = p->sim->current_shard();
+    const std::uint64_t hops_left = ev.u.raw[1];
+    if (hops_left == 0) return;
+    TypedEvent out = ev;
+    out.u.raw[1] = hops_left - 1;
+    p->sim->schedule_event(p->lookahead / 3, out);  // same shard: legal
+    if (s == p->bad_shard && hops_left == p->bad_hop) {
+      out.shard = static_cast<std::uint8_t>((s + 1) % p->shard_count);
+      p->sim->schedule_event(p->lookahead / 2, out);
+    }
+  }
+};
+
+void run_early_send(unsigned threads, std::uint32_t bad_shard) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr SimDuration kLookahead = 1000;
+  Simulation sim(11);
+  sim.configure_shards(kShards, kLookahead, threads, 16);
+  sim.set_event_dispatcher(EventDomain::kUser, &EarlySendProbe::dispatch);
+  EarlySendProbe probe;
+  probe.sim = &sim;
+  probe.shard_count = kShards;
+  probe.bad_shard = bad_shard;
+  probe.bad_hop = 20;  // well past the first window
+  probe.lookahead = kLookahead;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    sim.set_setup_shard(s);
+    TypedEvent ev;
+    ev.kind = EventKind::kUserProbe;
+    ev.shard = static_cast<std::uint8_t>(s);
+    ev.target = &probe;
+    ev.u.raw[1] = 40;
+    sim.schedule_event_at(1, ev);
+  }
+  sim.set_setup_shard(0);
+  sim.run();
+}
+
+TEST(ShardSet, CrossShardSendInsideWindowThrowsCheckErrorOnAnyThread) {
+  // Shard 0 runs on the control thread; the last shard runs on a worker at
+  // 2 and 4 threads and merged-serial at 1. Every case must surface as a
+  // catchable CheckError on the calling thread, with the workers joined.
+  for (const std::uint32_t bad_shard : {0u, 3u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      EXPECT_THROW(run_early_send(threads, bad_shard), CheckError)
+          << "bad shard " << bad_shard << ", threads " << threads;
+    }
+  }
+}
+
+TEST(ShardSet, CheckFailingInBarrierHookThrowsCheckError) {
+  // The hook runs on the control thread between windows, while the workers
+  // wait for the next epoch.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Simulation sim(5);
+    sim.configure_shards(4, 1000, threads, 16);
+    sim.set_event_dispatcher(EventDomain::kUser, &ShardProbe::dispatch);
+    int calls = 0;
+    sim.set_barrier_hook(
+        [](void* ctx, SimTime) {
+          HARMONY_CHECK_MSG(++*static_cast<int*>(ctx) < 5, "hook gave up");
+        },
+        &calls);
+    ShardProbe probe;
+    probe.sim = &sim;
+    probe.shard_count = 4;
+    probe.lookahead = 1000;
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      sim.set_setup_shard(s);
+      TypedEvent ev;
+      ev.kind = EventKind::kUserProbe;
+      ev.shard = static_cast<std::uint8_t>(s);
+      ev.target = &probe;
+      ev.u.raw[0] = splitmix(s);
+      ev.u.raw[1] = 40;
+      sim.schedule_event_at(1, ev);
+    }
+    sim.set_setup_shard(0);
+    EXPECT_THROW(sim.run(), CheckError) << "threads " << threads;
+    EXPECT_EQ(calls, 5) << "threads " << threads;
+  }
 }
 
 }  // namespace
