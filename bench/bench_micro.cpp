@@ -102,38 +102,6 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyState);
 
-void BM_TypedVsErasedDispatch(benchmark::State& state) {
-  // The two-lane kernel head to head: the same POD event stream scheduled
-  // through the typed hot lane (heap-inline PODs, switch dispatch) vs the
-  // erased fallback (the identical event wrapped in an InlineFn closure that
-  // calls the identical dispatcher — slab slot, indirect call, destructor).
-  // Behavior is bit-identical by construction; this measures the dispatch
-  // mechanism alone, steady state (slab and heaps warmed).
-  const bool typed = state.range(0) == 1;
-  sim::Simulation sim(1);
-  sim.set_typed_lane(typed);
-  sim.set_event_dispatcher(sim::EventDomain::kUser,
-                           [](const sim::TypedEvent& e) {
-                             ++*static_cast<std::uint64_t*>(e.target);
-                           });
-  std::uint64_t ticks = 0;
-  sim::TypedEvent ev;
-  ev.kind = sim::EventKind::kUserProbe;
-  ev.target = &ticks;
-  for (int i = 0; i < 4096; ++i) sim.schedule_event(i % 101, ev);
-  sim.run();
-  std::int64_t events = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 1000; ++i) sim.schedule_event(i % 97, ev);
-    sim.run();
-    events += 1000;
-  }
-  benchmark::DoNotOptimize(ticks);
-  state.SetItemsProcessed(events);
-  state.SetLabel(typed ? "typed" : "erased");
-}
-BENCHMARK(BM_TypedVsErasedDispatch)->Arg(1)->Arg(0);
-
 void BM_EventQueueCancelChurn(benchmark::State& state) {
   // Schedule-then-cancel half the events: measures tombstone sweeping and
   // slot/generation recycling under heavy cancellation (timeout-style load).
@@ -261,7 +229,7 @@ BENCHMARK(BM_ClusterOps);
 void BM_ShardedThroughput(benchmark::State& state) {
   // Single-run parallelism: one 3-DC EC2-style experiment partitioned into
   // per-DC event shards (sim/shard.h conservative windows). range(0) is
-  // RunConfig::num_shard_threads — 0 is today's serial unsharded default,
+  // RunConfig::num_shard_threads — 0 = the default one-shard kernel,
   // 1 the merged-serial sharded kernel (its overhead vs serial is the
   // interesting delta), 2/4 real worker threads. Every arg simulates the
   // *same* schedule bit for bit; only wall time may differ, so the benchmark

@@ -70,9 +70,8 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   sim.set_event_dispatcher(sim::EventDomain::kCluster, &Cluster::dispatch_event);
   for (const int w : cfg_.rf_per_dc()) rf_per_dc_.push_back(w);
 
-  // Per-shard request-path state. One instance when the simulation is
-  // unsharded (or sharded with a single shard — the merged-serial anchor);
-  // one per event shard otherwise (a shard per DC, or S_d key-range shards
+  // Per-shard request-path state. One instance when the simulation has a
+  // single shard (the default kernel); one per event shard otherwise (a shard per DC, or S_d key-range shards
   // per DC when the simulation carries a shard plan). Shard RNGs fork before
   // the node RNGs below, in shard order, so a single-shard cluster replays
   // the historical master-RNG draw sequence byte for byte.
@@ -1471,7 +1470,7 @@ void Cluster::schedule_fault(const FaultSpec& f) {
   ev.u.fault = {static_cast<std::uint32_t>(f.op),
                 static_cast<std::uint32_t>(f.dc), f.factor};
   // Faults mutate cross-shard state (liveness, link multipliers); the instant
-  // becomes a fence so the action executes merged-serial. No-op unsharded.
+  // becomes a fence so the action executes merged-serial.
   sim_->register_fence(f.at);
   sim_->schedule_event_at(f.at, ev);
 }

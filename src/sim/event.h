@@ -27,7 +27,7 @@
 // Sharded execution: `shard` names the event shard the event must execute on
 // (see sim/shard.h — per-DC shards under conservative lookahead windows).
 // Schedule sites set it to the shard owning the state the handler touches;
-// in unsharded simulations it stays 0 and is ignored.
+// in one-shard simulations (the default kernel) it stays 0.
 #pragma once
 
 #include <cstddef>

@@ -43,9 +43,8 @@
 namespace harmony::sim {
 
 /// Inline capacity covers the largest closure-lane capture list (a response
-/// delivery: client callback + result, and the erased-lane fallback's
-/// Simulation* + 48-byte TypedEvent). Bigger callables still work via heap
-/// fallback.
+/// delivery: client callback + result). Bigger callables still work via
+/// heap fallback.
 using EventFn = InlineFn<128>;
 
 class EventQueue;
@@ -83,14 +82,10 @@ class EventQueue {
 
   /// Typed hot lane: the event is copied inline into its heap entry. Not
   /// cancellable; run_before hands it to `dispatch` when its time comes.
-  void push_typed(SimTime when, const TypedEvent& ev) {
-    push_typed_stamped(when, alloc_seq(), ev);
-  }
-
-  /// Sharded execution: seqs were allocated on the *sending* shard's queue at
+  /// The seq was allocated (alloc_seq) on the *sending* shard's queue at
   /// schedule time (that is what makes the cross-shard merge order identical
   /// to the serial schedule order); the destination queue inserts the entry
-  /// under that foreign seq. Heap pop order depends only on (when, seq), so
+  /// under that seq. Heap pop order depends only on (when, seq), so
   /// out-of-order stamped inserts at a window barrier are harmless.
   void push_typed_stamped(SimTime when, std::uint64_t seq,
                           const TypedEvent& ev) {

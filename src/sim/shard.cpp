@@ -95,7 +95,7 @@ ShardSet::ShardSet(Simulation& sim, std::uint32_t count, SimDuration lookahead,
     auto sh = std::make_unique<Shard>();
     sh->id = i;
     // Interleaved streams: shard i draws seqs i, i+K, i+2K, ... With K == 1
-    // this is the plain (0, 1) stream of the unsharded kernel.
+    // this is the plain (0, 1) stream.
     sh->queue.set_seq_stream(i, count);
     shards_.push_back(std::move(sh));
   }
@@ -205,14 +205,15 @@ SimTime ShardSet::run(SimTime horizon) {
     if (barrier_hook_ != nullptr) barrier_hook_(barrier_ctx_, safe);
   };
   const auto final_time = [this, horizon]() {
-    // Mirror the unsharded run_until: the clock lands on the last executed
-    // event when drained, on the horizon when events remain beyond it.
-    SimTime end = 0;
+    // The clock lands on the last executed event when drained, on the
+    // horizon when events remain beyond it. It never moves backwards: a run
+    // that finds only cancelled events keeps the previous run's end.
+    SimTime end = sim_.now_;
     for (const auto& sh : shards_) end = std::max(end, sh->now);
     return idle() ? end : horizon;
   };
 
-  if (num_threads_ <= 1 || count() == 1) {
+  if (num_threads_ <= 1 && count() > 1) {
     // Serial reference mode: strict global (time, seq) order, windowed only
     // to bound the deferred-work buffers. Fences are honored exactly like
     // the parallel branch — every instant already runs serial, but barrier
@@ -241,16 +242,18 @@ SimTime ShardSet::run(SimTime horizon) {
     return final_time();
   }
 
-  // Parallel windows. Per window the control thread publishes (window_end_,
+  // Windows. Per window the control thread publishes (window_end_,
   // parallel_phase_, then wake(epoch_)), runs slice 0, and waits for the
   // other workers' arrivals; then, while they wait for the next epoch, it
   // drains the mailboxes and runs the barrier hook. A check that fails on
   // any thread is captured, the workers are released and joined, and it is
-  // rethrown here — never left to unwind past a joinable thread.
+  // rethrown here — never left to unwind past a joinable thread. A single
+  // shard runs here as one worker on this thread and spawns nothing.
   const unsigned workers = std::min<unsigned>(num_threads_, count());
   // More threads than CPUs: the thread a waiter spins for is often not
-  // running, and a pause spin only delays it. Go straight to yielding.
-  const bool spin = workers <= usable_cpus();
+  // running, and a pause spin only delays it. Go straight to yielding. A
+  // lone worker never waits, so it skips the affinity syscall.
+  const bool spin = workers > 1 && workers <= usable_cpus();
   const std::uint32_t first_epoch = epoch_.value.load(std::memory_order_relaxed);
   FirstError error;
   // A slice that throws still arrives, so the window's handoff completes.

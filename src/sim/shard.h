@@ -28,11 +28,13 @@
 //      never lets a window span a fence and runs the fence instant in
 //      merged-serial mode on one thread.
 //
-// With num_threads == 1 the executor runs everything merged-serial — that IS
-// the reference order; 2-thread and 4-thread runs must (and do, see the diff
-// harness) reproduce its output byte for byte. With K == 1 the single shard
-// uses seq stream (0, 1) and the behavior is identical to the unsharded
-// kernel.
+// With K > 1 shards and num_threads == 1 the executor runs everything
+// merged-serial — that IS the reference order; 2-thread and 4-thread runs
+// must (and do, see the diff harness) reproduce its output byte for byte. A
+// one-shard run — every Simulation's default kernel — is the windowed loop
+// with one worker: no thread is spawned, the shard uses seq stream (0, 1),
+// and with unbounded lookahead the whole run is one window that pops the
+// queue in (time, seq) order.
 #pragma once
 
 #include <atomic>
@@ -131,8 +133,8 @@ struct Shard {
 /// cluster layer applies its deferred per-shard oracle logs here.
 using BarrierHook = void (*)(void* ctx, SimTime safe_time);
 
-/// The windowed executor. Owned by Simulation; constructed by
-/// Simulation::configure_shards().
+/// The windowed executor. Owned by Simulation: its constructor builds the
+/// default one-shard instance, and configure_shards() replaces it.
 class ShardSet {
  public:
   ShardSet(Simulation& sim, std::uint32_t count, SimDuration lookahead,
@@ -175,8 +177,10 @@ class ShardSet {
   }
 
   /// Run until every queue drains or `horizon` passes. Merged-serial when
-  /// num_threads == 1, windowed-parallel otherwise; identical output either
-  /// way. Returns the final simulation time (max shard clock, or horizon).
+  /// num_threads == 1 and count() > 1, windowed otherwise (one worker on the
+  /// calling thread for a single shard); identical output either way.
+  /// Returns the final simulation time: the horizon if events remain past
+  /// it, else the latest shard clock, never earlier than the last run's end.
   SimTime run(SimTime horizon);
 
   std::uint64_t events_processed() const;

@@ -1,11 +1,14 @@
 // Deterministic discrete-event simulation kernel.
 //
-// Single-threaded by default: determinism is what lets every experiment in
-// the reproduction be replayed from a seed. Parallelism happens either one
-// level up (independent Simulation instances on a thread pool) or — for one
-// big scenario — *inside* the run via configure_shards(): per-shard event
-// queues executed in conservative lookahead windows that reproduce the
-// serial (time, seq) order bit for bit (see sim/shard.h).
+// One kernel: every Simulation runs its events on a ShardSet (see
+// sim/shard.h). By default that is one shard with unbounded lookahead, so a
+// run is a single window executed on the calling thread in (time, seq)
+// order — determinism is what lets every experiment in the reproduction be
+// replayed from a seed. Parallelism happens either one level up (independent
+// Simulation instances on a thread pool) or — for one big scenario — *inside*
+// the run via configure_shards(): per-shard event queues executed in
+// conservative lookahead windows that reproduce the serial (time, seq) order
+// bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -23,38 +26,45 @@ namespace harmony::sim {
 
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1) : master_rng_(seed), seed_(seed) {}
+  static constexpr std::uint32_t kDefaultMailboxCapacity = 4096;
 
-  /// Current simulation time. Under sharded execution this is the clock of
-  /// the shard whose event is being dispatched on this thread (each handler
-  /// sees exactly the time it would see in the serial merge), and the last
-  /// run's end time between runs.
+  /// Starts on the default kernel: one shard, unbounded lookahead, run on
+  /// the calling thread.
+  explicit Simulation(std::uint64_t seed = 1)
+      : master_rng_(seed),
+        seed_(seed),
+        // lint: allow(hot-path-alloc): one-time kernel construction; the run
+        // loop only reads through the pointer.
+        shards_(std::make_unique<ShardSet>(
+            *this, 1, std::numeric_limits<SimDuration>::max(), 1,
+            kDefaultMailboxCapacity)) {}
+
+  // The ShardSet keeps a reference back to its Simulation.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+
+  /// Current simulation time: the clock of the shard whose event is being
+  /// dispatched on this thread (each handler sees exactly the time it would
+  /// see in the serial merge), and the last run's end time between runs.
   SimTime now() const {
-    if (shards_ != nullptr) {
-      if (const Shard* s = tls_current_shard) return s->now;
-    }
+    if (const Shard* s = tls_current_shard) return s->now;
     return now_;
   }
   std::uint64_t seed() const { return seed_; }
 
-  // ---- sharded execution ---------------------------------------------------
+  // ---- shards --------------------------------------------------------------
 
-  static constexpr std::uint32_t kDefaultMailboxCapacity = 4096;
-
-  /// Partition this simulation into `count` event shards run by
+  /// Replace the default one-shard kernel with `count` event shards run by
   /// `num_threads` workers (1 = merged-serial reference order; >1 must and
   /// does reproduce it bit for bit). `lookahead` is the minimum cross-shard
   /// event delay the schedule sites guarantee (the cluster layer derives it
-  /// from the minimum cross-DC link latency). Call once, before anything is
-  /// scheduled; the typed lane must stay enabled (closures cannot cross
-  /// shards). Serial unsharded execution remains the default.
+  /// from the minimum cross-DC link latency). Call before anything is
+  /// scheduled.
   void configure_shards(std::uint32_t count, SimDuration lookahead,
                         unsigned num_threads,
                         std::uint32_t mailbox_capacity = kDefaultMailboxCapacity) {
-    HARMONY_CHECK_MSG(shards_ == nullptr, "shards are already configured");
-    HARMONY_CHECK_MSG(queue_.empty() && now_ == 0,
+    HARMONY_CHECK_MSG(idle() && now_ == 0,
                       "configure_shards() must precede all scheduling");
-    HARMONY_CHECK_MSG(typed_lane_, "sharded execution requires the typed lane");
     // lint: allow(hot-path-alloc): one-time setup (guarded above: nothing
     // scheduled yet); the run loop only reads through the pointer.
     shards_ = std::make_unique<ShardSet>(*this, count, lookahead, num_threads,
@@ -83,24 +93,22 @@ class Simulation {
   }
 
   /// The per-group shard counts passed to the grouped configure_shards
-  /// overload; empty for unsharded runs and for the flat overload (where
-  /// every group implicitly has exactly one shard).
+  /// overload; empty for the default kernel and for the flat overload
+  /// (where every group implicitly has exactly one shard).
   const std::vector<std::uint32_t>& shard_plan() const { return shard_plan_; }
 
-  bool sharded() const { return shards_ != nullptr; }
-  std::uint32_t shard_count() const { return shards_ ? shards_->count() : 1; }
-  SimDuration lookahead() const { return shards_ ? shards_->lookahead() : 0; }
+  std::uint32_t shard_count() const { return shards_->count(); }
+  SimDuration lookahead() const { return shards_->lookahead(); }
 
   /// The shard this thread is currently executing for: the dispatching
   /// shard inside an event, the setup shard (set_setup_shard) outside one.
   std::uint32_t current_shard() const {
-    if (shards_ == nullptr) return 0;
     const Shard* s = tls_current_shard;
     return s != nullptr ? s->id : setup_shard_;
   }
 
-  /// Global sequence number of the event being dispatched (sharded runs
-  /// only; the cluster layer orders its deferred oracle log with it).
+  /// Global sequence number of the event being dispatched (0 outside
+  /// events; the cluster layer orders its deferred oracle log with it).
   std::uint64_t current_seq() const {
     const Shard* s = tls_current_shard;
     return s != nullptr ? s->current_seq : 0;
@@ -108,70 +116,61 @@ class Simulation {
 
   /// Setup-time scheduling (harness closures, client start staggers) books
   /// events — and draws seqs — against this shard until events start
-  /// running. No-op when unsharded.
+  /// running.
   void set_setup_shard(std::uint32_t s) {
-    HARMONY_CHECK(shards_ == nullptr || s < shards_->count());
+    HARMONY_CHECK(s < shards_->count());
     setup_shard_ = s;
   }
 
   /// See ShardSet::register_fence: instants that mutate cross-shard state
-  /// (fault injection) must be fenced. No-op when unsharded.
-  void register_fence(SimTime t) {
-    if (shards_ != nullptr) shards_->register_fence(t);
-  }
+  /// (fault injection) must be fenced.
+  void register_fence(SimTime t) { shards_->register_fence(t); }
 
-  /// See sim/shard.h BarrierHook. No-op when unsharded.
+  /// See sim/shard.h BarrierHook.
   void set_barrier_hook(BarrierHook hook, void* ctx) {
-    if (shards_ != nullptr) shards_->set_barrier_hook(hook, ctx);
+    shards_->set_barrier_hook(hook, ctx);
   }
 
-  std::uint64_t mailbox_spills() const {
-    return shards_ ? shards_->mailbox_spills() : 0;
-  }
+  std::uint64_t mailbox_spills() const { return shards_->mailbox_spills(); }
 
-  /// See ShardSet::windows. 0 when unsharded.
-  std::uint64_t shard_windows() const {
-    return shards_ ? shards_->windows() : 0;
-  }
+  /// See ShardSet::windows.
+  std::uint64_t shard_windows() const { return shards_->windows(); }
 
   /// Master RNG; entities should fork substreams at construction time.
   Rng& rng() { return master_rng_; }
   Rng fork_rng(std::uint64_t salt) { return master_rng_.fork(salt); }
 
   /// Schedule fn at now()+delay (delay < 0 is clamped to 0). Closures never
-  /// cross shards: under sharding the event books into the scheduling
-  /// shard's own queue (timeouts, delivery callbacks and timers are all
-  /// shard-local by construction).
+  /// cross shards: the event books into the scheduling shard's own queue
+  /// (timeouts, delivery callbacks and timers are all shard-local by
+  /// construction).
   EventHandle schedule(SimDuration delay, EventFn fn) {
     if (delay < 0) delay = 0;
-    return active_queue().push(now() + delay, std::move(fn));
+    return here().queue.push(now() + delay, std::move(fn));
   }
 
   /// Schedule fn at absolute time t (>= now()).
   EventHandle schedule_at(SimTime t, EventFn fn) {
     HARMONY_CHECK_MSG(t >= now(), "cannot schedule into the past");
-    return active_queue().push(t, std::move(fn));
+    return here().queue.push(t, std::move(fn));
   }
 
   // ---- typed hot lane ------------------------------------------------------
   // Fixed-shape POD events dispatched through the domain's registered
-  // EventDispatchFn (see sim/event.h). Non-cancellable, so no handle. With
-  // the typed lane disabled (set_typed_lane(false)) the same event rides the
-  // closure lane wrapped in a capture that calls the identical dispatcher —
-  // the diff harness and BM_TypedVsErasedDispatch compare the two lanes.
+  // EventDispatchFn (see sim/event.h). Non-cancellable, so no handle.
 
   /// Schedule a typed event at now()+delay (delay < 0 is clamped to 0).
-  /// Under sharding, ev.shard names the destination shard; the seq is drawn
-  /// from the *scheduling* shard's stream (see sim/shard.h).
+  /// ev.shard names the destination shard; the seq is drawn from the
+  /// *scheduling* shard's stream (see sim/shard.h).
   void schedule_event(SimDuration delay, const TypedEvent& ev) {
     if (delay < 0) delay = 0;
-    push_event(now() + delay, ev);
+    shards_->route_event(here(), now() + delay, ev);
   }
 
   /// Schedule a typed event at absolute time t (>= now()).
   void schedule_event_at(SimTime t, const TypedEvent& ev) {
     HARMONY_CHECK_MSG(t >= now(), "cannot schedule into the past");
-    push_event(t, ev);
+    shards_->route_event(here(), t, ev);
   }
 
   /// Register the dispatcher for one event domain (idempotent; subsystems
@@ -180,49 +179,24 @@ class Simulation {
     dispatchers_[static_cast<std::size_t>(domain)] = fn;
   }
 
-  /// Route schedule_event through the closure lane instead (differential
-  /// testing / benchmarking; behavior is bit-identical either way).
-  void set_typed_lane(bool enabled) { typed_lane_ = enabled; }
-  bool typed_lane() const { return typed_lane_; }
+  /// Run until every queue drains or `horizon` passes (events at t > horizon
+  /// stay queued; now() is advanced to horizon if it was reached).
+  void run_until(SimTime horizon) { now_ = shards_->run(horizon); }
 
-  /// Run one event; returns false if the queue was empty. Unsharded only.
-  bool step();
-
-  /// Run until the queue drains or `horizon` passes (events at t > horizon
-  /// stay queued; now() is advanced to horizon if it was reached). Under
-  /// sharding this runs the windowed executor (stop() has no effect there —
-  /// bound the run with the horizon instead).
-  void run_until(SimTime horizon);
-
-  /// Run until the queue drains or stop() is called.
+  /// Run until every queue drains.
   void run() { run_until(std::numeric_limits<SimTime>::max()); }
 
-  /// Stop after the current event returns (usable from inside callbacks).
-  void stop() { stopping_ = true; }
-
-  std::uint64_t events_processed() const {
-    return shards_ ? shards_->events_processed() : events_processed_;
-  }
-  bool idle() const { return shards_ ? shards_->idle() : queue_.empty(); }
+  std::uint64_t events_processed() const { return shards_->events_processed(); }
+  bool idle() const { return shards_->idle(); }
 
  private:
   friend class ShardSet;
 
-  EventQueue& active_queue() {
-    if (shards_ != nullptr) return shards_->shard(current_shard()).queue;
-    return queue_;
-  }
-
-  void push_event(SimTime when, const TypedEvent& ev) {
-    if (shards_ != nullptr) {
-      shards_->route_event(shards_->shard(current_shard()), when, ev);
-      return;
-    }
-    if (typed_lane_) {
-      queue_.push_typed(when, ev);
-    } else {
-      queue_.push(when, [this, ev] { dispatch(ev); });
-    }
+  /// The shard this thread schedules into: the dispatching shard inside an
+  /// event, the setup shard outside one.
+  Shard& here() {
+    Shard* s = tls_current_shard;
+    return s != nullptr ? *s : shards_->shard(setup_shard_);
   }
 
   void dispatch(const TypedEvent& ev) {
@@ -232,17 +206,10 @@ class Simulation {
     fn(ev);
   }
 
-  /// Pop+run the earliest event at or before `horizon` (both lanes).
-  EventQueue::PopResult run_one(SimTime horizon);
-
   SimTime now_ = 0;
-  EventQueue queue_;
   Rng master_rng_;
   std::uint64_t seed_;
-  std::uint64_t events_processed_ = 0;
   std::uint32_t setup_shard_ = 0;
-  bool stopping_ = false;
-  bool typed_lane_ = true;
   EventDispatchFn dispatchers_[kEventDomains] = {};
   std::unique_ptr<ShardSet> shards_;
   std::vector<std::uint32_t> shard_plan_;

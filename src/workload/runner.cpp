@@ -30,13 +30,10 @@ class Runner final : public ClientEnv {
             static_cast<int>(cfg_.cluster.dc_count),
         "client_dc out of range");
     if (deferred_) {
-      // The remaining cross-shard restrictions; RunConfig::num_shard_threads
+      // The remaining cross-shard restriction; RunConfig::num_shard_threads
       // documents the full list of sharded semantic deltas. Monitor, policy
       // ticks and trace capture are NOT restricted: they run off per-shard
       // logs replayed in (time, seq) order (barriers / fenced instants).
-      HARMONY_CHECK_MSG(cfg_.faults.empty(),
-                        "legacy RunConfig.faults closures cannot cross "
-                        "shards; use fault_schedule (fenced typed lane)");
       HARMONY_CHECK_MSG(!cfg_.workload.reroute_on_dc_outage,
                         "DC re-routing sends requests to a foreign shard's "
                         "coordinator; not supported under shard_count > 1");
@@ -95,20 +92,17 @@ class Runner final : public ClientEnv {
       sim_.set_setup_shard(0);
     }
 
-    // Scheduled failure injection (legacy kill/revive list, closure lane;
-    // the constructor rejects it under sharding).
+    // Scheduled failure injection, typed lane: the legacy kill/revive list
+    // first, then the full schedule (blackouts, degradation windows, ...).
+    // Every fault instant is a fence, so sharded runs execute it
+    // merged-serial.
     for (const auto& fault : cfg_.faults) {
-      sim_.schedule_at(fault.at, [this, fault] {
-        if (fault.kill) {
-          cluster_.kill_node(fault.node);
-        } else {
-          cluster_.revive_node(fault.node);
-        }
-      });
+      cluster_.schedule_fault(
+          {.at = fault.at,
+           .op = fault.kill ? cluster::FaultOp::kKillNode
+                            : cluster::FaultOp::kReviveNode,
+           .node = fault.node});
     }
-    // Full fault schedule, typed lane (blackouts, degradation windows, ...).
-    // Under sharding every fault instant is a fence (merged-serial), so this
-    // path stays legal where the closure list above is not.
     for (const auto& fault : cfg_.fault_schedule) {
       cluster_.schedule_fault(fault);
     }

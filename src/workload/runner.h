@@ -60,10 +60,9 @@ struct RunConfig {
   ///   * per-read ReadResult::stale stays false (the deferred oracle judges
   ///     at barriers); staleness counters come from the oracle's whole-run
   ///     aggregates;
-  ///   * the legacy `faults` closure list is rejected (use `fault_schedule`,
-  ///     whose instants are fenced) and client DC re-routing is rejected
-  ///     (coordinators must stay in the request's shard).
-  /// 0 (default) = classic serial unsharded execution.
+  ///   * client DC re-routing is rejected (coordinators must stay in the
+  ///     request's shard).
+  /// 0 (default) = the default one-shard kernel on the calling thread.
   unsigned num_shard_threads = 0;
 
   /// Key-range shards per DC (sharded runs only; ignored when
@@ -77,7 +76,8 @@ struct RunConfig {
   unsigned shards_per_dc = 1;
 
   /// Scheduled failure injection: kill/revive nodes mid-run (availability
-  /// experiments; revival replays hints).
+  /// experiments; revival replays hints). Each entry is scheduled as a
+  /// kKillNode / kReviveNode FaultSpec, ahead of `fault_schedule`.
   struct FaultEvent {
     SimTime at = 0;
     net::NodeId node = 0;

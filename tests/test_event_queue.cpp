@@ -224,32 +224,6 @@ TEST(TypedLane, InterleavesWithClosuresInScheduleOrder) {
   EXPECT_EQ(sim.events_processed(), 10u);
 }
 
-TEST(TypedLane, ErasedFallbackRunsTheIdenticalSequence) {
-  // set_typed_lane(false) wraps every typed event in a closure calling the
-  // same dispatcher; order, counts, and times must be unchanged.
-  auto run = [](bool typed) {
-    Simulation sim(7);
-    sim.set_typed_lane(typed);
-    sim.set_event_dispatcher(EventDomain::kUser, &record_probe);
-    std::vector<std::uint32_t> order;
-    Rng rng(3);
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      const auto delay = static_cast<SimDuration>(rng.uniform_u64(40));
-      if (rng.chance(0.5)) {
-        sim.schedule_event(delay, probe(&order, i));
-      } else {
-        sim.schedule(delay, [&order, i] { order.push_back(i); });
-      }
-    }
-    sim.run();
-    return std::make_pair(order, sim.now());
-  };
-  const auto typed = run(true);
-  const auto erased = run(false);
-  EXPECT_EQ(typed.first, erased.first);
-  EXPECT_EQ(typed.second, erased.second);
-}
-
 TEST(TypedLane, ReentrantDispatchCanSchedule) {
   // A dispatcher that schedules follow-up events mid-pop (the request path's
   // normal shape: every hop schedules the next) must not invalidate the

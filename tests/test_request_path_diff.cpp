@@ -15,9 +15,7 @@
 //   * full cluster runs — real traffic with kill/revive, hinted handoff,
 //     request timeouts, and write storms, mirrored through the oracle's trace
 //     sink into the reference oracle, with run fingerprints asserted
-//     bit-identical across repeat runs of the same seed — and replayed once
-//     more through the erased (closure-wrapped) event lane, diffing the
-//     typed hot-lane kernel against the PR 4 dispatch mechanism bit for bit.
+//     bit-identical across repeat runs of the same seed.
 //
 // Every judgement, percentile, and fingerprint must match exactly — a single
 // divergence fails the suite with the offending seed, which reproduces the
@@ -389,18 +387,13 @@ struct ClusterRunResult {
 };
 
 ClusterRunResult run_cluster_schedule(std::uint64_t seed,
-                                      bool typed_lane = true,
                                       bool resilience = false,
                                       bool single_shard = false) {
   Rng setup(seed);
   sim::Simulation sim(seed);
-  // typed_lane=false replays the identical schedule through the erased
-  // (closure-wrapped) dispatch lane — the PR 4 mechanism — so the two-lane
-  // kernel is diffed end to end on real cluster traffic.
-  sim.set_typed_lane(typed_lane);
   if (single_shard) {
-    // K == 1 anchor: one shard's executor (seq stream (0, 1), merged-serial
-    // chunks) must be byte-identical to the plain unsharded kernel, on the
+    // K == 1 anchor: the single shard run in 1-ms windows must be
+    // byte-identical to the default kernel's one unbounded window, on the
     // exact same schedules — including anti-entropy, kill/revive closures,
     // and DC blackouts, all of which only shard_count > 1 restricts.
     sim.configure_shards(1, kMillisecond, 1);
@@ -421,8 +414,8 @@ ClusterRunResult run_cluster_schedule(std::uint64_t seed,
   if (setup.chance(0.3)) cfg.anti_entropy_period = 50 * kMillisecond;
   if (resilience) {
     // Knobs-on variant: randomized hedging / retry / admission settings, so
-    // the resilience machinery replays through both dispatch lanes on the
-    // same adversarial schedules as the knobs-off harness.
+    // the resilience machinery replays on the same adversarial schedules as
+    // the knobs-off harness.
     cluster::ResilienceConfig& rc = cfg.resilience;
     rc.hedge_reads = setup.chance(0.8);
     rc.hedge_quantile = 0.5 + setup.uniform() * 0.45;
@@ -601,63 +594,28 @@ TEST(RequestPathDiff, ClusterTrafficMatchesReferenceAndIsDeterministic) {
               (unsigned long long)schedules);
 }
 
-TEST(RequestPathDiff, TypedLaneMatchesErasedLaneByteIdentical) {
-  // The same cluster schedules, replayed once through the typed hot lane
-  // (POD events inline in the heap, switch dispatch) and once through the
-  // erased fallback (the identical events wrapped in closures, the PR 4
-  // mechanism). Both lanes share one (time, seq) order, so every run
-  // fingerprint, event count, and end time must match bit for bit.
-  std::uint64_t schedules = 0;
-  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t seed = base + i;
-      const ClusterRunResult typed = run_cluster_schedule(seed, true);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "typed-lane cluster diff diverged at seed " << seed;
-      const ClusterRunResult erased = run_cluster_schedule(seed, false);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "erased-lane cluster diff diverged at seed " << seed;
-      ASSERT_EQ(typed.fingerprint, erased.fingerprint)
-          << "typed vs erased lane diverged, seed " << seed;
-      ASSERT_EQ(typed.events, erased.events) << "seed " << seed;
-      ASSERT_EQ(typed.end_time, erased.end_time) << "seed " << seed;
-      ++schedules;
-    }
-  };
-  run_block(0xC10C0ULL, kClusterRuns);
-  for (const auto seed : extra_seeds()) run_block(seed, 4);
-  std::printf("[diff] typed-vs-erased cluster schedules: %llu\n",
-              (unsigned long long)schedules);
-}
-
 TEST(RequestPathDiff, ResilienceKnobsOnMatchBothLanesAndReproduce) {
   // The same schedules with hedged reads, coordinator retries, admission
   // control, and a scripted fault script (degradation windows, DC blackout,
   // WAN inflation) layered on top. Hedge timers racing responses, retry
   // backoffs racing late acks, and shed deliveries must all replay
-  // bit-identically — through the typed lane, through the erased lane, and
-  // across repeated runs. The oracle diff inside run_cluster_schedule keeps
-  // judging every read against the reference model throughout.
+  // bit-identically across repeated runs. The oracle diff inside
+  // run_cluster_schedule keeps judging every read against the reference
+  // model throughout.
   std::uint64_t schedules = 0;
   auto run_block = [&](std::uint64_t base, std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t seed = base + i;
-      const ClusterRunResult typed =
-          run_cluster_schedule(seed, true, /*resilience=*/true);
+      const ClusterRunResult first =
+          run_cluster_schedule(seed, /*resilience=*/true);
       ASSERT_FALSE(::testing::Test::HasFailure())
           << "resilience cluster diff diverged at seed " << seed;
-      const ClusterRunResult erased =
-          run_cluster_schedule(seed, false, /*resilience=*/true);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "erased-lane resilience diff diverged at seed " << seed;
-      ASSERT_EQ(typed.fingerprint, erased.fingerprint)
-          << "typed vs erased lane diverged with knobs on, seed " << seed;
-      ASSERT_EQ(typed.events, erased.events) << "seed " << seed;
-      ASSERT_EQ(typed.end_time, erased.end_time) << "seed " << seed;
       const ClusterRunResult again =
-          run_cluster_schedule(seed, true, /*resilience=*/true);
-      ASSERT_EQ(typed.fingerprint, again.fingerprint)
+          run_cluster_schedule(seed, /*resilience=*/true);
+      ASSERT_EQ(first.fingerprint, again.fingerprint)
           << "knobs-on run not reproducible, seed " << seed;
+      ASSERT_EQ(first.events, again.events) << "seed " << seed;
+      ASSERT_EQ(first.end_time, again.end_time) << "seed " << seed;
       ++schedules;
     }
   };
@@ -671,22 +629,22 @@ TEST(RequestPathDiff, ResilienceKnobsOnMatchBothLanesAndReproduce) {
 
 TEST(RequestPathDiff, SingleShardMatchesUnshardedByteIdentical) {
   // The same schedules as the main cluster harness, replayed with the
-  // simulation partitioned into a single shard. K == 1 exercises the whole
-  // sharded machinery (per-shard queue, seq stream, windowed run loop,
-  // ShardState indirection) while the contract demands the output match the
-  // historical unsharded kernel bit for bit.
+  // single shard cut into 1-ms windows (configure_shards(1, 1 ms, 1))
+  // instead of the default kernel's one unbounded window. Window boundaries
+  // and the per-window barrier must not move a single event: the output
+  // matches bit for bit.
   for (std::uint64_t i = 0; i < 8; ++i) {
     const std::uint64_t seed = 0xC10C0ULL + i;
     const bool resilience = (i % 2) == 1;
-    const ClusterRunResult flat = run_cluster_schedule(seed, true, resilience);
+    const ClusterRunResult flat = run_cluster_schedule(seed, resilience);
     ASSERT_FALSE(::testing::Test::HasFailure())
-        << "unsharded reference diverged at seed " << seed;
+        << "default-kernel reference diverged at seed " << seed;
     const ClusterRunResult single =
-        run_cluster_schedule(seed, true, resilience, /*single_shard=*/true);
+        run_cluster_schedule(seed, resilience, /*single_shard=*/true);
     ASSERT_FALSE(::testing::Test::HasFailure())
         << "single-shard run diverged at seed " << seed;
     ASSERT_EQ(flat.fingerprint, single.fingerprint)
-        << "single-shard executor is not byte-identical to the unsharded "
+        << "1-ms windows are not byte-identical to the single-window "
            "kernel, seed " << seed;
     ASSERT_EQ(flat.events, single.events) << "seed " << seed;
     ASSERT_EQ(flat.end_time, single.end_time) << "seed " << seed;
