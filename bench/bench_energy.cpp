@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   const auto results = sweep_runner.run();
 
   const auto avg_watts = [](const workload::RunResult& r) {
-    return r.total_wall_s > 0
-               ? r.energy_kwh * 1000.0 / (r.total_wall_s / 3600.0)
+    return r.total_sim_s > 0
+               ? r.energy_kwh * 1000.0 / (r.total_sim_s / 3600.0)
                : 0.0;
   };
   const auto joules_per_op = [](const workload::RunResult& r) {
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < levels.size(); ++i) {
     const auto& s = results[i];
     const auto wall = s.over(
-        [](const workload::RunResult& r) { return r.total_wall_s; });
+        [](const workload::RunResult& r) { return r.total_sim_s; });
     const auto watts = s.over(avg_watts);
     const auto kwh = s.over(
         [](const workload::RunResult& r) { return r.energy_kwh; });

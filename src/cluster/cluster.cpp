@@ -1313,13 +1313,15 @@ Cluster::MonitorOp& Cluster::append_monitor_op(MonitorOp::Kind kind) {
   return op;
 }
 
-void Cluster::record_read_issued(Key key) {
+void Cluster::record_read_issued(Key key, SimTime issued_at) {
   if (observer_ == nullptr) return;
   if (!deferred_) {
-    observer_->record_read_issued(sim_->now(), key);
+    observer_->record_read_issued(issued_at, key);
     return;
   }
-  append_monitor_op(MonitorOp::Kind::kReadIssued).key = key;
+  MonitorOp& op = append_monitor_op(MonitorOp::Kind::kReadIssued);
+  op.key = key;
+  op.ts = issued_at;
 }
 
 void Cluster::record_write_issued(Key key, std::uint32_t value_size) {
@@ -1360,7 +1362,7 @@ void Cluster::observer_write_propagated(Key key, SimTime write_start,
   }
   MonitorOp& op = append_monitor_op(MonitorOp::Kind::kWritePropagated);
   op.key = key;
-  op.write_start = write_start;
+  op.ts = write_start;
   op.delays = delays;
 }
 
@@ -1401,7 +1403,7 @@ void Cluster::apply_monitor_logs(SimTime safe_time) {
     const MonitorOp& op = st.monitor_log[st.monitor_pos++];
     switch (op.kind) {
       case MonitorOp::Kind::kReadIssued:
-        observer_->record_read_issued(op.at, op.key);
+        observer_->record_read_issued(op.ts, op.key);
         break;
       case MonitorOp::Kind::kWriteIssued:
         observer_->record_write_issued(op.at, op.key, op.size);
@@ -1413,7 +1415,7 @@ void Cluster::apply_monitor_logs(SimTime safe_time) {
         observer_->record_write_complete(op.at, op.dur);
         break;
       case MonitorOp::Kind::kWritePropagated:
-        observer_->on_write_propagated(op.key, op.write_start, op.delays);
+        observer_->on_write_propagated(op.key, op.ts, op.delays);
         break;
       case MonitorOp::Kind::kReplicaReadRtt:
         observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);

@@ -115,11 +115,11 @@ class ClusterObserver {
     (void)replica; (void)rtt; (void)cross_dc;
   }
 
-  // Client-side measurement hooks (monitor/monitor.h implements them). In
-  // unsharded runs the workload layer may call the monitor directly; sharded
-  // runs route them through Cluster::record_* so they join the per-shard
-  // monitor log and replay here — interleaved with the replica-side hooks
-  // above in exact (time, seq) order — at window barriers.
+  // Client-side measurement hooks (monitor/monitor.h implements them). The
+  // workload layer always enters through Cluster::record_*: one-shard runs
+  // forward here at once, sharded runs join the per-shard monitor log and
+  // replay here — interleaved with the replica-side hooks above in exact
+  // (time, seq) order — at window barriers.
   virtual void record_read_issued(SimTime now, Key key) {
     (void)now; (void)key;
   }
@@ -407,11 +407,12 @@ class Cluster {
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
 
   // ---- client-side measurement records -----------------------------------
-  // Forwarded to the observer's record_* hooks: immediately when unsharded,
-  // via the per-shard monitor log (barrier-merged replay) when sharded. The
-  // workload layer calls these instead of the monitor directly whenever
-  // shard_count > 1.
-  void record_read_issued(Key key);
+  // The workload layer's only way into the observer's record_* hooks:
+  // forwarded immediately when unsharded, via the per-shard monitor log
+  // (barrier-merged replay) when sharded. `issued_at` is the read's issue
+  // time as the client measures it (a paced client's intended arrival), so
+  // it may precede now().
+  void record_read_issued(Key key, SimTime issued_at);
   void record_write_issued(Key key, std::uint32_t value_size);
   void record_read_complete(SimDuration latency);
   void record_write_complete(SimDuration latency);
@@ -620,7 +621,8 @@ class Cluster {
     SimTime at = 0;
     std::uint64_t seq = 0;
     Key key = 0;              ///< issued / propagated
-    SimTime write_start = 0;  ///< kWritePropagated
+    SimTime ts = 0;           ///< kReadIssued: issued_at; kWritePropagated:
+                              ///< write_start
     SimDuration dur = 0;      ///< completion latency / replica rtt
     std::uint32_t size = 0;   ///< written value size
     net::NodeId replica = 0;  ///< kReplicaReadRtt

@@ -63,7 +63,6 @@ enum class EventKind : std::uint8_t {
   // ---- workload domain (16..31): clients --------------------------------
   kClientIssue = 16,   ///< a closed-loop client issues its next operation
   kOpenLoopArrival,    ///< an open-loop source's next intended arrival fires
-  kPolicyTick,         ///< fenced policy-retuning tick (sharded runs)
 
   // ---- user domain (32..47): free for tests and benches ------------------
   kUserProbe = 32,

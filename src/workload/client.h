@@ -28,6 +28,8 @@ struct Op {
 /// single-threaded by default, or — under sharded execution — on the worker
 /// thread of the client's home-DC shard. Implementations must keep any state
 /// they mutate from these callbacks shard-local (see workload/runner.cpp).
+/// Clients report their measurements through Cluster::record_*, never to
+/// the monitor directly, so every run feeds the observer the same way.
 class ClientEnv {
  public:
   virtual ~ClientEnv() = default;
@@ -35,6 +37,8 @@ class ClientEnv {
   virtual bool next_op(Op& op) = 0;
   virtual const policy::ConsistencyPolicy& policy() const = 0;
   virtual cluster::Cluster& cluster() = 0;
+  /// The run's monitor. Clients never call it; bench/e2e's traced stack
+  /// still overrides it, so it stays until that stack changes.
   virtual monitor::Monitor& monitor() = 0;
   virtual sim::Simulation& simulation() = 0;
   /// Completion hooks (latency measured client-side).
@@ -43,19 +47,15 @@ class ClientEnv {
   virtual void on_write_complete(const cluster::WriteResult& result,
                                  SimDuration latency) = 0;
   virtual void on_client_finished() = 0;
-  /// Fenced policy-retuning tick (sharded runs; see EventKind::kPolicyTick).
-  /// The instant runs merged-serial, so the implementation may touch
-  /// cross-shard singletons (monitor snapshot, policy mutation).
-  virtual void on_policy_tick() {}
 };
 
 class Client {
  public:
   /// `reroute_on_dc_outage` / `shed_retry_limit` mirror the WorkloadSpec
   /// resilience knobs (the runner forwards them). `shard` is the event shard
-  /// the client's whole closed loop runs on (sharded runs; the runner homes
-  /// each client on one key-range shard of its DC — under the legacy per-DC
-  /// plan that is just the home DC's shard id). Ignored unsharded.
+  /// the client's whole closed loop runs on: the runner homes each client on
+  /// one key-range shard of its DC (under the per-DC plan, the home DC's
+  /// shard id; 0 in a one-shard run).
   Client(ClientEnv& env, net::DcId home_dc, double target_rate_per_s, Rng rng,
          bool reroute_on_dc_outage = false, int shed_retry_limit = 8,
          std::uint8_t shard = 0);
@@ -96,10 +96,6 @@ class Client {
   /// Event shard the client's issue loop runs on (ctor-assigned by the
   /// runner: one key-range shard of the home DC; 0 unsharded).
   std::uint8_t shard_ = 0;
-  /// Direct monitor calls happen only unsharded; under shard_count > 1 the
-  /// hooks route through Cluster's per-shard monitor logs, replayed in
-  /// (time, seq) order at window barriers.
-  bool use_monitor_ = true;
   SimTime last_issue_ = 0;
   /// Rate-paced clients: the op's *intended* issue time on the arrival grid.
   /// The grid advances by the drawn gaps alone; when completions lag the

@@ -55,7 +55,6 @@ void OpenLoopSource::start() {
                            &Client::dispatch_event);
   key_filter_ = sim.shard_count() > 1 &&
                 env_->cluster().shard_map().shards_in_dc(dc_) > 1;
-  use_monitor_ = sim.shard_count() <= 1;
   // The first arrival lands one gap after t=0: sources de-synchronize
   // through their private RNG streams, no explicit stagger needed.
   schedule_next_arrival(0);
@@ -208,11 +207,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
       break;
     case OpType::kUpdate:
     case OpType::kInsert:
-      if (use_monitor_) {
-        env_->monitor().record_write_issued(now, op.key, op.value_size);
-      } else {
-        env_->cluster().record_write_issued(op.key, op.value_size);
-      }
+      env_->cluster().record_write_issued(op.key, op.value_size);
       do_write(op, intended);
       break;
     case OpType::kReadModifyWrite:
@@ -222,11 +217,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
 }
 
 void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
-  if (use_monitor_) {
-    env_->monitor().record_read_issued(env_->simulation().now(), op.key);
-  } else {
-    env_->cluster().record_read_issued(op.key);
-  }
+  env_->cluster().record_read_issued(op.key, env_->simulation().now());
   const cluster::ReplicaRequirement req = env_->policy().read_requirement();
   env_->cluster().client_read(
       dc_, op.key, req,
@@ -237,20 +228,12 @@ void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
         // retry; re-offered load would re-hide the overload.
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        if (use_monitor_) {
-          env_->monitor().record_read_complete(now, latency);
-        } else {
-          env_->cluster().record_read_complete(latency);
-        }
+        env_->cluster().record_read_complete(latency);
         env_->on_read_complete(r, latency, req.count);
         if (then_write) {
           // RMW: the write half keeps the op's in-flight slot and its
           // intended time, so RMW latency stays end-to-end.
-          if (use_monitor_) {
-            env_->monitor().record_write_issued(now, op.key, op.value_size);
-          } else {
-            env_->cluster().record_write_issued(op.key, op.value_size);
-          }
+          env_->cluster().record_write_issued(op.key, op.value_size);
           do_write(op, intended);
         } else {
           finish_op(r.ok, r.shed, intended);
@@ -265,11 +248,7 @@ void OpenLoopSource::do_write(const Op& op, SimTime intended) {
       [this, intended](const cluster::WriteResult& w) {
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        if (use_monitor_) {
-          env_->monitor().record_write_complete(now, latency);
-        } else {
-          env_->cluster().record_write_complete(latency);
-        }
+        env_->cluster().record_write_complete(latency);
         env_->on_write_complete(w, latency);
         finish_op(w.ok, w.shed, intended);
       });

@@ -75,7 +75,7 @@ class OpenLoopSource {
   /// `shard` is the event shard the source's whole loop runs on — under
   /// key-range sharding one source exists per shard of each hosting DC, and
   /// draw_op() keeps only keys that shard owns (rejection sampling for
-  /// distribution draws, lane skip-scan for inserts). Ignored unsharded.
+  /// distribution draws, lane skip-scan for inserts); 0 in a one-shard run.
   OpenLoopSource(ClientEnv& env, net::DcId dc, const WorkloadSpec& spec,
                  double rate_per_s, std::uint64_t insert_lane,
                  std::uint64_t insert_stride, Rng rng,
@@ -140,7 +140,6 @@ class OpenLoopSource {
   /// then filters keys by Cluster::home_shard ownership. Off at S_d == 1,
   /// where every draw is owned by construction (zero extra RNG pulls).
   bool key_filter_ = false;
-  bool use_monitor_ = true;
   bool measuring_ = false;
   bool gen_done_ = false;
   bool drain_reported_ = false;

@@ -22,14 +22,16 @@ class Runner final : public ClientEnv {
         cluster_(shard_configured(sim_, cfg), sized_cluster_config(cfg)),
         monitor_(cfg.monitor),
         op_rng_(sim_.fork_rng(0x0FAB5EED)),
-        request_dist_(cfg.workload.request_dist.build(cfg.workload.record_count)),
-        deferred_(sim_.shard_count() > 1) {
+        request_dist_(cfg.workload.request_dist.build(cfg.workload.record_count)) {
     cfg_.workload.validate();
     HARMONY_CHECK_MSG(
         cfg_.workload.client_dc <
             static_cast<int>(cfg_.cluster.dc_count),
         "client_dc out of range");
-    if (deferred_) {
+    HARMONY_CHECK_MSG(cfg_.policy_tick >= 0,
+                      "policy_tick must be >= 0 (0 = never retune)");
+    HARMONY_CHECK_MSG(cfg_.warmup >= 0, "warmup must be >= 0");
+    if (sim_.shard_count() > 1) {
       // The remaining cross-shard restriction; RunConfig::num_shard_threads
       // documents the full list of sharded semantic deltas. Monitor, policy
       // ticks and trace capture are NOT restricted: they run off per-shard
@@ -49,44 +51,34 @@ class Runner final : public ClientEnv {
 
   RunResult run() {
     cluster_.preload_range(cfg_.workload.record_count, cfg_.workload.value_size);
-    next_insert_key_ = cfg_.workload.record_count;
-    if (deferred_) init_lanes();
+    init_lanes();
 
     if (cfg_.workload.open_loop.enabled) {
       setup_open_loop();
     } else {
       // Clients, spread over every DC (or confined to one via client_dc).
-      // Under key-range sharding each client is further homed on one shard
-      // of its DC (round-robin over the DC's shard range), where its whole
-      // closed loop — and every key it touches — lives.
+      // Each client is homed on one shard of its DC (round-robin over the
+      // DC's key-range shards), where its whole closed loop — and every key
+      // it touches — lives.
       for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
-        if (cfg_.workload.client_dc >= 0 &&
-            d != static_cast<std::size_t>(cfg_.workload.client_dc)) {
-          continue;
-        }
-        const std::uint32_t splits =
-            deferred_
-                ? cluster_.shard_map().shards_in_dc(static_cast<net::DcId>(d))
-                : 1;
+        if (!hosts_clients(d)) continue;
         for (int i = 0; i < cfg_.workload.clients_per_dc; ++i) {
-          const auto shard = static_cast<std::uint8_t>(
-              deferred_ ? cluster_.shard_map().shard_base(
-                              static_cast<net::DcId>(d)) +
-                              static_cast<std::uint32_t>(i) % splits
-                        : 0);
+          const std::uint32_t shard =
+              dc_shard_base(d) + static_cast<std::uint32_t>(i) % dc_shards(d);
           clients_.push_back(std::make_unique<Client>(
               *this, static_cast<net::DcId>(d),
               cfg_.workload.target_rate_per_client,
               sim_.fork_rng(0xC11E017 + clients_.size()),
               cfg_.workload.reroute_on_dc_outage,
-              cfg_.workload.shed_retry_limit, shard));
-          if (deferred_) ++lane_[shard].clients;
+              cfg_.workload.shed_retry_limit,
+              static_cast<std::uint8_t>(shard)));
+          ++lane_[shard].clients;
         }
       }
       for (auto& c : clients_) {
-        // Sharded: the start stagger (and every event it transitively books)
-        // belongs to the client's shard.
-        sim_.set_setup_shard(deferred_ ? c->shard() : 0);
+        // The start stagger (and every event it transitively books) belongs
+        // to the client's shard.
+        sim_.set_setup_shard(c->shard());
         c->start();
       }
       sim_.set_setup_shard(0);
@@ -107,49 +99,25 @@ class Runner final : public ClientEnv {
       cluster_.schedule_fault(fault);
     }
 
-    // Policy retuning tick. The tick reads the monitor and mutates the
-    // policy, both cross-shard singletons — so sharded runs put each tick on
-    // a fenced instant (merged-serial, after the barrier flush applied every
-    // monitor op dated before it) and re-arm while events remain. Unsharded
-    // runs keep the closure-lane periodic timer.
-    if (!deferred_) {
-      policy_timer_.start(sim_, cfg_.policy_tick, [this] {
-        policy_->tick(monitor_.snapshot(sim_.now()));
-      });
-    } else if (cfg_.policy_tick > 0) {
-      arm_policy_tick(cfg_.policy_tick);
+    // Policy retuning ticks, each on a fenced instant (see tick_policy).
+    if (cfg_.policy_tick > 0) {
+      sim_.register_fence(cfg_.policy_tick);
+      policy_timer_.start(sim_, cfg_.policy_tick, [this] { tick_policy(); });
     }
 
     // Warm-up boundary: reset measurements, keep billing clocks running.
-    // Sharded: one boundary event per shard, each flipping only that DC's
-    // measuring state — the flip lands at the same (time, seq) point of the
-    // merge for every thread count.
-    if (deferred_) {
-      measure_start_ = cfg_.warmup;
-      for (std::size_t d = 0; d < lane_.size(); ++d) {
-        if (cfg_.warmup > 0) {
-          sim_.set_setup_shard(static_cast<std::uint32_t>(d));
-          sim_.schedule(cfg_.warmup, [this, d] {
-            LaneState& s = lane_[d];
-            s.measuring = true;
-            s.ops_at_measure_start = s.ops_completed;
-            if (d < src_by_lane_.size() && src_by_lane_[d] != nullptr) {
-              src_by_lane_[d]->set_measuring(true);
-            }
-          });
-        } else {
-          lane_[d].measuring = true;
-          if (d < src_by_lane_.size() && src_by_lane_[d] != nullptr) {
-            src_by_lane_[d]->set_measuring(true);
-          }
-        }
+    // One boundary event per lane, on its shard, each flipping only that
+    // lane's measuring state — the flip lands at the same (time, seq) point
+    // of the merge for every thread count.
+    for (std::uint32_t d = 0; d < lane_.size(); ++d) {
+      if (cfg_.warmup > 0) {
+        sim_.set_setup_shard(d);
+        sim_.schedule(cfg_.warmup, [this, d] { begin_measurement(d); });
+      } else {
+        begin_measurement(d);
       }
-      sim_.set_setup_shard(0);
-    } else if (cfg_.warmup > 0) {
-      sim_.schedule(cfg_.warmup, [this] { begin_measurement(); });
-    } else {
-      begin_measurement();
     }
+    sim_.set_setup_shard(0);
 
     if (cfg_.workload.open_loop.enabled) {
       // Open-loop runs are time-bounded: generation stops at `duration`,
@@ -166,45 +134,17 @@ class Runner final : public ClientEnv {
 
   // ---- ClientEnv -----------------------------------------------------------
 
-  bool next_op(Op& op) override {
-    if (deferred_) return next_op_sharded(op);
-    if (ops_issued_ >= cfg_.workload.op_count) return false;
-    ++ops_issued_;
-    const WorkloadSpec& w = cfg_.workload;
-    const double weights[4] = {w.read_proportion, w.update_proportion,
-                               w.insert_proportion, w.rmw_proportion};
-    switch (op_rng_.weighted_index(weights, 4)) {
-      case 0: op.type = OpType::kRead; break;
-      case 1: op.type = OpType::kUpdate; break;
-      case 2: op.type = OpType::kInsert; break;
-      default: op.type = OpType::kReadModifyWrite; break;
-    }
-    if (op.type == OpType::kInsert) {
-      op.key = next_insert_key_++;
-      request_dist_->grow(next_insert_key_);
-    } else {
-      op.key = request_dist_->next(op_rng_);
-    }
-    op.value_size = w.value_size;
-    if (cfg_.record_trace) {
-      if (result_.trace == nullptr) result_.trace = std::make_shared<Trace>();
-      result_.trace->records.push_back(
-          TraceRecord{sim_.now(), op.type, op.key, op.value_size});
-    }
-    return true;
-  }
-
-  /// Sharded op stream: each shard lane owns an equal slice of the op
-  /// budget, its own RNG fork and key distribution, and an interleaved
-  /// insert-key lane (record_count + shard + n*shard_count) so shards never
-  /// contend for a key counter. Under key-range sharding (S_d > 1) the lane
-  /// additionally keeps only keys its shard owns: distribution draws are
+  /// The op stream: each shard lane owns a slice of the op budget, its own
+  /// RNG stream and key distribution, and an interleaved insert-key lane
+  /// (record_count + shard + n*shard_count) so shards never contend for a
+  /// key counter. Under key-range sharding (S_d > 1) the lane additionally
+  /// keeps only keys its shard owns: distribution draws are
   /// rejection-sampled against Cluster::home_shard and the insert lane is
   /// skip-scanned (unowned lane keys are simply never inserted — lanes are
   /// disjoint, so uniqueness holds). At S_d == 1 the filter is off and RNG
   /// consumption is identical to the per-DC scheme. Runs on the calling
   /// client's shard thread; touches only that shard's LaneState.
-  bool next_op_sharded(Op& op) {
+  bool next_op(Op& op) override {
     const std::uint32_t shard = sim_.current_shard();
     LaneState& s = lane_[shard];
     if (s.ops_issued >= s.ops_budget) return false;
@@ -238,7 +178,7 @@ class Runner final : public ClientEnv {
     }
     op.value_size = w.value_size;
     if (cfg_.record_trace) {
-      // Per-shard (time, seq)-stamped buffer; collect() stitches the lanes
+      // Per-lane (time, seq)-stamped buffer; collect() stitches the lanes
       // into the global serial issue order.
       s.trace.push_back(StampedTrace{
           sim_.current_seq(),
@@ -254,121 +194,68 @@ class Runner final : public ClientEnv {
 
   void on_read_complete(const cluster::ReadResult& r, SimDuration latency,
                         int replicas_requested) override {
-    if (deferred_) {
-      LaneState& s = lane_[sim_.current_shard()];
-      ++s.ops_completed;
-      if (s.measuring) {
-        ++s.reads;
-        if (!r.ok) {
-          ++s.errors;
-        } else {
-          s.read_latency.record(latency);
-          ++s.read_level_usage[replicas_requested];
-          // r.stale is never populated under shard_count > 1 (the deferred
-          // oracle judges at window barriers); collect() reads the oracle's
-          // whole-run aggregates instead.
-        }
-      }
+    LaneState& s = lane_[sim_.current_shard()];
+    ++s.ops_completed;
+    if (!s.measuring) return;
+    ++s.reads;
+    if (!r.ok) {
+      ++s.errors;
       return;
     }
-    ++ops_completed_;
-    if (measuring_) {
-      ++result_.reads;
-      if (!r.ok) {
-        ++result_.errors;
-      } else {
-        result_.read_latency.record(latency);
-        ++result_.read_level_usage[replicas_requested];
-        if (r.stale) {
-          ++result_.stale_reads;
-          result_.staleness_age.record(r.staleness_age);
-        } else {
-          ++result_.fresh_reads;
-        }
-      }
+    s.read_latency.record(latency);
+    ++s.read_level_usage[replicas_requested];
+    if (r.stale) {
+      ++s.stale_reads;
+      s.staleness_age.record(r.staleness_age);
+    } else {
+      ++s.fresh_reads;
     }
-    note_progress();
   }
 
   void on_write_complete(const cluster::WriteResult& w,
                          SimDuration latency) override {
-    if (deferred_) {
-      LaneState& s = lane_[sim_.current_shard()];
-      ++s.ops_completed;
-      if (s.measuring) {
-        ++s.writes;
-        if (!w.ok) {
-          ++s.errors;
-        } else {
-          s.write_latency.record(latency);
-        }
-      }
-      return;
+    LaneState& s = lane_[sim_.current_shard()];
+    ++s.ops_completed;
+    if (!s.measuring) return;
+    ++s.writes;
+    if (!w.ok) {
+      ++s.errors;
+    } else {
+      s.write_latency.record(latency);
     }
-    ++ops_completed_;
-    if (measuring_) {
-      ++result_.writes;
-      if (!w.ok) {
-        ++result_.errors;
-      } else {
-        result_.write_latency.record(latency);
-      }
-    }
-    note_progress();
   }
 
   void on_client_finished() override {
-    if (deferred_) {
-      LaneState& s = lane_[sim_.current_shard()];
-      ++s.clients_finished;
-      if (s.clients_finished == s.clients) s.finish_time = sim_.now();
-      return;
-    }
-    ++clients_finished_;
-    if (clients_finished_ == clients_.size() + sources_.size()) {
-      // Budget drained: stop the retuning timer so the queue can empty.
-      policy_timer_.stop();
-      finish_time_ = sim_.now();
-    }
-  }
-
-  /// Fenced policy tick (sharded runs; see EventKind::kPolicyTick). Runs
-  /// merged-serial at a fence instant, after the window flush applied every
-  /// per-shard monitor op dated before it — so the snapshot the policy sees
-  /// is identical for every thread count. Stops when every lane's clients
-  /// have drained their budget, mirroring the unsharded PeriodicTimer stop:
-  /// the already-armed tick acts cancelled (no tick, no re-arm). The stop
-  /// must key off client state, not sim_.idle() — another self-re-arming
-  /// fence source (anti-entropy) would keep the queue non-idle forever and
-  /// the two would hold each other live.
-  void on_policy_tick() override {
-    bool running = false;
-    for (const LaneState& s : lane_) running |= s.clients_finished < s.clients;
-    if (!running) return;
-    policy_->tick(monitor_.snapshot(sim_.now()));
-    arm_policy_tick(sim_.now() + cfg_.policy_tick);
+    LaneState& s = lane_[sim_.current_shard()];
+    if (++s.clients_finished < s.clients) return;
+    s.finish_time = sim_.now();
+    // Budget drained. A one-shard run stops the retuning timer here, so the
+    // queue can empty without one more tick; sharded lanes finish on worker
+    // threads, and the next fenced tick stops it instead (tick_policy).
+    if (sim_.shard_count() == 1) policy_timer_.stop();
   }
 
  private:
   /// One issued-op trace record plus the event seq that stamps its position
-  /// in the global (time, seq) order (sharded record_trace).
+  /// in the global (time, seq) order (record_trace).
   struct StampedTrace {
     std::uint64_t seq = 0;
     TraceRecord rec{};
   };
 
-  /// Per-shard workload state for sharded runs ("lane"): everything a client
-  /// callback mutates lives here, indexed by the executing shard, so workers
-  /// never share a cache line let alone a counter. Under the legacy per-DC
-  /// plan lane i is exactly DC i; under key-range sharding each DC owns a
-  /// contiguous lane range. Padded to a line for the adjacent-element case.
+  /// Per-shard workload state ("lane"): everything a client callback mutates
+  /// lives here, indexed by the executing shard, so workers never share a
+  /// cache line let alone a counter. A one-shard run has one lane; under the
+  /// per-DC plan lane i is exactly DC i; under key-range sharding each DC
+  /// owns a contiguous lane range. Padded to a line for the adjacent-element
+  /// case.
   struct alignas(64) LaneState {
     Rng op_rng;
     std::unique_ptr<KeyDistribution> request_dist;
     /// Owning DC of this shard lane.
     net::DcId dc = 0;
-    /// True when the owning DC splits past one shard: next_op_sharded then
-    /// keeps only keys this shard owns.
+    /// True when the owning DC splits past one shard: next_op then keeps
+    /// only keys this shard owns.
     bool key_filter = false;
     /// record_trace: this shard's issued ops, stamped for the collect-time
     /// stitch.
@@ -386,8 +273,11 @@ class Runner final : public ClientEnv {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t errors = 0;
+    std::uint64_t stale_reads = 0;
+    std::uint64_t fresh_reads = 0;
     LatencyHistogram read_latency;
     LatencyHistogram write_latency;
+    LatencyHistogram staleness_age;
     std::map<int, std::uint64_t> read_level_usage;
   };
 
@@ -443,13 +333,32 @@ class Runner final : public ClientEnv {
            dc == static_cast<std::size_t>(cfg_.workload.client_dc);
   }
 
+  /// DC d's shards are [dc_shard_base(d), dc_shard_base(d) + dc_shards(d)):
+  /// its key-range shards, or shard 0 alone in a one-shard run.
+  std::uint32_t dc_shard_base(std::size_t d) const {
+    if (sim_.shard_count() == 1) return 0;
+    return cluster_.shard_map().shard_base(static_cast<net::DcId>(d));
+  }
+  std::uint32_t dc_shards(std::size_t d) const {
+    if (sim_.shard_count() == 1) return 1;
+    return cluster_.shard_map().shards_in_dc(static_cast<net::DcId>(d));
+  }
+
   void init_lanes() {
-    const cluster::ShardMap& map = cluster_.shard_map();
     const std::size_t n = sim_.shard_count();
     lane_ = std::vector<LaneState>(n);
+    if (n == 1) {
+      // One lane continues the serial stream: the constructor's op_rng_
+      // fork, the whole budget, and the insert lane record_count + n.
+      lane_[0].op_rng = std::move(op_rng_);
+      lane_[0].request_dist = request_dist_->clone();
+      lane_[0].ops_budget = cfg_.workload.op_count;
+      return;
+    }
+    const cluster::ShardMap& map = cluster_.shard_map();
     // Equal split of the op budget over the shards of client-hosting DCs;
     // the remainder goes to the lowest shard ids so totals match op_count
-    // exactly. (Per-DC plan: one lane per DC, the legacy split.)
+    // exactly. (Per-DC plan: one lane per DC.)
     std::uint64_t active = 0;
     for (std::size_t s = 0; s < n; ++s) {
       if (hosts_clients(map.dc_of_shard(static_cast<std::uint32_t>(s)))) {
@@ -474,30 +383,42 @@ class Runner final : public ClientEnv {
     }
   }
 
-  /// Register the fence and schedule the typed tick event for the next
-  /// policy retuning instant (sharded runs; always called from setup or from
-  /// inside a fenced instant, never mid-window).
-  void arm_policy_tick(SimTime at) {
-    sim_.register_fence(at);
-    sim::TypedEvent ev;
-    ev.kind = sim::EventKind::kPolicyTick;
-    ev.target = static_cast<ClientEnv*>(this);
-    sim_.schedule_event_at(at, ev);
+  /// One policy retuning tick. It reads the monitor and mutates the policy,
+  /// both cross-shard singletons, so every tick instant is a registered
+  /// fence: it runs merged-serial, after the window flush applied every
+  /// per-shard monitor op dated before it, and the policy sees the same
+  /// snapshot for every thread count. The timer stops once every lane's
+  /// clients have drained their budget. That keys off client state, not
+  /// sim_.idle(): another self-re-arming fence source (anti-entropy) would
+  /// keep the queue non-idle forever and the two would hold each other live.
+  void tick_policy() {
+    bool running = false;
+    for (const LaneState& s : lane_) running |= s.clients_finished < s.clients;
+    if (!running) {
+      policy_timer_.stop();
+      return;
+    }
+    policy_->tick(monitor_.snapshot(sim_.now()));
+    sim_.register_fence(sim_.now() + cfg_.policy_tick);
   }
 
-  void begin_measurement() {
-    measuring_ = true;
-    measure_start_ = sim_.now();
-    ops_at_measure_start_ = ops_completed_;
-    for (auto& s : sources_) s->set_measuring(true);
+  /// Warm-up boundary of one lane: runs on its shard and flips only that
+  /// lane and the open-loop sources on the same shard.
+  void begin_measurement(std::uint32_t shard) {
+    LaneState& s = lane_[shard];
+    s.measuring = true;
+    s.ops_at_measure_start = s.ops_completed;
+    for (auto& src : sources_) {
+      if (src->shard() == shard) src->set_measuring(true);
+    }
   }
 
   /// One OpenLoopSource per shard of each client-hosting DC (one per DC
-  /// under the legacy per-DC plan) in place of the closed-loop clients; each
-  /// gets an equal share of the aggregate arrival rate (DC share split over
-  /// the DC's shards), its own RNG fork, a clone of the shared request
-  /// distribution, and an interleaved insert-key lane (see
-  /// workload/open_loop.h).
+  /// under the per-DC plan and in a one-shard run) in place of the
+  /// closed-loop clients; each gets an equal share of the aggregate arrival
+  /// rate (DC share split over the DC's shards), its own RNG fork, a clone
+  /// of the shared request distribution, and an interleaved insert-key lane
+  /// (see workload/open_loop.h).
   void setup_open_loop() {
     const OpenLoopSpec& ol = cfg_.workload.open_loop;
     HARMONY_CHECK_MSG(cfg_.warmup < ol.duration,
@@ -511,98 +432,90 @@ class Runner final : public ClientEnv {
     // One shared zeta computation for the million-user population; every
     // source copies the finished constants instead of re-summing O(users).
     const ScrambledZipfianKeys users(ol.user_count, ol.user_zipf_theta);
-    const std::size_t lanes = deferred_ ? sim_.shard_count() : dcs;
-    src_by_lane_.assign(lanes, nullptr);
+    // Partition ids name each source's insert lane and RNG fork: the shard
+    // when sharded, the DC in a one-shard run (where every source shares
+    // shard 0).
+    const bool sharded = sim_.shard_count() > 1;
+    const std::size_t parts = sharded ? sim_.shard_count() : dcs;
     for (std::size_t d = 0; d < dcs; ++d) {
       if (!hosts_clients(d)) continue;
-      const std::uint32_t splits =
-          deferred_
-              ? cluster_.shard_map().shards_in_dc(static_cast<net::DcId>(d))
-              : 1;
+      const std::uint32_t splits = dc_shards(d);
       for (std::uint32_t k = 0; k < splits; ++k) {
-        const std::size_t lane =
-            deferred_ ? cluster_.shard_map().shard_base(
-                            static_cast<net::DcId>(d)) + k
-                      : d;
+        const std::uint32_t shard = dc_shard_base(d) + k;
+        const std::size_t part = sharded ? shard : d;
         sources_.push_back(std::make_unique<OpenLoopSource>(
             *this, static_cast<net::DcId>(d), cfg_.workload,
             ol.rate_per_s / static_cast<double>(active) /
                 static_cast<double>(splits),
-            /*insert_lane=*/lane, /*insert_stride=*/lanes,
-            sim_.fork_rng(0x01E27007 + 0x9E37 * (lane + 1)),
-            request_dist_->clone(), users,
-            static_cast<std::uint8_t>(deferred_ ? lane : 0)));
-        src_by_lane_[lane] = sources_.back().get();
-        if (deferred_) ++lane_[lane].clients;
+            /*insert_lane=*/part, /*insert_stride=*/parts,
+            sim_.fork_rng(0x01E27007 + 0x9E37 * (part + 1)),
+            request_dist_->clone(), users, static_cast<std::uint8_t>(shard)));
+        ++lane_[shard].clients;
       }
     }
     for (auto& s : sources_) {
-      sim_.set_setup_shard(deferred_ ? s->shard() : 0);
+      sim_.set_setup_shard(s->shard());
       s->start();
     }
     sim_.set_setup_shard(0);
   }
 
-  void note_progress() {
-    // RMW issues two cluster ops but counts as one workload op; completion
-    // tracking is per cluster-op, which is what the drain condition needs.
-  }
-
   RunResult collect() {
     RunResult& r = result_;
-    std::uint64_t completed = ops_completed_;
-    std::uint64_t at_measure_start = ops_at_measure_start_;
-    if (deferred_) {
-      // Merge the per-shard lane tallies; every shard is quiescent here (the
-      // run loop joined its workers before returning).
-      completed = at_measure_start = 0;
-      for (LaneState& s : lane_) {
-        r.reads += s.reads;
-        r.writes += s.writes;
-        r.errors += s.errors;
-        r.read_latency.merge(s.read_latency);
-        r.write_latency.merge(s.write_latency);
-        for (const auto& [k, n] : s.read_level_usage) {
-          r.read_level_usage[k] += n;
-        }
-        completed += s.ops_completed;
-        at_measure_start += s.ops_at_measure_start;
-        if (s.finish_time > finish_time_) finish_time_ = s.finish_time;
+    // Merge the per-lane tallies; every shard is quiescent here (the run
+    // loop joined its workers before returning).
+    std::uint64_t measured_ops = 0;
+    SimTime finish_time = 0;
+    for (const LaneState& s : lane_) {
+      r.reads += s.reads;
+      r.writes += s.writes;
+      r.errors += s.errors;
+      r.stale_reads += s.stale_reads;
+      r.fresh_reads += s.fresh_reads;
+      r.read_latency.merge(s.read_latency);
+      r.write_latency.merge(s.write_latency);
+      r.staleness_age.merge(s.staleness_age);
+      for (const auto& [k, n] : s.read_level_usage) {
+        r.read_level_usage[k] += n;
       }
-      if (cfg_.record_trace) {
-        // Stitch the per-shard trace buffers into the global serial issue
-        // order: each lane is already (time, seq)-sorted by construction, so
-        // one sort of the concatenation reproduces the merged stream
-        // byte-for-byte for every thread count.
-        if (r.trace == nullptr) r.trace = std::make_shared<Trace>();
-        std::vector<StampedTrace> all;
-        for (LaneState& s : lane_) {
-          all.insert(all.end(), s.trace.begin(), s.trace.end());
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const StampedTrace& a, const StampedTrace& b) {
-                    return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
-                                                    : a.seq < b.seq;
-                  });
-        r.trace->records.reserve(r.trace->records.size() + all.size());
-        for (const StampedTrace& t : all) r.trace->records.push_back(t.rec);
-      }
+      measured_ops += s.ops_completed - s.ops_at_measure_start;
+      finish_time = std::max(finish_time, s.finish_time);
+    }
+    if (sim_.shard_count() > 1) {
       // Per-read judgements are deferred past the client callback under
-      // sharding; the oracle's whole-run aggregates are exact.
+      // sharding (ReadResult::stale stays false); the oracle's whole-run
+      // aggregates are exact.
       r.stale_reads = cluster_.oracle().stale_reads();
       r.fresh_reads = cluster_.oracle().fresh_reads();
-      r.staleness_age.merge(cluster_.oracle().staleness_age());
+      r.staleness_age = cluster_.oracle().staleness_age();
+    }
+    if (cfg_.record_trace) {
+      // Stitch the per-lane trace buffers into the global serial issue
+      // order: each lane is already (time, seq)-sorted by construction, so
+      // one sort of the concatenation reproduces the merged stream
+      // byte-for-byte for every thread count.
+      std::vector<StampedTrace> trace;
+      for (const LaneState& s : lane_) {
+        trace.insert(trace.end(), s.trace.begin(), s.trace.end());
+      }
+      std::sort(trace.begin(), trace.end(),
+                [](const StampedTrace& a, const StampedTrace& b) {
+                  return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
+                                                  : a.seq < b.seq;
+                });
+      r.trace = std::make_shared<Trace>();
+      r.trace->records.reserve(trace.size());
+      for (const StampedTrace& t : trace) r.trace->records.push_back(t.rec);
     }
     r.label = cfg_.label;
     r.policy_name = policy_->name();
     r.ops = r.reads + r.writes;
     r.policy_switches = policy_->switches();
 
-    const SimTime end = finish_time_ > 0 ? finish_time_ : sim_.now();
-    r.total_wall_s = to_seconds(end);
-    const SimTime measured_span = end - measure_start_;
+    const SimTime end = finish_time > 0 ? finish_time : sim_.now();
+    r.total_sim_s = to_seconds(end);
+    const SimTime measured_span = end - cfg_.warmup;
     r.duration_s = to_seconds(measured_span > 0 ? measured_span : end);
-    const std::uint64_t measured_ops = completed - at_measure_start;
     r.throughput = r.duration_s > 0
                        ? static_cast<double>(measured_ops) / r.duration_s
                        : 0.0;
@@ -674,24 +587,9 @@ class Runner final : public ClientEnv {
   std::unique_ptr<policy::ConsistencyPolicy> policy_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::unique_ptr<OpenLoopSource>> sources_;
-  /// lane (shard id when sharded, DC otherwise) -> its open-loop source
-  /// (nullptr for non-hosting lanes / closed loop); the sharded warmup flip
-  /// uses it to reach the shard's source.
-  std::vector<OpenLoopSource*> src_by_lane_;
   sim::PeriodicTimer policy_timer_;
-  /// True when the simulation runs event shards (shard_count > 1): client
-  /// callbacks then use lane_ instead of the serial members below.
-  bool deferred_ = false;
+  /// One workload lane per event shard (see LaneState).
   std::vector<LaneState> lane_;
-
-  std::uint64_t ops_issued_ = 0;
-  std::uint64_t ops_completed_ = 0;
-  std::uint64_t next_insert_key_ = 0;
-  std::size_t clients_finished_ = 0;
-  bool measuring_ = false;
-  SimTime measure_start_ = 0;
-  std::uint64_t ops_at_measure_start_ = 0;
-  SimTime finish_time_ = 0;
   RunResult result_;
 };
 

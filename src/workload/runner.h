@@ -28,9 +28,11 @@ struct RunConfig {
   policy::PolicyFactory policy;  ///< required
   monitor::MonitorConfig monitor{};
   /// How often the policy is re-ticked with a fresh monitoring snapshot.
+  /// 0 = never retune: the policy keeps its initial levels. Must be >= 0.
   SimDuration policy_tick = 500 * kMillisecond;
   /// Simulated warm-up; measurements (latency/staleness/throughput) reset at
-  /// this point. Billing covers the whole run, as a real bill would.
+  /// this point. Billing covers the whole run, as a real bill would. Must be
+  /// >= 0.
   SimDuration warmup = 2 * kSecond;
   std::uint64_t seed = 1;
   cost::PriceBook price_book = cost::PriceBook::ec2_2012();
@@ -49,14 +51,11 @@ struct RunConfig {
   /// positive same_rack/same_dc floors: the conservative lookahead is the
   /// minimum over every floor a cross-shard hop can ride.
   ///
-  /// Sharded semantic deltas (each deterministic across thread counts):
-  ///   * the monitor attaches and policy retuning ticks run, but both are
-  ///     fed from per-shard logs replayed in (time, seq) order at window
-  ///     barriers / fenced instants — op timestamps are exact, ticks land
-  ///     on the fence grid;
-  ///   * record_trace captures into per-shard buffers stitched by
-  ///     (time, seq) at collect — the merged trace is byte-identical for
-  ///     every thread count;
+  /// Every run keeps its workload state in per-shard lanes (one lane in a
+  /// one-shard run), feeds the monitor through Cluster::record_*, and
+  /// retunes the policy on fenced timer instants, so sharding changes
+  /// neither op timestamps nor the tick grid. What remains different under
+  /// shard_count > 1 (each deterministic across thread counts):
   ///   * per-read ReadResult::stale stays false (the deferred oracle judges
   ///     at barriers); staleness counters come from the oracle's whole-run
   ///     aggregates;
@@ -141,7 +140,7 @@ struct RunResult {
   /// means cluster.sharded_slot_reserve-style tuning of
   /// Simulation::configure_shards mailbox_capacity may help throughput.
   std::uint64_t mailbox_spills = 0;
-  double total_wall_s = 0;  ///< including warmup
+  double total_sim_s = 0;  ///< simulated seconds, including warmup
 
   // ---- resilience SLA metrics (whole run) ----------------------------------
   // `timeouts` above counts only requests that exhausted every attempt; a

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/check.h"
 #include "core/harmony.h"
 #include "core/static_policy.h"
+#include "workload/client.h"
 
 namespace harmony::workload {
 namespace {
@@ -132,6 +136,18 @@ TEST(Runner, InsertWorkloadGrowsKeySpace) {
 
 TEST(Runner, RequiresPolicy) {
   RunConfig cfg;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+}
+
+TEST(Runner, RejectsNegativePolicyTick) {
+  auto cfg = small_run(100);
+  cfg.policy_tick = -1;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+}
+
+TEST(Runner, RejectsNegativeWarmup) {
+  auto cfg = small_run(100);
+  cfg.warmup = -1;
   EXPECT_THROW(run_experiment(cfg), CheckError);
 }
 
@@ -363,6 +379,134 @@ TEST(Runner, ShardedFaultScheduleIsThreadCountInvariant) {
   const auto serial = run_experiment(make(1));
   const auto four = run_experiment(make(4));
   expect_same_run(serial, four);
+}
+
+TEST(Runner, ZeroPolicyTickNeverRetunes) {
+  // policy_tick == 0 means "never retune" on every kernel: no tick is ever
+  // booked, so even an adaptive policy keeps its initial levels.
+  for (const unsigned threads : {0u, 2u}) {
+    auto cfg = sharded_run(threads, 2000);
+    cfg.policy = core::harmony_policy(0.2);
+    cfg.policy_tick = 0;
+    const auto r = run_experiment(cfg);
+    EXPECT_GT(r.reads, 0u) << "threads " << threads;
+    EXPECT_EQ(r.policy_switches, 0u) << "threads " << threads;
+  }
+}
+
+TEST(Runner, IdleRunStopsPolicyTimerAtItsFirstTick) {
+  // No source ever sends traffic, so every lane has drained before the
+  // first tick; that tick stops the timer instead of ticking to the horizon
+  // (25 s here, i.e. 50 ticks). It is the run's only event on both kernels.
+  auto make = [](unsigned threads) {
+    auto cfg = sharded_run(threads);
+    cfg.workload.open_loop.enabled = true;
+    cfg.workload.open_loop.rate_per_s = 1e-10;  // no arrival lands
+    cfg.workload.open_loop.user_count = 1000;
+    cfg.workload.open_loop.max_in_flight_per_dc = 64;
+    cfg.warmup = 0;
+    return cfg;
+  };
+  const auto serial = run_experiment(make(0));
+  const auto sharded = run_experiment(make(2));
+  EXPECT_EQ(serial.open_loop.arrivals, 0u);
+  EXPECT_EQ(sharded.open_loop.arrivals, 0u);
+  EXPECT_EQ(serial.sim_events, 1u);
+  EXPECT_EQ(sharded.sim_events, 1u);
+}
+
+// ---- the client measurement funnel (Cluster::record_*) ----------------------
+
+/// Records the client-side read hooks the cluster forwards to its observer.
+class ReadHookRecorder final : public cluster::ClusterObserver {
+ public:
+  void record_read_issued(SimTime now, cluster::Key) override {
+    issued.push_back(now);
+  }
+  void record_read_complete(SimTime now, SimDuration latency) override {
+    started.push_back(now - latency);
+  }
+  std::vector<SimTime> issued;   ///< issue time per read
+  std::vector<SimTime> started;  ///< completion time - latency per read
+};
+
+/// Minimal ClientEnv: one paced client issuing `reads` reads through a
+/// static ONE policy; its own monitor is deliberately left unattached, so
+/// only what the cluster forwards reaches the recorder.
+class PacedReadEnv final : public ClientEnv {
+ public:
+  PacedReadEnv(sim::Simulation& sim, const cluster::ClusterConfig& cfg,
+               std::uint64_t reads)
+      : sim_(sim), cluster_(sim, cfg), monitor_(monitor::MonitorConfig{}),
+        reads_(reads) {
+    policy::PolicyInit init;
+    init.rf = cfg.rf;
+    init.local_rf = cfg.local_rf(0);
+    init.rng = sim.fork_rng(0x90110C);
+    policy_ = core::static_level(cluster::Level::kOne)(init);
+    cluster_.preload_range(kKeys, 100);
+    cluster_.set_observer(&recorder);
+  }
+
+  bool next_op(Op& op) override {
+    if (issued_ == reads_) return false;
+    op.type = OpType::kRead;
+    op.key = issued_++ % kKeys;
+    op.value_size = 100;
+    return true;
+  }
+  const policy::ConsistencyPolicy& policy() const override { return *policy_; }
+  cluster::Cluster& cluster() override { return cluster_; }
+  monitor::Monitor& monitor() override { return monitor_; }
+  sim::Simulation& simulation() override { return sim_; }
+  void on_read_complete(const cluster::ReadResult&, SimDuration,
+                        int) override {}
+  void on_write_complete(const cluster::WriteResult&, SimDuration) override {}
+  void on_client_finished() override {}
+
+  ReadHookRecorder recorder;
+
+ private:
+  static constexpr std::uint64_t kKeys = 100;
+  sim::Simulation& sim_;
+  cluster::Cluster cluster_;
+  monitor::Monitor monitor_;
+  std::unique_ptr<policy::ConsistencyPolicy> policy_;
+  std::uint64_t reads_;
+  std::uint64_t issued_ = 0;
+};
+
+TEST(Client, PacedReadIssueTimeReachesObserverAtOneAndTwoShards) {
+  // A paced client measures latency from the op's intended arrival, and the
+  // observer must see that same instant as the read's issue time — on the
+  // default kernel and under sharding alike.
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "two shards" : "default kernel");
+    cluster::ClusterConfig cfg;
+    cfg.node_count = 8;
+    cfg.dc_count = 2;
+    cfg.rf = 3;
+    cfg.latency = net::TieredLatencyModel::ec2_two_az();
+    cfg.latency.cross_dc.floor = kMillisecond;
+    sim::Simulation sim(5);
+    if (sharded) sim.configure_shards({1, 1}, kMillisecond, 1);
+    const std::uint64_t reads = 200;
+    PacedReadEnv env(sim, cfg, reads);
+    // Homed in DC 1: its shard is 1 when sharded, 0 on the default kernel.
+    const std::uint8_t shard = sharded ? 1 : 0;
+    Client client(env, /*home_dc=*/1, /*target_rate_per_s=*/2000.0,
+                  sim.fork_rng(0xC11E017), false, 8, shard);
+    sim.set_setup_shard(shard);
+    client.start();
+    sim.set_setup_shard(0);
+    sim.run();
+    const ReadHookRecorder& rec = env.recorder;
+    ASSERT_EQ(rec.issued.size(), reads);
+    ASSERT_EQ(rec.started.size(), reads);
+    for (std::size_t i = 0; i < reads; ++i) {
+      ASSERT_EQ(rec.issued[i], rec.started[i]) << "read " << i;
+    }
+  }
 }
 
 TEST(Runner, SummaryContainsPolicyName) {
