@@ -10,17 +10,32 @@ throughput drops by more than --threshold (default 10%) are listed and the
 script exits non-zero, so hot-path regressions fail loudly instead of
 slipping into a regenerated bench/BENCH_micro.json.
 
-Only meaningful for reports produced on the same machine state (the committed
-baseline records its machine context): cross-machine numbers differ for
-reasons that have nothing to do with the code. bench/run_micro.sh runs this
-automatically against the previously committed baseline before overwriting
-it; set HARMONY_BENCH_ALLOW_REGRESSION=1 there to accept a known, documented
-trade (and say why in the PR).
+Only meaningful for reports produced on the same host: cross-machine
+numbers differ for reasons that have nothing to do with the code. So the
+script first compares the two reports' host context (CPU count, MHz per CPU,
+cache sizes); on a mismatch it prints both contexts and exits 2 without
+comparing a single number. Exit codes: 0 no regression, 1 regression (or a
+tracked benchmark dropped), 2 baseline from another host.
+
+bench/run_micro.sh runs this automatically against the previously committed
+baseline before overwriting it; set HARMONY_BENCH_ALLOW_REGRESSION=1 there to
+accept a known, documented trade (and say why in the PR).
 """
 
 import argparse
 import json
 import sys
+
+
+# The parts of google-benchmark's context block that identify the host.
+HOST_KEYS = ("num_cpus", "mhz_per_cpu")
+
+
+def host_context(report):
+    ctx = report.get("context", {})
+    caches = sorted((c.get("type"), c.get("level"), c.get("size"))
+                    for c in ctx.get("caches", []))
+    return {**{k: ctx.get(k) for k in HOST_KEYS}, "caches": caches}
 
 
 def load(path):
@@ -42,7 +57,7 @@ def load(path):
             out[name] = (b.get("time_unit", "ns"), float(b["cpu_time"]), False)
         elif "real_time" in b:
             out[name] = (b.get("time_unit", "ns"), float(b["real_time"]), False)
-    return out
+    return host_context(report), out
 
 
 def main():
@@ -53,12 +68,18 @@ def main():
                     help="max tolerated fractional regression (default 0.10)")
     args = ap.parse_args()
 
-    base = load(args.baseline)
-    cand = load(args.candidate)
+    base_host, base = load(args.baseline)
+    cand_host, cand = load(args.candidate)
+    if base_host != cand_host:
+        print("diff_micro: the reports come from different hosts; their "
+              "numbers are not comparable", file=sys.stderr)
+        print(f"  baseline:  {json.dumps(base_host)}", file=sys.stderr)
+        print(f"  candidate: {json.dumps(cand_host)}", file=sys.stderr)
+        return 2
     shared = sorted(set(base) & set(cand))
     if not shared:
         print("diff_micro: no common benchmarks between reports", file=sys.stderr)
-        return 2
+        return 1
 
     regressions = []
     width = max(len(n) for n in shared)

@@ -175,6 +175,14 @@ const Node& Cluster::node(net::NodeId id) const {
   return *nodes_[id];
 }
 
+void Cluster::place(Key key, ReplicaList& out) const {
+  if (cfg_.use_nts) {
+    ring_.replicas_nts(key, rf_per_dc_, out);
+  } else {
+    ring_.replicas_simple(key, cfg_.rf, out);
+  }
+}
+
 const ReplicaList& Cluster::replicas_for(Key key) const {
   // Direct-mapped cache keyed by the key's token hash; the ring walk only
   // runs on a miss (cold key or index collision). Per shard: placement is
@@ -182,37 +190,39 @@ const ReplicaList& Cluster::replicas_for(Key key) const {
   ReplicaCacheEntry& e =
       here().replica_cache[TokenRing::token_for(key) & (kReplicaCacheSize - 1)];
   if (e.valid && e.key == key) return e.replicas;
-  if (cfg_.use_nts) {
-    ring_.replicas_nts(key, rf_per_dc_, e.replicas);
-  } else {
-    ring_.replicas_simple(key, cfg_.rf, e.replicas);
-  }
+  place(key, e.replicas);
   e.key = key;
   e.valid = true;
   return e.replicas;
 }
 
-void Cluster::invalidate_replica_cache() {
-  // Membership changes execute at fenced (merged-serial) instants, so
-  // flushing every shard's cache here is race-free.
-  for (const auto& sp : shards_) {
-    for (ReplicaCacheEntry& e : sp->replica_cache) e.valid = false;
-  }
-}
-
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
+  for (const auto& n : nodes_) {
+    HARMONY_CHECK_MSG(n->store().key_count() == 0,
+                      "preload_range loads the dataset once, before any "
+                      "write: a store already holds keys");
+  }
+  // Keys 0..count-1 take the stamps `count` consecutive writes issued here
+  // would get (++write_seq * shards + id, as client writes), in closed form.
   ShardState& st = here();
-  // Size every store up front: the preload spreads count*rf entries evenly
-  // over the ring, and a 10M-record dataset would otherwise rehash each
-  // store ~14 times. Slack (x5/4) absorbs placement skew; stores still grow
-  // normally past it (inserts during the run).
-  const std::uint64_t per_node =
-      count * cfg_.rf / nodes_.size() + count * cfg_.rf / (nodes_.size() * 4);
-  for (auto& n : nodes_) n->store().reserve(per_node);
+  const std::uint64_t stride = shards_.size();
+  const std::uint64_t seq0 = (st.write_seq + 1) * stride + st.id;
+  std::vector<PreloadBase> bases(nodes_.size());
+  for (PreloadBase& b : bases) {
+    b = {count, seq0, stride, size,
+         std::vector<std::uint64_t>((count + 63) / 64)};
+  }
+  // One cold ring walk per key; the replica cache would only churn.
+  ReplicaList replicas;
   for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t seq = ++st.write_seq * shards_.size() + st.id;
-    const VersionedValue v{Version{0, seq}, size};
-    for (const net::NodeId r : replicas_for(k)) nodes_[r]->load(k, v);
+    place(k, replicas);
+    for (const net::NodeId r : replicas) {
+      bases[r].bits[k >> 6] |= 1ULL << (k & 63);
+    }
+  }
+  st.write_seq += count;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    nodes_[n]->store().set_base(std::move(bases[n]));
   }
 }
 
@@ -1438,7 +1448,6 @@ void Cluster::kill_node(net::NodeId id) {
   nodes_[id]->set_alive(false);
   alive_[id] = 0;
   --alive_per_dc_[topo_.dc_of(id)];
-  invalidate_replica_cache();
 }
 
 void Cluster::revive_node(net::NodeId id) {
@@ -1447,7 +1456,6 @@ void Cluster::revive_node(net::NodeId id) {
   nodes_[id]->set_alive(true);
   alive_[id] = 1;
   ++alive_per_dc_[topo_.dc_of(id)];
-  invalidate_replica_cache();
   replay_hints(id);
 }
 

@@ -282,8 +282,13 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Instantly install `count` keys of `size` bytes on their replicas
-  /// (dataset load; bypasses messaging and the oracle).
+  /// Instantly install keys [0, count) of `size` bytes on their replicas
+  /// (dataset load; bypasses messaging and the oracle). Key k reads as
+  /// version {0, seq0 + k * S} with S = shard_count() and seq0 the stamp
+  /// the next write issued here would get; the store holds it as a bitmap
+  /// base until a write reaches it (ReplicaStore). Contract: call at most
+  /// once, before any traffic — a CheckError if any store already holds a
+  /// key (a second preload, or one after a completed write).
   void preload_range(std::uint64_t count, std::uint32_t size);
 
   /// Sentinel origin: the client is homed in the DC it contacts.
@@ -359,10 +364,12 @@ class Cluster {
   const Node& node(net::NodeId id) const;
 
   /// Replica set for `key` (placement order). Served from a fixed-size
-  /// direct-mapped cache: placement is static while membership is static, so
-  /// hot keys skip the ring walk entirely. The reference is valid until the
-  /// next replicas_for call (callers on the request path copy the 40-byte
-  /// list into their pending state). Sharded runs keep one cache per shard.
+  /// direct-mapped cache: placement is a pure function of key, ring and rf
+  /// — all fixed at construction, liveness is not an input — so hot keys
+  /// skip the ring walk entirely and entries never go stale. The reference
+  /// is valid until the next replicas_for call (callers on the request path
+  /// copy the 40-byte list into their pending state). Sharded runs keep one
+  /// cache per shard.
   const ReplicaList& replicas_for(Key key) const;
 
   /// Event shards the cluster routes across (1 unless the owning simulation
@@ -581,10 +588,11 @@ class Cluster {
   using ReadHandle = SlotPool<PendingRead>::Handle;
 
   // Key -> replica set cache (direct-mapped, power-of-two). Placement depends
-  // only on the ring, so entries stay valid until membership events; kill()/
-  // revive() flush it anyway out of caution. Sized so conflict misses stay
-  // rare for zipfian working sets of tens of thousands of hot keys (~900KB;
-  // a miss is a full ring walk, ~two orders of magnitude dearer).
+  // only on the ring and rf, both immutable after construction (kill/revive
+  // change liveness, not placement), so entries never need flushing. Sized
+  // so conflict misses stay rare for zipfian working sets of tens of
+  // thousands of hot keys (~900KB; a miss is a full ring walk, ~two orders
+  // of magnitude dearer).
   struct ReplicaCacheEntry {
     Key key = 0;
     bool valid = false;
@@ -693,6 +701,8 @@ class Cluster {
     return n;
   }
 
+  /// Ring walk behind replicas_for (and the preload's cold pass).
+  void place(Key key, ReplicaList& out) const;
   net::NodeId pick_coordinator(net::DcId dc, Rng& rng);
   SimDuration client_link_delay(Rng& rng, bool cross_dc = false);
   SimDuration link_delay(net::NodeId src, net::NodeId dst, Rng& rng);
@@ -810,8 +820,6 @@ class Cluster {
   std::uint64_t barrier_epoch_ = 0;
   mutable net::NetStats net_stats_merged_;
   mutable std::uint64_t net_stats_epoch_ = 0;  ///< epoch net_stats_merged_ is at
-
-  void invalidate_replica_cache();
 
   /// alive()-flags mirrored out of the Node objects: the request path scans
   /// liveness constantly (coordinator picks, feasibility, contact sets), and

@@ -56,9 +56,6 @@ class Node {
   /// (queueing + service). Advances the node's busy horizon.
   SimDuration service(ServiceKind kind, SimTime now);
 
-  /// Apply a write without occupying the queue (bootstrap loading).
-  void load(Key key, const VersionedValue& v) { store_.apply(key, v); }
-
   /// Accumulated busy time (for utilization & the energy model).
   SimDuration busy_time() const { return busy_time_; }
   std::uint64_t requests_served() const { return requests_served_; }

@@ -13,7 +13,9 @@
 //
 // Growth rehashes by *moving* values, so move-only values (StalenessOracle's
 // CommitRing) work; values must be default-constructible and cheap to
-// default-construct (empty slots hold one).
+// default-construct (empty slots hold one). There is no bulk reserve: tables
+// only grow by doubling as keys arrive (a preloaded dataset lives in
+// ReplicaStore's bitmap base, not here).
 #pragma once
 
 #include <cstdint>
@@ -62,20 +64,6 @@ class FlatTable {
     return {&table_[i].value, true};
   }
 
-  /// Pre-size for `expected_keys` insertions: one allocation and no rehash
-  /// until the table passes 50% load at that count. A 10M-record preload
-  /// otherwise pays ~14 doublings, each moving every resident entry. No-op
-  /// when the table is already big enough; never shrinks.
-  void reserve(std::size_t expected_keys) {
-    std::size_t want = initial_capacity_;
-    while (want < expected_keys * 2) want *= 2;
-    if (want <= table_.size()) return;
-    std::vector<Entry> old;
-    old.swap(table_);
-    table_.resize(want);
-    rehash_from(old);
-  }
-
   Value* find(std::uint64_t key) {
     if (key == kEmptyKey) return has_sentinel_ ? &sentinel_value_ : nullptr;
     if (table_.empty()) return nullptr;
@@ -116,10 +104,6 @@ class FlatTable {
     std::vector<Entry> old;
     old.swap(table_);
     table_.resize(old.empty() ? initial_capacity_ : old.size() * 2);
-    rehash_from(old);
-  }
-
-  void rehash_from(std::vector<Entry>& old) {
     const std::size_t mask = table_.size() - 1;
     for (Entry& e : old) {
       if (e.key == kEmptyKey) continue;

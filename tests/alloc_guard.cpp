@@ -11,11 +11,13 @@
 
 namespace harmony::testing {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace harmony::testing
 
 namespace {
 void* counted_alloc(std::size_t size, std::size_t align) {
   harmony::testing::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  harmony::testing::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = align > alignof(std::max_align_t)
                 ? std::aligned_alloc(align, (size + align - 1) / align * align)
                 : std::malloc(size);

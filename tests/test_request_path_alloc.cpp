@@ -1,7 +1,9 @@
 // Steady-state zero-allocation assertion for the full cluster request path.
 //
 // After warm-up (event-queue slab, pending-request slot pools, oracle key
-// table, replica-store tables all grown), a closed loop of client reads and
+// table, replica-store tables all grown — a store's table is allocated and
+// grown by the warm-up writes that copy preloaded keys out of its bitmap
+// base, not by the preload), a closed loop of client reads and
 // writes — schedule, route, replica service, commit, staleness judgement,
 // completion — must touch the heap exactly zero times, at CL=ONE and at
 // CL=QUORUM. This is the contract that lets the sweep runner push millions of
@@ -58,7 +60,10 @@ void run_steady_state(int level) {
   // short of its 512-key one, so the key table reaches its final size during
   // warm-up even though the zipfian tail keys show up late. (A growing
   // working set legitimately grows tables; steady state means a stable one.)
-  c.preload_range(400, 512);  // writes below hit only preloaded keys
+  // Writes below hit only preloaded keys; the first write to each one copies
+  // it into its replicas' tables, and with ~120 keys per node those tables
+  // stay at their first 1024-slot allocation, made during warm-up.
+  c.preload_range(400, 512);
 
   Driver d{&c};
   d.req = resolve_count(level, 3);

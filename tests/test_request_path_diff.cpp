@@ -12,6 +12,10 @@
 //     count, min, max, mean, and a whole percentile grid;
 //   * slot-pool schedules — acquire/release/lookup churn, including lookups
 //     through stale handles of recycled slots, against a unique-id map;
+//   * preload-base schedules — a replica store with a random copy-on-write
+//     preload base against a map that loaded every base key explicitly:
+//     ties and near-ties with base versions, unset bits, keys past the
+//     base, and clears;
 //   * full cluster runs — real traffic with kill/revive, hinted handoff,
 //     request timeouts, and write storms, mirrored through the oracle's trace
 //     sink into the reference oracle, with run fingerprints asserted
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/replica_store.h"
 #include "cluster/staleness_oracle.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -40,16 +45,18 @@
 #include "reference/reference_histogram.h"
 #include "reference/reference_oracle.h"
 #include "reference/reference_pending_map.h"
+#include "reference/reference_store.h"
 #include "sim/simulation.h"
 
 namespace harmony::testing {
 namespace {
 
 // Default schedule counts; the acceptance bar for this harness is >= 5000
-// randomized schedules per full run (3200 + 1500 + 600 + 40 = 5340).
+// randomized schedules per full run (3200 + 1500 + 600 + 400 + 40 = 5740).
 constexpr std::uint64_t kOracleSchedules = 3200;
 constexpr std::uint64_t kHistogramSchedules = 1500;
 constexpr std::uint64_t kPoolSchedules = 600;
+constexpr std::uint64_t kStoreSchedules = 400;
 constexpr std::uint64_t kClusterRuns = 40;
 
 constexpr double kPercentileGrid[] = {0,  0.1, 1,  10,   25,  50,
@@ -346,6 +353,112 @@ TEST(RequestPathDiff, SlotPoolMatchesPendingMapSemantics) {
   run_block(0x5107F001ULL, kPoolSchedules);
   for (const auto seed : extra_seeds()) run_block(seed, 60);
   std::printf("[diff] slot-pool schedules: %llu\n",
+              (unsigned long long)schedules);
+}
+
+// ------------------------------------------------------- preload-base diff
+
+void run_store_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  cluster::ReplicaStore prod;
+  ReferenceStore ref;
+  std::uint64_t count = 0;
+  std::uint64_t seq0 = 0;
+  std::uint64_t stride = 1;
+
+  // A random base: the store gets the bitmap, the reference applies every
+  // member key explicitly. seq0 has the preload's (w0 + 1) * S + id shape.
+  auto install_base = [&] {
+    count = rng.uniform_u64(301);
+    stride = 1 + rng.uniform_u64(4);
+    seq0 = (1 + rng.uniform_u64(64)) * stride + rng.uniform_u64(stride);
+    const auto size = static_cast<std::uint32_t>(1 + rng.uniform_u64(1024));
+    const double density = rng.uniform();
+    std::vector<bool> member(count);
+    cluster::PreloadBase base{count, seq0, stride, size,
+                              std::vector<std::uint64_t>((count + 63) / 64)};
+    for (std::uint64_t k = 0; k < count; ++k) {
+      if (!rng.chance(density)) continue;
+      member[k] = true;
+      base.bits[k >> 6] |= 1ULL << (k & 63);
+    }
+    prod.set_base(std::move(base));
+    ref.load(seq0, stride, size, member);
+  };
+
+  auto expect_same_counters = [&] {
+    EXPECT_EQ(prod.key_count(), ref.key_count()) << "seed " << seed;
+    EXPECT_EQ(prod.stored_bytes(), ref.stored_bytes()) << "seed " << seed;
+    EXPECT_EQ(prod.reads(), ref.reads()) << "seed " << seed;
+    EXPECT_EQ(prod.writes_applied(), ref.writes_applied()) << "seed " << seed;
+    EXPECT_EQ(prod.writes_superseded(), ref.writes_superseded())
+        << "seed " << seed;
+  };
+
+  auto pick_key = [&]() -> cluster::Key {
+    const double roll = rng.uniform();
+    if (roll < 0.7 && count > 0) return rng.uniform_u64(count);
+    if (roll < 0.97) return count + rng.uniform_u64(20);
+    return ~0ULL;  // the flat table's empty-slot sentinel, stored aside
+  };
+
+  install_base();
+  expect_same_counters();
+  const int ops = 200 + static_cast<int>(rng.uniform_u64(401));
+  for (int op = 0; op < ops; ++op) {
+    const double roll = rng.uniform();
+    const cluster::Key key = pick_key();
+    if (roll < 0.5) {
+      cluster::VersionedValue v;
+      v.size_bytes = static_cast<std::uint32_t>(rng.uniform_u64(2048));
+      if (roll < 0.35) {
+        // Timestamp 0 ties the base version: the seq decides, so aim just
+        // below, at and just above the key's base seq.
+        const std::uint64_t base_seq = seq0 + key * stride;
+        const std::uint64_t delta = rng.uniform_u64(5);
+        v.version = {0, delta < 2 ? base_seq - delta : base_seq + delta - 2};
+      } else {
+        v.version = {static_cast<SimTime>(1 + rng.uniform_u64(1000)),
+                     rng.uniform_u64(1u << 20)};
+      }
+      const bool p = prod.apply(key, v);
+      const bool r = ref.apply(key, v);
+      EXPECT_EQ(p, r) << "seed " << seed << " apply key " << key;
+    } else if (roll < 0.98) {
+      const auto p = prod.read(key);
+      const auto r = ref.read(key);
+      ASSERT_EQ(p.has_value(), r.has_value())
+          << "seed " << seed << " read key " << key;
+      if (p) {
+        EXPECT_EQ(p->version, r->version) << "seed " << seed;
+        EXPECT_EQ(p->size_bytes, r->size_bytes) << "seed " << seed;
+      }
+    } else {
+      prod.clear();
+      ref.clear();
+      if (rng.chance(0.5)) {
+        install_base();
+      } else {
+        count = 0;
+      }
+    }
+    expect_same_counters();
+  }
+}
+
+TEST(RequestPathDiff, PreloadBaseMatchesExplicitLoad) {
+  std::uint64_t schedules = 0;
+  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      run_store_schedule(base + i);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "preload-base diff diverged at seed " << base + i;
+      ++schedules;
+    }
+  };
+  run_block(0xBA5E0001ULL, kStoreSchedules);
+  for (const auto seed : extra_seeds()) run_block(seed, 40);
+  std::printf("[diff] preload-base schedules: %llu\n",
               (unsigned long long)schedules);
 }
 

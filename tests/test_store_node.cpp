@@ -51,6 +51,28 @@ TEST(ReplicaStore, ClearResets) {
   EXPECT_EQ(s.stored_bytes(), 0u);
 }
 
+TEST(ReplicaStore, PreloadBaseReadsAndCopiesOnWrite) {
+  ReplicaStore s;
+  // Keys 0 and 2 of 3 are preloaded: versions {0, 10 + 4k}, 50 bytes.
+  s.set_base({3, 10, 4, 50, {0b101}});
+  EXPECT_EQ(s.key_count(), 2u);
+  EXPECT_EQ(s.stored_bytes(), 100u);
+  EXPECT_EQ(s.writes_applied(), 2u);
+  ASSERT_TRUE(s.read(2).has_value());
+  EXPECT_EQ(s.read(2)->version, (Version{0, 18}));
+  EXPECT_FALSE(s.read(1).has_value());  // bit unset
+  EXPECT_FALSE(s.read(3).has_value());  // past count
+  EXPECT_FALSE(s.apply(2, {{0, 17}, 9}));  // older than the base version
+  EXPECT_EQ(s.writes_superseded(), 1u);
+  EXPECT_TRUE(s.apply(0, {{1, 1}, 70}));  // newer: replaces 50 bytes
+  EXPECT_EQ(s.stored_bytes(), 120u);
+  EXPECT_EQ(s.key_count(), 2u);
+  EXPECT_THROW(s.set_base({3, 10, 4, 50, {0b101}}), CheckError);
+  s.clear();
+  EXPECT_EQ(s.key_count(), 0u);
+  EXPECT_FALSE(s.read(2).has_value());
+}
+
 TEST(Node, ServiceAddsQueueingUnderLoad) {
   NodeParams p;
   p.service_jitter_sigma = 0;        // deterministic
