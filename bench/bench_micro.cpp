@@ -49,25 +49,20 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 void BM_RingLookup(benchmark::State& state) {
+  // The request path's ring walk (Cluster::place on a replica-cache miss):
+  // NTS placement of rf 3 split {2, 1} over two DCs, into an inline list.
   const auto topo = net::Topology::balanced(84, 2);
   cluster::TokenRing ring(topo, static_cast<int>(state.range(0)), 42);
   Rng rng(1);
+  const cluster::DcCounts rf_per_dc{2, 1};
+  cluster::ReplicaList out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.replicas_simple(rng.next(), 3));
+    ring.replicas_nts(rng.next(), rf_per_dc, out);
+    benchmark::DoNotOptimize(out.begin());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RingLookup)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_RingLookupNts(benchmark::State& state) {
-  const auto topo = net::Topology::balanced(18, 2);
-  cluster::TokenRing ring(topo, 64, 42);
-  Rng rng(1);
-  const std::vector<int> rf_per_dc = {3, 2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.replicas_nts(rng.next(), rf_per_dc));
-  }
-}
-BENCHMARK(BM_RingLookupNts);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,11 +4,18 @@
 Usage:
     bench/diff_micro.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 
-Every benchmark present in both reports is compared on items_per_second
-(falling back to real_time, where lower is better). Benchmarks whose
-throughput drops by more than --threshold (default 10%) are listed and the
-script exits non-zero, so hot-path regressions fail loudly instead of
-slipping into a regenerated bench/BENCH_micro.json.
+Both reports should hold several repetitions per benchmark
+(bench/run_micro.sh runs --benchmark_repetitions=5). The per-repetition
+rows are grouped by run_name, and each benchmark is compared on
+items_per_second (falling back to cpu_time, where lower is better), the way
+google-benchmark's tools/compare.py does:
+
+  * REGRESSION: the candidate's median is worse than the baseline's median
+    by more than --threshold (default 10%).
+  * unresolved: the baseline's own quartile spread (IQR / median) exceeds
+    --threshold, or either side has fewer than 3 repetitions. The numbers
+    cannot tell a change of that size from noise, so the row is reported
+    but does not fail.
 
 Only meaningful for reports produced on the same host: cross-machine
 numbers differ for reasons that have nothing to do with the code. So the
@@ -24,11 +31,13 @@ accept a known, documented trade (and say why in the PR).
 
 import argparse
 import json
+import statistics
 import sys
 
 
 # The parts of google-benchmark's context block that identify the host.
 HOST_KEYS = ("num_cpus", "mhz_per_cpu")
+MIN_REPETITIONS = 3
 
 
 def host_context(report):
@@ -38,26 +47,38 @@ def host_context(report):
     return {**{k: ctx.get(k) for k in HOST_KEYS}, "caches": caches}
 
 
+def metric(row):
+    """(unit, value, higher_is_better) of one repetition row."""
+    if "items_per_second" in row:
+        # Already cpu-time-based (none of these benchmarks opt into
+        # UseRealTime), so load-insensitive as is.
+        return "items/s", float(row["items_per_second"]), True
+    # cpu_time, not real_time: wall clock doubles under unrelated machine
+    # load while cpu_time stays put.
+    return row.get("time_unit", "ns"), float(row["cpu_time"]), False
+
+
 def load(path):
     with open(path) as f:
         report = json.load(f)
-    out = {}
-    for b in report.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
+    runs = {}
+    for row in report.get("benchmarks", []):
+        if row.get("run_type") == "aggregate":
             continue
-        name = b["name"]
-        if "items_per_second" in b:
-            # Already cpu-time-based (none of these benchmarks opt into
-            # UseRealTime), so load-insensitive as is.
-            out[name] = ("items/s", float(b["items_per_second"]), True)
-        elif "cpu_time" in b:
-            # cpu_time, not real_time: wall clock doubles under unrelated
-            # machine load while cpu_time stays put, and a load-sensitive
-            # gate would fail every busy run.
-            out[name] = (b.get("time_unit", "ns"), float(b["cpu_time"]), False)
-        elif "real_time" in b:
-            out[name] = (b.get("time_unit", "ns"), float(b["real_time"]), False)
-    return host_context(report), out
+        unit, value, higher = metric(row)
+        entry = runs.setdefault(row.get("run_name", row["name"]),
+                                (unit, higher, []))
+        entry[2].append(value)
+    return host_context(report), runs
+
+
+def spread(values):
+    """(median, IQR / median) of a sample."""
+    med = statistics.median(values)
+    if len(values) < 2 or med == 0:
+        return med, 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, (q3 - q1) / med
 
 
 def main():
@@ -82,20 +103,28 @@ def main():
         return 1
 
     regressions = []
+    unresolved = 0
     width = max(len(n) for n in shared)
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'candidate':>12}  delta")
+    print(f"{'benchmark':<{width}}  {'base med':>12}  {'base IQR':>8}  "
+          f"{'cand med':>12}  {'reps':>5}  delta")
     for name in shared:
-        unit, old, higher_is_better = base[name]
-        _, new, _ = cand[name]
+        _, higher_is_better, old_values = base[name]
+        new_values = cand[name][2]
+        old, old_iqr = spread(old_values)
+        new, _ = spread(new_values)
         if old == 0:
             continue
         change = (new - old) / old if higher_is_better else (old - new) / old
         flag = ""
-        if change < -args.threshold:
+        if (min(len(old_values), len(new_values)) < MIN_REPETITIONS or
+                old_iqr > args.threshold):
+            unresolved += 1
+            flag = "  (unresolved)"
+        elif change < -args.threshold:
             regressions.append((name, change))
             flag = "  << REGRESSION"
-        print(f"{name:<{width}}  {old:>12.4g}  {new:>12.4g}  "
-              f"{change:+7.1%}{flag}")
+        print(f"{name:<{width}}  {old:>12.4g}  {old_iqr:>8.1%}  {new:>12.4g}  "
+              f"{len(old_values):>2}/{len(new_values):<2}  {change:+7.1%}{flag}")
 
     only_base = sorted(set(base) - set(cand))
     if only_base:
@@ -105,14 +134,18 @@ def main():
               f"{', '.join(only_base)}", file=sys.stderr)
         regressions.extend((name, -1.0) for name in only_base)
 
+    if unresolved:
+        print(f"\ndiff_micro: {unresolved} benchmark(s) unresolved: the "
+              f"baseline's IQR exceeds {args.threshold:.0%} or a side has "
+              f"fewer than {MIN_REPETITIONS} repetitions")
     if regressions:
         print(f"\ndiff_micro: {len(regressions)} benchmark(s) regressed more "
               f"than {args.threshold:.0%}:", file=sys.stderr)
         for name, change in regressions:
             print(f"  {name}: {change:+.1%}", file=sys.stderr)
         return 1
-    print(f"\ndiff_micro: OK (no benchmark regressed more than "
-          f"{args.threshold:.0%})")
+    print(f"\ndiff_micro: OK (no resolved benchmark's median regressed more "
+          f"than {args.threshold:.0%})")
     return 0
 
 

@@ -3,10 +3,12 @@
 #
 # Usage: bench/run_micro.sh [build-dir] [extra google-benchmark flags...]
 #
-# Runs every bench_micro benchmark with fixed settings and writes the JSON
-# report next to this script so the committed baseline tracks the simulator's
-# throughput trajectory PR over PR. Compare against the committed file with
-# google-benchmark's tools/compare.py, or just eyeball items_per_second.
+# Runs every bench_micro benchmark with fixed settings — five repetitions
+# each, interleaved in random order so slow drift of the host spreads over
+# every benchmark instead of biasing one — and writes the JSON report next to
+# this script, so the committed baseline tracks the simulator's throughput
+# trajectory PR over PR. diff_micro.py compares medians against the
+# baseline's quartile spread (google-benchmark's tools/compare.py rule).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -31,17 +33,20 @@ fi
 
 "${build_dir}/bench_micro" \
   ${min_time_flag} \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_out="${out}" \
   --benchmark_out_format=json \
   "$@"
 
 echo "wrote ${out}"
 
-# Regression gate: fail loudly if a tracked benchmark lost >10% vs the
-# previous committed baseline. diff_micro.py refuses (exit 2) a baseline
-# whose host context (CPUs, MHz, caches) differs from this run's: numbers
-# from another host say nothing about the code. Accept a known, documented
-# trade — or replace another host's baseline — with
+# Regression gate: fail loudly if a tracked benchmark's median lost >10% vs
+# the previous committed baseline (a row whose baseline IQR exceeds 10% is
+# reported as unresolved, not failed). diff_micro.py refuses (exit 2) a
+# baseline whose host context (CPUs, MHz, caches) differs from this run's:
+# numbers from another host say nothing about the code. Accept a known,
+# documented trade — or replace another host's baseline — with
 # HARMONY_BENCH_ALLOW_REGRESSION=1.
 if [ -n "${prev}" ]; then
   status=0

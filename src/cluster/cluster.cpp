@@ -18,11 +18,7 @@ std::vector<int> ClusterConfig::rf_per_dc() const {
 
 int ClusterConfig::local_rf(net::DcId dc) const {
   HARMONY_CHECK(dc < dc_count);
-  if (use_nts) return rf_per_dc()[dc];
-  // SimpleStrategy ignores DCs; replicas land proportionally to DC size.
-  // Callers only use this for estimators, so a proportional split is enough.
-  const double share = 1.0 / static_cast<double>(dc_count);
-  return std::max(1, static_cast<int>(rf * share + 0.5));
+  return rf_per_dc()[dc];
 }
 
 // ------------------------------------------------------------ construction
@@ -114,14 +110,11 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   }
   if (deferred_) sim.set_barrier_hook(&Cluster::barrier_hook, this);
 
-  if (cfg_.use_nts) {
-    const auto split = cfg_.rf_per_dc();
-    for (std::size_t d = 0; d < split.size(); ++d) {
-      HARMONY_CHECK_MSG(
-          static_cast<std::size_t>(split[d]) <=
-              topo_.nodes_in_dc(static_cast<net::DcId>(d)).size(),
-          "NTS rf split exceeds a DC's node count");
-    }
+  for (std::size_t d = 0; d < rf_per_dc_.size(); ++d) {
+    HARMONY_CHECK_MSG(
+        static_cast<std::size_t>(rf_per_dc_[d]) <=
+            topo_.nodes_in_dc(static_cast<net::DcId>(d)).size(),
+        "NTS rf split exceeds a DC's node count");
   }
   nodes_.reserve(cfg_.node_count);
   for (std::size_t i = 0; i < cfg_.node_count; ++i) {
@@ -170,17 +163,8 @@ Node& Cluster::node(net::NodeId id) {
   return *nodes_[id];
 }
 
-const Node& Cluster::node(net::NodeId id) const {
-  HARMONY_CHECK(id < nodes_.size());
-  return *nodes_[id];
-}
-
 void Cluster::place(Key key, ReplicaList& out) const {
-  if (cfg_.use_nts) {
-    ring_.replicas_nts(key, rf_per_dc_, out);
-  } else {
-    ring_.replicas_simple(key, cfg_.rf, out);
-  }
+  ring_.replicas_nts(key, rf_per_dc_, out);
 }
 
 const ReplicaList& Cluster::replicas_for(Key key) const {
@@ -228,7 +212,7 @@ void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
 
 // ------------------------------------------------------------ link helpers
 
-net::NodeId Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
+int Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
   // Count-then-select keeps the choice uniform over alive candidates with a
   // single RNG draw (the same draw sequence as the old materialize-a-vector
   // version) and no allocation.
@@ -254,17 +238,15 @@ net::NodeId Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
     HARMONY_CHECK_MSG(sc >= 0,
                       "sharded execution requires an alive coordinator in the "
                       "request's shard");
-    return static_cast<net::NodeId>(sc);
+    return sc;
   }
-  int c = pick_from(topo_.nodes_in_dc(dc));
-  if (c >= 0) return static_cast<net::NodeId>(c);
+  const int c = pick_from(topo_.nodes_in_dc(dc));
+  if (c >= 0) return c;
   // Whole-DC outage: fall back to any alive node (sharded runs failed above
   // instead — like the DC blackout faults that cause this, the fallback is
-  // serial-only).
-  c = pick_from(std::views::iota(
+  // serial-only). -1 when every node is dead.
+  return pick_from(std::views::iota(
       net::NodeId{0}, static_cast<net::NodeId>(topo_.node_count())));
-  HARMONY_CHECK_MSG(c >= 0, "no alive node to coordinate");
-  return static_cast<net::NodeId>(c);
 }
 
 SimDuration Cluster::client_link_delay(Rng& rng, bool cross_dc) {
@@ -365,7 +347,7 @@ void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
                     "foreign shard; serial-only");
   w->cb = std::move(cb);
 
-  account_client(cfg_.message_overhead_bytes + size, w->cross_origin);
+  account_client(kMessageOverheadBytes + size, w->cross_origin);
   const SimDuration d = client_link_delay(st.rng, w->cross_origin);
   TypedEvent ev = cluster_event(EventKind::kStartWrite, this);
   ev.shard = static_cast<std::uint8_t>(st.id);
@@ -400,7 +382,13 @@ void Cluster::start_write(WriteHandle h) {
     }
   }
 
-  w.coord = pick_coordinator(w.client_dc, st.rng);
+  const int coord_id = pick_coordinator(w.client_dc, st.rng);
+  if (coord_id < 0) {
+    // No alive node anywhere: nothing coordinates, fans out or stores hints.
+    write_unavailable(h, 0);
+    return;
+  }
+  w.coord = static_cast<net::NodeId>(coord_id);
   Node& coord = *nodes_[w.coord];
   const SimDuration coord_delay = coord.service(ServiceKind::kCoordinate, sim_->now());
 
@@ -434,18 +422,7 @@ void Cluster::start_write(WriteHandle h) {
     feasible = alive_total >= w.needed;
   }
   if (!feasible) {
-    ++st.unavailable;
-    const SimDuration back =
-        coord_delay + client_link_delay(st.rng, w.cross_origin);
-    account_client(cfg_.message_overhead_bytes, w.cross_origin);
-    // No timeout is armed yet, so marking the record responded parks it
-    // until the typed delivery leg hands the failure to the client.
-    w.responded = true;
-    w.deliver_ok = false;
-    TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
-    ev.shard = static_cast<std::uint8_t>(st.id);
-    ev.u.req.h = {h.slot, h.generation};
-    sim_->schedule_event(back, ev);
+    write_unavailable(h, coord_delay);
     return;
   }
 
@@ -472,7 +449,7 @@ void Cluster::start_write(WriteHandle h) {
       st.hints.add(r, w.key, w.value);
       continue;
     }
-    account(w.coord, r, cfg_.message_overhead_bytes + w.value.size_bytes);
+    account(w.coord, r, kMessageOverheadBytes + w.value.size_bytes);
     const SimDuration d = coord_delay + link_delay(w.coord, r, st.rng);
     TypedEvent ev = cluster_event(EventKind::kWriteApply, this);
     ev.node = r;
@@ -488,6 +465,23 @@ void Cluster::start_write(WriteHandle h) {
     ++here().timeouts;
     finish_write(h, false);
   });
+}
+
+void Cluster::write_unavailable(WriteHandle h, SimDuration coord_delay) {
+  ShardState& st = here();
+  PendingWrite& w = *st.pending_writes.get(h);
+  ++st.unavailable;
+  const SimDuration back =
+      coord_delay + client_link_delay(st.rng, w.cross_origin);
+  account_client(kMessageOverheadBytes, w.cross_origin);
+  // No timeout is armed yet, so marking the record responded parks it
+  // until the typed delivery leg hands the failure to the client.
+  w.responded = true;
+  w.deliver_ok = false;
+  TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
+  ev.shard = static_cast<std::uint8_t>(st.id);
+  ev.u.req.h = {h.slot, h.generation};
+  sim_->schedule_event(back, ev);
 }
 
 void Cluster::replica_apply_write(WriteHandle h, net::NodeId replica,
@@ -542,7 +536,7 @@ void Cluster::write_apply_done(WriteHandle h, net::NodeId replica,
   if (wp == nullptr) return;
   nodes_[replica]->store().apply(wp->key, wp->value);
   const SimDuration apply_delay = sim_->now() - wp->start;
-  account(replica, wp->coord, cfg_.message_overhead_bytes);
+  account(replica, wp->coord, kMessageOverheadBytes);
   const SimDuration back = link_delay(replica, wp->coord, here().rng);
   TypedEvent ev = cluster_event(EventKind::kWriteAck, this);
   ev.node = replica;
@@ -612,7 +606,7 @@ void Cluster::finish_write(WriteHandle h, bool ok) {
   w.responded = true;
   w.timeout.cancel();
   if (ok) oracle_commit(w.key, w.value.version);
-  account_client(cfg_.message_overhead_bytes, w.cross_origin);
+  account_client(kMessageOverheadBytes, w.cross_origin);
   const SimDuration back = client_link_delay(st.rng, w.cross_origin);
   // The callback and result stay in the record (responded is set, so nothing
   // fires them again); the typed delivery leg hands them to the client and
@@ -634,7 +628,7 @@ void Cluster::write_shed(WriteHandle h, SimDuration retry_after) {
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
   ++st.sheds;
-  account_client(cfg_.message_overhead_bytes, w.cross_origin);
+  account_client(kMessageOverheadBytes, w.cross_origin);
   const SimDuration back = client_link_delay(st.rng, w.cross_origin);
   w.responded = true;
   w.deliver_ok = false;
@@ -695,7 +689,7 @@ void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
     r->needed_per_dc[client_dc] = req.count;
   }
 
-  account_client(cfg_.message_overhead_bytes, r->cross_origin);
+  account_client(kMessageOverheadBytes, r->cross_origin);
   const SimDuration d = client_link_delay(st.rng, r->cross_origin);
   TypedEvent ev = cluster_event(EventKind::kStartRead, this);
   ev.shard = static_cast<std::uint8_t>(st.id);
@@ -728,7 +722,13 @@ void Cluster::start_read(ReadHandle h) {
     }
   }
 
-  r.coord = pick_coordinator(r.client_dc, st.rng);
+  const int coord_id = pick_coordinator(r.client_dc, st.rng);
+  if (coord_id < 0) {
+    // No alive node anywhere: nothing coordinates or serves the read.
+    read_unavailable(h, 0);
+    return;
+  }
+  r.coord = static_cast<net::NodeId>(coord_id);
   Node& coord = *nodes_[r.coord];
   const SimDuration coord_delay = coord.service(ServiceKind::kCoordinate, sim_->now());
 
@@ -768,18 +768,7 @@ void Cluster::start_read(ReadHandle h) {
     }
   }
   if (!feasible || r.contacted.empty()) {
-    ++st.unavailable;
-    account_client(cfg_.message_overhead_bytes, r.cross_origin);
-    const SimDuration back =
-        coord_delay + client_link_delay(st.rng, r.cross_origin);
-    oracle_end_read(r.start);
-    // No timeout armed yet; park the record (responded) until delivery.
-    r.responded = true;
-    r.result = ReadResult{};
-    TypedEvent ev = cluster_event(EventKind::kReadDeliver, this);
-    ev.shard = static_cast<std::uint8_t>(st.id);
-    ev.u.req.h = {h.slot, h.generation};
-    sim_->schedule_event(back, ev);
+    read_unavailable(h, coord_delay);
     return;
   }
   if (r.each_quorum) {
@@ -792,7 +781,7 @@ void Cluster::start_read(ReadHandle h) {
   for (std::size_t i = 0; i < r.contacted.size(); ++i) {
     const net::NodeId replica = r.contacted[i];
     const bool data_read = i == 0;  // first (closest) serves data, rest digests
-    account(r.coord, replica, cfg_.message_overhead_bytes);
+    account(r.coord, replica, kMessageOverheadBytes);
     const SimDuration d = coord_delay + link_delay(r.coord, replica, st.rng);
     // The serve leg may outlive the record (finish_read releases as soon as
     // the read responds), and under sharding it may run on a shard that can
@@ -820,6 +809,23 @@ void Cluster::start_read(ReadHandle h) {
                                      [this, h] { fire_hedge(h); });
     }
   }
+}
+
+void Cluster::read_unavailable(ReadHandle h, SimDuration coord_delay) {
+  ShardState& st = here();
+  PendingRead& r = *st.pending_reads.get(h);
+  ++st.unavailable;
+  account_client(kMessageOverheadBytes, r.cross_origin);
+  const SimDuration back =
+      coord_delay + client_link_delay(st.rng, r.cross_origin);
+  oracle_end_read(r.start);
+  // No timeout armed yet; park the record (responded) until delivery.
+  r.responded = true;
+  r.result = ReadResult{};
+  TypedEvent ev = cluster_event(EventKind::kReadDeliver, this);
+  ev.shard = static_cast<std::uint8_t>(st.id);
+  ev.u.req.h = {h.slot, h.generation};
+  sim_->schedule_event(back, ev);
 }
 
 // The attempt timeout: with retries left and an untried alive replica, back
@@ -925,7 +931,7 @@ void Cluster::send_read_leg(ReadHandle h, net::NodeId replica) {
   Node& coord = *nodes_[r.coord];
   const SimDuration coord_delay =
       coord.service(ServiceKind::kCoordinate, sim_->now());
-  account(r.coord, replica, cfg_.message_overhead_bytes);
+  account(r.coord, replica, kMessageOverheadBytes);
   const SimDuration d = coord_delay + link_delay(r.coord, replica, st.rng);
   TypedEvent ev = cluster_event(EventKind::kReadServe, this);
   ev.node = replica;
@@ -971,7 +977,7 @@ void Cluster::read_shed(ReadHandle h, SimDuration retry_after) {
   if (rp == nullptr) return;
   PendingRead& r = *rp;
   ++st.sheds;
-  account_client(cfg_.message_overhead_bytes, r.cross_origin);
+  account_client(kMessageOverheadBytes, r.cross_origin);
   const SimDuration back = client_link_delay(st.rng, r.cross_origin);
   oracle_end_read(r.start);
   // No timeout armed yet; park the record (responded) until delivery.
@@ -1018,8 +1024,8 @@ void Cluster::read_serve_done(ReadHandle h, net::NodeId replica, Key key,
   const bool found = stored.has_value();
   const VersionedValue value = found ? *stored : VersionedValue{};
   const std::uint64_t bytes =
-      cfg_.message_overhead_bytes +
-      (data_read && found ? value.size_bytes : cfg_.digest_bytes);
+      kMessageOverheadBytes +
+      (data_read && found ? value.size_bytes : kDigestBytes);
   account(replica, coord, bytes);
   const SimDuration back = link_delay(replica, coord, here().rng);
   TypedEvent ev = cluster_event(EventKind::kReadResponse, this);
@@ -1125,7 +1131,7 @@ void Cluster::finish_read(ReadHandle h, bool ok) {
     }
   }
 
-  account_client(cfg_.message_overhead_bytes +
+  account_client(kMessageOverheadBytes +
                      (result.found ? result.value_size : 0),
                  r.cross_origin);
   const SimDuration back = client_link_delay(st.rng, r.cross_origin);
@@ -1163,7 +1169,7 @@ void Cluster::send_repair(net::NodeId coord, net::NodeId target, Key key,
                           const VersionedValue& value) {
   ShardState& st = here();
   ++st.read_repairs;
-  account(coord, target, cfg_.message_overhead_bytes + value.size_bytes);
+  account(coord, target, kMessageOverheadBytes + value.size_bytes);
   const SimDuration d = link_delay(coord, target, st.rng);
   sim_->schedule_event(d, kv_event(EventKind::kRepairArrive, this, target, key,
                                    value, shard_of(target)));
@@ -1532,7 +1538,7 @@ void Cluster::replay_hints(net::NodeId target) {
     // Paced replay: one mutation per 200us, as a hint queue drain would be.
     for (auto& h : hints) {
       delay += usec(200);
-      account(target, target, cfg_.message_overhead_bytes + h.value.size_bytes);
+      account(target, target, kMessageOverheadBytes + h.value.size_bytes);
       sim_->schedule_event(delay, kv_event(EventKind::kHintDeliver, this,
                                            target, h.key, h.value,
                                            shard_of(target)));
@@ -1616,7 +1622,7 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
       if (!nodes_[r]->alive()) continue;
       const auto v = nodes_[r]->store().read(key);
       ++here().replica_ops;
-      account(replicas.front(), r, cfg_.message_overhead_bytes + cfg_.digest_bytes);
+      account(replicas.front(), r, kMessageOverheadBytes + kDigestBytes);
       if (v.has_value() && v->version.newer_than(newest)) {
         newest = v->version;
         newest_size = v->size_bytes;

@@ -196,13 +196,20 @@ struct ResilienceConfig {
   SimDuration admission_max_delay = msec(50);
 };
 
+/// Wire sizes the request path bills, in bytes. Every client request and
+/// response, replica request, ack and repair carries kMessageOverheadBytes of
+/// headers; a digest read's response carries kDigestBytes instead of the
+/// value. Bismar's analytic cross-DC estimate reads the same pair.
+inline constexpr std::uint32_t kMessageOverheadBytes = 64;
+inline constexpr std::uint32_t kDigestBytes = 16;
+
+/// Replica placement is NetworkTopologyStrategy: rf is split across DCs
+/// (rf_per_dc(), first DCs take the remainder) and each DC's share is walked
+/// clockwise on its own vnodes.
 struct ClusterConfig {
   std::size_t node_count = 10;
   std::size_t dc_count = 2;
   int rf = 3;
-  /// true: NetworkTopologyStrategy (rf split across DCs, first DCs get the
-  /// remainder); false: SimpleStrategy (ring order, DC-oblivious).
-  bool use_nts = true;
   int vnodes_per_node = 8;
   net::TieredLatencyModel::Params latency{};
   NodeParams node{};
@@ -214,8 +221,6 @@ struct ClusterConfig {
   /// true: snitch orders read replicas nearest-first (Cassandra default);
   /// false: uniform shuffle (spreads load, worsens staleness).
   bool closest_first_snitch = true;
-  std::uint32_t message_overhead_bytes = 64;
-  std::uint32_t digest_bytes = 16;
 
   /// Anti-entropy: every period, repair the keys written since the last
   /// sweep (digest reads on every replica, then LWW repair of stale ones).
@@ -237,9 +242,9 @@ struct ClusterConfig {
   /// Hedging / retry / admission knobs (all off by default).
   ResilienceConfig resilience{};
 
-  /// rf split per DC under NTS (first DCs take the remainder).
+  /// rf split per DC (first DCs take the remainder).
   std::vector<int> rf_per_dc() const;
-  /// Replication factor inside `dc` (rf when SimpleStrategy, split when NTS).
+  /// Replication factor inside `dc`: its entry of rf_per_dc().
   int local_rf(net::DcId dc) const;
 };
 
@@ -361,7 +366,6 @@ class Cluster {
     return n;
   }
   Node& node(net::NodeId id);
-  const Node& node(net::NodeId id) const;
 
   /// Replica set for `key` (placement order). Served from a fixed-size
   /// direct-mapped cache: placement is a pure function of key, ring and rf
@@ -703,7 +707,9 @@ class Cluster {
 
   /// Ring walk behind replicas_for (and the preload's cold pass).
   void place(Key key, ReplicaList& out) const;
-  net::NodeId pick_coordinator(net::DcId dc, Rng& rng);
+  /// An alive coordinator for a request from `dc`: one in `dc` when any is
+  /// alive, else (serial runs) any alive node; -1 when no node is alive.
+  int pick_coordinator(net::DcId dc, Rng& rng);
   SimDuration client_link_delay(Rng& rng, bool cross_dc = false);
   SimDuration link_delay(net::NodeId src, net::NodeId dst, Rng& rng);
   void account(net::NodeId src, net::NodeId dst, std::uint64_t bytes);
@@ -714,6 +720,10 @@ class Cluster {
                              Rng& rng) const;
 
   void start_write(WriteHandle h);
+  /// Infeasible request: count it unavailable and deliver the failure after
+  /// `coord_delay` (0 when no node was alive to coordinate) plus the client
+  /// link. No replica legs, no hints.
+  void write_unavailable(WriteHandle h, SimDuration coord_delay);
   void replica_apply_write(WriteHandle h, net::NodeId replica,
                            std::uint32_t home);
   void write_apply_done(WriteHandle h, net::NodeId replica, std::uint32_t home);
@@ -727,6 +737,7 @@ class Cluster {
   void read_deliver(ReadHandle h);
 
   void start_read(ReadHandle h);
+  void read_unavailable(ReadHandle h, SimDuration coord_delay);
   void replica_serve_read(ReadHandle h, net::NodeId replica, bool data_read,
                           SimTime sent_at, Key key, net::NodeId coord);
   void read_serve_done(ReadHandle h, net::NodeId replica, Key key,

@@ -60,45 +60,76 @@ TokenRing::TokenRing(const net::Topology& topo, int vnodes_per_node,
 std::uint64_t TokenRing::token_for(Key key) { return mix64(key); }
 
 std::size_t TokenRing::first_at_or_after(std::uint64_t token) const {
-  return first_at_or_after(ring_, token);
-}
-
-std::size_t TokenRing::first_at_or_after(const std::vector<VNode>& ring,
-                                         std::uint64_t token) {
   const auto it = std::lower_bound(
-      ring.begin(), ring.end(), token,
+      ring_.begin(), ring_.end(), token,
       [](const VNode& v, std::uint64_t t) { return v.token < t; });
-  return it == ring.end() ? 0 : static_cast<std::size_t>(it - ring.begin());
-}
-
-std::vector<net::NodeId> TokenRing::replicas_simple(Key key, int rf) const {
-  std::vector<net::NodeId> out;
-  out.reserve(static_cast<std::size_t>(rf));
-  fill_simple(key, rf, out);
-  return out;
-}
-
-void TokenRing::replicas_simple(Key key, int rf, ReplicaList& out) const {
-  HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
-  out.clear();
-  fill_simple(key, rf, out);
-}
-
-std::vector<net::NodeId> TokenRing::replicas_nts(
-    Key key, const std::vector<int>& rf_per_dc) const {
-  HARMONY_CHECK(rf_per_dc.size() == topo_->dc_count());
-  std::vector<net::NodeId> out;
-  int total = 0;
-  for (const int w : rf_per_dc) total += w;
-  out.reserve(static_cast<std::size_t>(total));
-  fill_nts(key, rf_per_dc.data(), rf_per_dc.size(), out);
-  return out;
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
 }
 
 void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
                              ReplicaList& out) const {
+  const std::size_t dcs = rf_per_dc.size();
+  HARMONY_CHECK(dcs == topo_->dc_count());
+  HARMONY_CHECK_MSG(dcs <= kMaxDcs, "dc_count exceeds kMaxDcs");
   out.clear();
-  fill_nts(key, rf_per_dc.begin(), rf_per_dc.size(), out);
+  const std::uint64_t t = token_for(key);
+
+  // One cursor per DC that still owes replicas; placement within a DC is the
+  // clockwise walk over that DC's own vnodes, and the global interleaved
+  // order is recovered by always advancing the cursor whose current vnode is
+  // nearest clockwise from the key's token.
+  struct Cursor {
+    const std::vector<VNode>* ring;
+    std::size_t idx;
+    std::size_t walked;
+    std::uint64_t rank;  ///< clockwise distance token -> vnode (mod 2^64)
+    net::DcId dc;
+    int wanted;
+  };
+  SmallVec<Cursor, kMaxDcs> cursors;
+  const std::size_t start = first_at_or_after(t);
+  for (std::size_t d = 0; d < dcs; ++d) {
+    HARMONY_CHECK_MSG(
+        static_cast<std::size_t>(rf_per_dc[d]) <=
+            topo_->nodes_in_dc(static_cast<net::DcId>(d)).size(),
+        "per-DC rf exceeds DC size");
+    if (rf_per_dc[d] <= 0) continue;
+    const std::vector<VNode>& ring = dc_ring_[d];
+    std::size_t idx = next_in_dc_[d][start];
+    if (idx == ring.size()) idx = 0;  // wrap past the last token
+    cursors.push_back(Cursor{&ring, idx, 0, ring[idx].token - t,
+                             static_cast<net::DcId>(d), rf_per_dc[d]});
+  }
+
+  while (!cursors.empty()) {
+    // Pick the cursor nearest clockwise (ties broken by node id, matching the
+    // global ring's (token, node) sort order).
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < cursors.size(); ++c) {
+      const Cursor& a = cursors[c];
+      const Cursor& b = cursors[best];
+      if (a.rank < b.rank ||
+          (a.rank == b.rank &&
+           (*a.ring)[a.idx].node < (*b.ring)[b.idx].node)) {
+        best = c;
+      }
+    }
+    Cursor& cur = cursors[best];
+    const net::NodeId n = (*cur.ring)[cur.idx].node;
+    if (std::find(out.begin(), out.end(), n) == out.end()) {
+      out.push_back(n);
+      --cur.wanted;
+    }
+    ++cur.walked;
+    if (cur.wanted == 0 || cur.walked == cur.ring->size()) {
+      HARMONY_CHECK_MSG(cur.wanted == 0, "could not satisfy NTS placement");
+      cursors[best] = cursors.back();
+      cursors.pop_back();
+      continue;
+    }
+    if (++cur.idx == cur.ring->size()) cur.idx = 0;
+    cur.rank = (*cur.ring)[cur.idx].token - t;
+  }
 }
 
 std::vector<double> TokenRing::ownership() const {

@@ -1,18 +1,14 @@
-// Consistent-hash token ring with virtual nodes and two replica-placement
-// strategies, mirroring Cassandra:
-//   - SimpleStrategy: the rf distinct nodes clockwise from the key's token.
-//   - NetworkTopologyStrategy: per-datacenter replica counts, each DC's
-//     replicas chosen clockwise within that DC.
+// Consistent-hash token ring with virtual nodes and Cassandra's
+// NetworkTopologyStrategy placement: per-datacenter replica counts, each DC's
+// replicas chosen clockwise within that DC, in global clockwise order.
 //
 // Hot-path design: placement runs millions of times per experiment, so the
-// ring keeps a per-DC index (each DC's vnodes in token order) and NTS merges
+// ring keeps a per-DC index (each DC's vnodes in token order) and merges
 // those DC-local walks by clockwise distance instead of scanning the global
 // ring past foreign-DC vnodes. Replica sets are produced into fixed-capacity
-// inline lists (ReplicaList) — no heap allocation per lookup; the
-// std::vector-returning overloads remain for callers outside the request path.
+// inline lists (ReplicaList) — no heap allocation per lookup.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -59,16 +55,9 @@ class TokenRing {
         (static_cast<unsigned __int128>(token) * ranges) >> 64);
   }
 
-  /// SimpleStrategy placement: rf distinct nodes clockwise from the token.
-  std::vector<net::NodeId> replicas_simple(Key key, int rf) const;
-  /// Allocation-free variant for the request path (rf <= kMaxReplicas).
-  void replicas_simple(Key key, int rf, ReplicaList& out) const;
-
-  /// NetworkTopologyStrategy placement. rf_per_dc[d] replicas in DC d.
-  /// Order: clockwise from the token, so the "primary" replica comes first.
-  std::vector<net::NodeId> replicas_nts(Key key,
-                                        const std::vector<int>& rf_per_dc) const;
-  /// Allocation-free variant for the request path.
+  /// NetworkTopologyStrategy placement: rf_per_dc[d] replicas in DC d,
+  /// written into `out`. Order: clockwise from the token, so the "primary"
+  /// replica comes first.
   void replicas_nts(Key key, const DcCounts& rf_per_dc, ReplicaList& out) const;
 
   std::size_t vnode_count() const { return ring_.size(); }
@@ -76,11 +65,14 @@ class TokenRing {
   /// Fraction of the token space owned by each node (for balance tests).
   std::vector<double> ownership() const;
 
- private:
   struct VNode {
     std::uint64_t token;
     net::NodeId node;
   };
+  /// Every vnode in (token, node) order (for reference-walk tests).
+  const std::vector<VNode>& vnodes() const { return ring_; }
+
+ private:
   const net::Topology* topo_;
   std::vector<VNode> ring_;  // sorted by (token, node)
   std::vector<std::vector<VNode>> dc_ring_;  // per-DC vnodes, same order
@@ -89,99 +81,8 @@ class TokenRing {
   // 0"). Lets NTS seed all DC cursors from ONE global binary search.
   std::vector<std::vector<std::uint32_t>> next_in_dc_;
 
+  /// Global ring index of the first vnode at or after `token` (0 on wrap).
   std::size_t first_at_or_after(std::uint64_t token) const;
-  static std::size_t first_at_or_after(const std::vector<VNode>& ring,
-                                       std::uint64_t token);
-
-  template <typename Out>
-  void fill_simple(Key key, int rf, Out& out) const;
-  template <typename Out>
-  void fill_nts(Key key, const int* rf_per_dc, std::size_t dcs, Out& out) const;
 };
-
-// ---------------------------------------------------------- placement cores
-// Templated over the output container (ReplicaList on the request path,
-// std::vector for the public compatibility overloads); both instantiations
-// produce bit-identical orderings.
-
-template <typename Out>
-void TokenRing::fill_simple(Key key, int rf, Out& out) const {
-  HARMONY_CHECK(rf >= 1);
-  HARMONY_CHECK_MSG(static_cast<std::size_t>(rf) <= topo_->node_count(),
-                    "rf exceeds node count");
-  std::size_t i = first_at_or_after(token_for(key));
-  for (std::size_t walked = 0;
-       walked < ring_.size() && out.size() < static_cast<std::size_t>(rf);
-       ++walked, i = (i + 1) % ring_.size()) {
-    const net::NodeId n = ring_[i].node;
-    if (std::find(out.begin(), out.end(), n) == out.end()) out.push_back(n);
-  }
-  HARMONY_CHECK(out.size() == static_cast<std::size_t>(rf));
-}
-
-template <typename Out>
-void TokenRing::fill_nts(Key key, const int* rf_per_dc, std::size_t dcs,
-                         Out& out) const {
-  HARMONY_CHECK(dcs == topo_->dc_count());
-  HARMONY_CHECK_MSG(dcs <= kMaxDcs, "dc_count exceeds kMaxDcs");
-  const std::uint64_t t = token_for(key);
-
-  // One cursor per DC that still owes replicas; NTS placement within a DC is
-  // the clockwise walk over that DC's own vnodes, and the global interleaved
-  // order is recovered by always advancing the cursor whose current vnode is
-  // nearest clockwise from the key's token.
-  struct Cursor {
-    const std::vector<VNode>* ring;
-    std::size_t idx;
-    std::size_t walked;
-    std::uint64_t rank;  ///< clockwise distance token -> vnode (mod 2^64)
-    net::DcId dc;
-    int wanted;
-  };
-  SmallVec<Cursor, kMaxDcs> cursors;
-  const std::size_t start = first_at_or_after(t);
-  for (std::size_t d = 0; d < dcs; ++d) {
-    HARMONY_CHECK_MSG(
-        static_cast<std::size_t>(rf_per_dc[d]) <=
-            topo_->nodes_in_dc(static_cast<net::DcId>(d)).size(),
-        "per-DC rf exceeds DC size");
-    if (rf_per_dc[d] <= 0) continue;
-    const std::vector<VNode>& ring = dc_ring_[d];
-    std::size_t idx = next_in_dc_[d][start];
-    if (idx == ring.size()) idx = 0;  // wrap past the last token
-    cursors.push_back(Cursor{&ring, idx, 0, ring[idx].token - t,
-                             static_cast<net::DcId>(d), rf_per_dc[d]});
-  }
-
-  while (!cursors.empty()) {
-    // Pick the cursor nearest clockwise (ties broken by node id, matching the
-    // global ring's (token, node) sort order).
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < cursors.size(); ++c) {
-      const Cursor& a = cursors[c];
-      const Cursor& b = cursors[best];
-      if (a.rank < b.rank ||
-          (a.rank == b.rank &&
-           (*a.ring)[a.idx].node < (*b.ring)[b.idx].node)) {
-        best = c;
-      }
-    }
-    Cursor& cur = cursors[best];
-    const net::NodeId n = (*cur.ring)[cur.idx].node;
-    if (std::find(out.begin(), out.end(), n) == out.end()) {
-      out.push_back(n);
-      --cur.wanted;
-    }
-    ++cur.walked;
-    if (cur.wanted == 0 || cur.walked == cur.ring->size()) {
-      HARMONY_CHECK_MSG(cur.wanted == 0, "could not satisfy NTS placement");
-      cursors[best] = cursors.back();
-      cursors.pop_back();
-      continue;
-    }
-    if (++cur.idx == cur.ring->size()) cur.idx = 0;
-    cur.rank = (*cur.ring)[cur.idx].token - t;
-  }
-}
 
 }  // namespace harmony::cluster

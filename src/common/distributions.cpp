@@ -83,67 +83,7 @@ std::unique_ptr<KeyDistribution> ZipfianKeys::clone() const {
   return std::make_unique<ZipfianKeys>(*this);
 }
 
-// ---------------------------------------------------------------- Latest
-
-LatestKeys::LatestKeys(std::uint64_t n, double theta) : zipf_(n, theta) {}
-
-std::uint64_t LatestKeys::next(Rng& rng) {
-  // Hot item = most recent insert: reflect the zipfian rank off the frontier.
-  const std::uint64_t n = zipf_.item_count();
-  const std::uint64_t rank = zipf_.next(rng);
-  return n - 1 - rank;
-}
-
-std::uint64_t LatestKeys::item_count() const { return zipf_.item_count(); }
-
-void LatestKeys::grow(std::uint64_t new_count) { zipf_.grow(new_count); }
-
-std::unique_ptr<KeyDistribution> LatestKeys::clone() const {
-  return std::make_unique<LatestKeys>(*this);
-}
-
-// ---------------------------------------------------------------- HotSpot
-
-HotSpotKeys::HotSpotKeys(std::uint64_t n, double hot_set_fraction,
-                         double hot_op_fraction)
-    : n_(n),
-      hot_set_fraction_(hot_set_fraction),
-      hot_op_fraction_(hot_op_fraction) {
-  HARMONY_CHECK(n > 0);
-  HARMONY_CHECK(hot_set_fraction > 0 && hot_set_fraction <= 1);
-  HARMONY_CHECK(hot_op_fraction >= 0 && hot_op_fraction <= 1);
-}
-
-std::uint64_t HotSpotKeys::next(Rng& rng) {
-  auto hot_count = static_cast<std::uint64_t>(
-      hot_set_fraction_ * static_cast<double>(n_));
-  if (hot_count == 0) hot_count = 1;
-  if (rng.chance(hot_op_fraction_)) return rng.uniform_u64(hot_count);
-  if (hot_count >= n_) return rng.uniform_u64(n_);
-  return hot_count + rng.uniform_u64(n_ - hot_count);
-}
-
-void HotSpotKeys::grow(std::uint64_t new_count) {
-  HARMONY_CHECK(new_count >= n_);
-  n_ = new_count;
-}
-
-std::unique_ptr<KeyDistribution> HotSpotKeys::clone() const {
-  return std::make_unique<HotSpotKeys>(*this);
-}
-
 // ---------------------------------------------------------------- Spec
-
-std::string to_string(KeyDistributionKind k) {
-  switch (k) {
-    case KeyDistributionKind::kUniform: return "uniform";
-    case KeyDistributionKind::kZipfian: return "zipfian";
-    case KeyDistributionKind::kScrambledZipfian: return "scrambled_zipfian";
-    case KeyDistributionKind::kLatest: return "latest";
-    case KeyDistributionKind::kHotSpot: return "hotspot";
-  }
-  return "unknown";
-}
 
 std::unique_ptr<KeyDistribution> KeyDistributionSpec::build(
     std::uint64_t item_count) const {
@@ -154,11 +94,6 @@ std::unique_ptr<KeyDistribution> KeyDistributionSpec::build(
       return std::make_unique<ZipfianKeys>(item_count, zipf_theta);
     case KeyDistributionKind::kScrambledZipfian:
       return std::make_unique<ScrambledZipfianKeys>(item_count, zipf_theta);
-    case KeyDistributionKind::kLatest:
-      return std::make_unique<LatestKeys>(item_count, zipf_theta);
-    case KeyDistributionKind::kHotSpot:
-      return std::make_unique<HotSpotKeys>(item_count, hot_set_fraction,
-                                           hot_op_fraction);
   }
   HARMONY_CHECK_MSG(false, "unreachable: bad KeyDistributionKind");
   return nullptr;

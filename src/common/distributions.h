@@ -26,8 +26,8 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// A distribution over the key indices [0, n). Implementations are stateful
-/// (Latest tracks the insert frontier) but cheap to copy via clone().
+/// A distribution over the key indices [0, n). Implementations are cheap to
+/// copy via clone(); grow() extends the domain as inserts add keys.
 class KeyDistribution {
  public:
   virtual ~KeyDistribution() = default;
@@ -102,53 +102,16 @@ class ScrambledZipfianKeys final : public ZipfianKeys {
   }
 };
 
-/// "Latest" distribution: zipfian over recency — the most recently inserted
-/// item is the hottest (YCSB workload D's read side).
-class LatestKeys final : public KeyDistribution {
- public:
-  explicit LatestKeys(std::uint64_t n, double theta = ZipfianKeys::kDefaultTheta);
-  std::uint64_t next(Rng& rng) override;
-  std::uint64_t item_count() const override;
-  void grow(std::uint64_t new_count) override;
-  std::string name() const override { return "latest"; }
-  std::unique_ptr<KeyDistribution> clone() const override;
-
- private:
-  ZipfianKeys zipf_;
-};
-
-/// Hotspot: `hot_fraction` of requests go to the first `hot_set_fraction`
-/// of the key space, the rest uniform over the cold set.
-class HotSpotKeys final : public KeyDistribution {
- public:
-  HotSpotKeys(std::uint64_t n, double hot_set_fraction, double hot_op_fraction);
-  std::uint64_t next(Rng& rng) override;
-  std::uint64_t item_count() const override { return n_; }
-  void grow(std::uint64_t new_count) override;
-  std::string name() const override { return "hotspot"; }
-  std::unique_ptr<KeyDistribution> clone() const override;
-
- private:
-  std::uint64_t n_;
-  double hot_set_fraction_, hot_op_fraction_;
-};
-
 /// Kind + factory so workload specs can be declarative and copyable.
 enum class KeyDistributionKind : std::uint8_t {
   kUniform,
   kZipfian,
   kScrambledZipfian,
-  kLatest,
-  kHotSpot,
 };
-
-std::string to_string(KeyDistributionKind k);
 
 struct KeyDistributionSpec {
   KeyDistributionKind kind = KeyDistributionKind::kScrambledZipfian;
   double zipf_theta = ZipfianKeys::kDefaultTheta;
-  double hot_set_fraction = 0.2;
-  double hot_op_fraction = 0.8;
 
   std::unique_ptr<KeyDistribution> build(std::uint64_t item_count) const;
 };

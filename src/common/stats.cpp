@@ -51,11 +51,6 @@ double WindowedRate::rate(SimTime now) const {
   return static_cast<double>(events) / to_seconds(span);
 }
 
-void WindowedRate::reset() {
-  buckets_.clear();
-  total_ = 0;
-}
-
 void Ewma::observe(SimTime now, double x) {
   if (!initialized_) {
     value_ = x;
@@ -74,22 +69,6 @@ void Ewma::observe(SimTime now, double x) {
   const double decay =
       std::exp2(-static_cast<double>(dt) / static_cast<double>(half_life_));
   value_ = decay * value_ + (1.0 - decay) * x;
-}
-
-SampleStats describe(const std::vector<double>& xs) {
-  SampleStats s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  RunningStats rs;
-  s.min = s.max = xs.front();
-  for (double x : xs) {
-    rs.add(x);
-    s.min = std::min(s.min, x);
-    s.max = std::max(s.max, x);
-  }
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  return s;
 }
 
 double shannon_entropy(const std::vector<std::uint64_t>& counts) {

@@ -47,7 +47,6 @@ class WindowedRate {
   double rate(SimTime now) const;
   std::uint64_t total() const { return total_; }
   SimDuration window() const { return window_; }
-  void reset();
 
  private:
   struct Bucket {
@@ -78,14 +77,6 @@ class Ewma {
   double value_ = 0;
   bool initialized_ = false;
 };
-
-/// Simple descriptive statistics over a complete sample (used by the ML
-/// timeline builder and test assertions).
-struct SampleStats {
-  double mean = 0, stddev = 0, min = 0, max = 0;
-  std::size_t n = 0;
-};
-SampleStats describe(const std::vector<double>& xs);
 
 /// Shannon entropy (bits) of a discrete frequency table; used as the key-skew
 /// feature in application behavior modeling.

@@ -59,21 +59,4 @@ class ThreadPool {
   bool stopping_ GUARDED_BY(mutex_) = false;
 };
 
-/// Map fn over [0, n) with a transient pool; convenience for benches.
-/// Returns results in index order.
-template <typename R>
-std::vector<R> parallel_map(std::size_t n, const std::function<R(std::size_t)>& fn,
-                            std::size_t threads = 0) {
-  ThreadPool pool(threads);
-  std::vector<std::future<R>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&fn, i] { return fn(i); }));
-  }
-  std::vector<R> out;
-  out.reserve(n);
-  for (auto& f : futures) out.push_back(f.get());
-  return out;
-}
-
 }  // namespace harmony

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cluster/cluster.h"
 #include "common/check.h"
 
 namespace harmony::core {
@@ -58,8 +59,8 @@ void BismarController::tick(const monitor::SystemState& state) {
                              ? state.est_write_latency_by_k_us[idx]
                              : 0.0;
     e.cross_dc_bytes_per_op = cost::expected_cross_dc_bytes_per_op(
-        read_fraction, k, rf_, local_rf_, opt_.value_bytes, opt_.overhead_bytes,
-        opt_.digest_bytes);
+        read_fraction, k, rf_, local_rf_, opt_.value_bytes,
+        cluster::kMessageOverheadBytes, cluster::kDigestBytes);
     levels.push_back(e);
   }
 

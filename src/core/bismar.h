@@ -33,11 +33,10 @@ struct BismarOptions {
   /// sampling delay in the stale estimator (see StaleModelParams). Bismar is
   /// a cost optimizer, so it uses the sharper (less conservative) estimate.
   double read_offset_factor = 0.75;
-  /// Message-size model for the analytic cross-DC bytes estimate; keep in
-  /// sync with the cluster config when customizing either.
+  /// Value size in the analytic cross-DC bytes estimate. Header and digest
+  /// sizes are the cluster's own (cluster::kMessageOverheadBytes,
+  /// cluster::kDigestBytes).
   double value_bytes = 1024;
-  double overhead_bytes = 64;
-  double digest_bytes = 16;
   /// Read share of the workload used for the network estimate when the
   /// monitor has no rates yet.
   double default_read_fraction = 0.5;

@@ -47,32 +47,22 @@ std::vector<EfficiencyPoint> ConsistencyCostEfficiency::evaluate(
   return out;
 }
 
-std::size_t ConsistencyCostEfficiency::best_index(
-    const std::vector<LevelEstimate>& levels) const {
-  const auto points = evaluate(levels);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    if (points[i].efficiency > points[best].efficiency) best = i;
-  }
-  return best;
-}
-
 double expected_cross_dc_bytes_per_op(double read_fraction, int k, int rf,
                                       int local_rf, double value_bytes,
-                                      double overhead_bytes,
-                                      double digest_bytes) {
+                                      double header_bytes,
+                                      double digest_size) {
   HARMONY_CHECK(k >= 1 && k <= rf);
   HARMONY_CHECK(local_rf >= 0 && local_rf <= rf);
   const double write_fraction = 1.0 - read_fraction;
   // Writes always ship the mutation to every remote replica (+ acks).
   const int remote_replicas = rf - local_rf;
   const double write_bytes =
-      remote_replicas * (value_bytes + 2.0 * overhead_bytes);
+      remote_replicas * (value_bytes + 2.0 * header_bytes);
   // Reads contact remote replicas only when k exceeds the local replica set;
   // those remote contacts are digest-sized.
   const int remote_contacts = std::max(0, k - local_rf);
   const double read_bytes =
-      remote_contacts * (digest_bytes + 2.0 * overhead_bytes);
+      remote_contacts * (digest_size + 2.0 * header_bytes);
   return read_fraction * read_bytes + write_fraction * write_bytes;
 }
 

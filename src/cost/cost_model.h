@@ -57,9 +57,6 @@ class ConsistencyCostEfficiency {
   /// entry; costs are normalized against it.
   std::vector<EfficiencyPoint> evaluate(const std::vector<LevelEstimate>& levels) const;
 
-  /// Index (into `levels`) of the most efficient level.
-  std::size_t best_index(const std::vector<LevelEstimate>& levels) const;
-
   double alpha() const { return alpha_; }
   const CostWeights& weights() const { return weights_; }
 
@@ -73,6 +70,6 @@ class ConsistencyCostEfficiency {
 /// Mirrors the simulator's message accounting.
 double expected_cross_dc_bytes_per_op(double read_fraction, int k, int rf,
                                       int local_rf, double value_bytes,
-                                      double overhead_bytes, double digest_bytes);
+                                      double header_bytes, double digest_size);
 
 }  // namespace harmony::cost

@@ -55,36 +55,4 @@ FeatureMatrix ZScoreNormalizer::transform(const FeatureMatrix& x) const {
   return out;
 }
 
-void MinMaxNormalizer::fit(const FeatureMatrix& x) {
-  HARMONY_CHECK(!x.empty());
-  const std::size_t dims = x.front().size();
-  min_ = x.front();
-  max_ = x.front();
-  for (const auto& row : x) {
-    HARMONY_CHECK(row.size() == dims);
-    for (std::size_t d = 0; d < dims; ++d) {
-      min_[d] = std::min(min_[d], row[d]);
-      max_[d] = std::max(max_[d], row[d]);
-    }
-  }
-}
-
-FeatureVector MinMaxNormalizer::transform(const FeatureVector& v) const {
-  HARMONY_CHECK(fitted());
-  HARMONY_CHECK(v.size() == min_.size());
-  FeatureVector out(v.size());
-  for (std::size_t d = 0; d < v.size(); ++d) {
-    const double span = max_[d] - min_[d];
-    out[d] = span > 0 ? (v[d] - min_[d]) / span : 0.0;
-  }
-  return out;
-}
-
-FeatureMatrix MinMaxNormalizer::transform(const FeatureMatrix& x) const {
-  FeatureMatrix out;
-  out.reserve(x.size());
-  for (const auto& row : x) out.push_back(transform(row));
-  return out;
-}
-
 }  // namespace harmony::ml

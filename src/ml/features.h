@@ -27,17 +27,4 @@ class ZScoreNormalizer {
   FeatureVector stddev_;
 };
 
-/// Min-max normalizer to [0, 1] (alternative used in ablations).
-class MinMaxNormalizer {
- public:
-  void fit(const FeatureMatrix& x);
-  FeatureVector transform(const FeatureVector& v) const;
-  FeatureMatrix transform(const FeatureMatrix& x) const;
-  bool fitted() const { return !min_.empty(); }
-
- private:
-  FeatureVector min_;
-  FeatureVector max_;
-};
-
 }  // namespace harmony::ml

@@ -114,13 +114,4 @@ KMeansResult kmeans(const FeatureMatrix& x, const KMeansOptions& options) {
   return best;
 }
 
-std::vector<int> assign_labels(const FeatureMatrix& x,
-                               const FeatureMatrix& centroids) {
-  HARMONY_CHECK(!centroids.empty());
-  std::vector<int> labels;
-  labels.reserve(x.size());
-  for (const auto& row : x) labels.push_back(nearest(row, centroids));
-  return labels;
-}
-
 }  // namespace harmony::ml

@@ -29,8 +29,4 @@ struct KMeansResult {
 
 KMeansResult kmeans(const FeatureMatrix& x, const KMeansOptions& options);
 
-/// Assign each row of x to its nearest centroid.
-std::vector<int> assign_labels(const FeatureMatrix& x,
-                               const FeatureMatrix& centroids);
-
 }  // namespace harmony::ml

@@ -1,7 +1,6 @@
 #include "net/latency_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace harmony::net {
 
@@ -23,21 +22,12 @@ SimDuration TieredLatencyModel::sample(const Topology& topo, NodeId src,
   return std::max(t.floor, static_cast<SimDuration>(v));
 }
 
-SimDuration TieredLatencyModel::mean(const Topology& topo, NodeId src,
-                                     NodeId dst) const {
-  const LatencyTier& t = tier(topo, src, dst);
-  // Lognormal mean = median * exp(sigma^2 / 2).
-  return static_cast<SimDuration>(static_cast<double>(t.base) *
-                                  std::exp(t.sigma * t.sigma / 2.0));
-}
-
 TieredLatencyModel::Params TieredLatencyModel::ec2_two_az() {
   Params p;
   p.loopback = {usec(25), 0.05};
   p.same_rack = {usec(200), 0.25};
   p.same_dc = {usec(500), 0.3};
   p.cross_dc = {msec(1.6), 0.35};
-  p.label = "ec2-two-az";
   return p;
 }
 
@@ -47,7 +37,6 @@ TieredLatencyModel::Params TieredLatencyModel::grid5000_two_sites() {
   p.same_rack = {usec(100), 0.15};
   p.same_dc = {usec(250), 0.2};
   p.cross_dc = {msec(9), 0.2};
-  p.label = "grid5000-two-sites";
   return p;
 }
 
@@ -57,12 +46,7 @@ TieredLatencyModel::Params TieredLatencyModel::lan() {
   p.same_rack = {usec(100), 0.15};
   p.same_dc = {usec(250), 0.2};
   p.cross_dc = {usec(600), 0.25};  // two clusters, same site
-  p.label = "lan";
   return p;
-}
-
-std::unique_ptr<LatencyModel> make_tiered(TieredLatencyModel::Params p) {
-  return std::make_unique<TieredLatencyModel>(std::move(p));
 }
 
 }  // namespace harmony::net

@@ -4,42 +4,23 @@
 
 namespace harmony::net {
 
-DcId Topology::add_datacenter(std::string name) {
-  const auto id = static_cast<DcId>(dc_names_.size());
-  dc_names_.push_back(std::move(name));
+DcId Topology::add_datacenter() {
+  const auto id = static_cast<DcId>(dc_members_.size());
   dc_members_.emplace_back();
-  next_rack_.push_back(0);
   return id;
 }
 
 NodeId Topology::add_node(DcId dc, RackId rack) {
-  HARMONY_CHECK(dc < dc_names_.size());
+  HARMONY_CHECK(dc < dc_members_.size());
   const auto id = static_cast<NodeId>(nodes_.size());
-  NodeInfo info;
-  info.id = id;
-  info.dc = dc;
-  info.rack = rack;
-  info.name = dc_names_[dc] + "/node" + std::to_string(id);
-  nodes_.push_back(std::move(info));
+  nodes_.push_back(NodeInfo{id, dc, rack});
   dc_members_[dc].push_back(id);
   return id;
-}
-
-NodeId Topology::add_node(DcId dc) {
-  HARMONY_CHECK(dc < dc_names_.size());
-  const RackId rack = next_rack_[dc];
-  next_rack_[dc] = static_cast<RackId>((next_rack_[dc] + 1) % 2);
-  return add_node(dc, rack);
 }
 
 const NodeInfo& Topology::node(NodeId id) const {
   HARMONY_CHECK(id < nodes_.size());
   return nodes_[id];
-}
-
-const std::string& Topology::dc_name(DcId dc) const {
-  HARMONY_CHECK(dc < dc_names_.size());
-  return dc_names_[dc];
 }
 
 const std::vector<NodeId>& Topology::nodes_in_dc(DcId dc) const {
@@ -57,9 +38,7 @@ Topology Topology::balanced(std::size_t count, std::size_t dc_count,
   HARMONY_CHECK(dc_count > 0 && dc_count <= count);
   HARMONY_CHECK(racks_per_dc > 0);
   Topology topo;
-  for (std::size_t d = 0; d < dc_count; ++d) {
-    topo.add_datacenter("dc" + std::to_string(d));
-  }
+  for (std::size_t d = 0; d < dc_count; ++d) topo.add_datacenter();
   for (std::size_t i = 0; i < count; ++i) {
     const auto dc = static_cast<DcId>(i % dc_count);
     const auto rack = static_cast<RackId>((i / dc_count) % racks_per_dc);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace harmony::net {
@@ -21,24 +20,21 @@ struct NodeInfo {
   NodeId id = 0;
   DcId dc = 0;
   RackId rack = 0;
-  std::string name;
 };
 
 class Topology {
  public:
-  /// Add a datacenter; returns its id. `name` is informational.
-  DcId add_datacenter(std::string name);
+  /// Add a datacenter; returns its id.
+  DcId add_datacenter();
 
-  /// Add a node in `dc` (rack assignment round-robins unless given).
+  /// Add a node in `dc` on `rack`.
   NodeId add_node(DcId dc, RackId rack);
-  NodeId add_node(DcId dc);
 
   std::size_t node_count() const { return nodes_.size(); }
-  std::size_t dc_count() const { return dc_names_.size(); }
+  std::size_t dc_count() const { return dc_members_.size(); }
 
   const NodeInfo& node(NodeId id) const;
   DcId dc_of(NodeId id) const { return node(id).dc; }
-  const std::string& dc_name(DcId dc) const;
   const std::vector<NodeId>& nodes_in_dc(DcId dc) const;
   const std::vector<NodeInfo>& nodes() const { return nodes_; }
 
@@ -52,9 +48,7 @@ class Topology {
 
  private:
   std::vector<NodeInfo> nodes_;
-  std::vector<std::string> dc_names_;
   std::vector<std::vector<NodeId>> dc_members_;
-  std::vector<RackId> next_rack_;
 };
 
 }  // namespace harmony::net

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace harmony::sim {
@@ -48,41 +46,6 @@ EventHandle EventQueue::push(SimTime when, EventFn fn) {
   return EventHandle{this, s, sl.generation};
 }
 
-void EventQueue::take_top(SimTime& when, EventFn& fn) {
-  const HeapEntry top = heap_.front();
-  heap_pop_top(heap_);
-  when = top.when;
-  fn = std::move(slot(top.slot).fn);
-  release_slot(top.slot);
-}
-
-bool EventQueue::pop(SimTime& when, EventFn& fn) {
-  HARMONY_CHECK_MSG(typed_heap_.empty(),
-                    "pop() is closure-lane only; use run_before");
-  if (heap_.empty()) return false;
-  take_top(when, fn);
-  return true;
-}
-
-EventQueue::PopResult EventQueue::pop_before(SimTime horizon, SimTime& when,
-                                             EventFn& fn) {
-  HARMONY_CHECK_MSG(typed_heap_.empty(),
-                    "pop_before() is closure-lane only; use run_before");
-  if (heap_.empty()) return PopResult::kEmpty;
-  if (heap_.front().when > horizon) return PopResult::kLater;
-  take_top(when, fn);
-  return PopResult::kEvent;
-}
-
 bool EventQueue::empty() const { return heap_.empty() && typed_heap_.empty(); }
-
-SimTime EventQueue::next_time() const {
-  if (heap_.empty()) {
-    HARMONY_CHECK(!typed_heap_.empty());
-    return typed_heap_.front().when;
-  }
-  if (typed_heap_.empty()) return heap_.front().when;
-  return std::min(heap_.front().when, typed_heap_.front().when);
-}
 
 }  // namespace harmony::sim

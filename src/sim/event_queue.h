@@ -69,7 +69,7 @@ class EventHandle {
 
 class EventQueue {
  public:
-  /// Outcome of pop_before: an event ran, the queue is drained, or the
+  /// Outcome of run_before: an event ran, the queue is drained, or the
   /// earliest live event lies beyond the caller's horizon.
   enum class PopResult : std::uint8_t { kEvent, kEmpty, kLater };
 
@@ -132,18 +132,7 @@ class EventQueue {
     return true;
   }
 
-  /// Pop the earliest live closure-lane event; returns false when drained.
-  /// On success fills `when`/`fn` (the callback is moved out, never copied).
-  /// Closure-lane only: must not be called while typed events are pending
-  /// (the kernel main loop uses run_before, which merges both lanes).
-  bool pop(SimTime& when, EventFn& fn);
-
-  /// Fused peek+pop for callers that want the callback moved out: pops only
-  /// when the earliest live event is at or before `horizon`.
-  /// Closure-lane only, like pop().
-  PopResult pop_before(SimTime horizon, SimTime& when, EventFn& fn);
-
-  /// Main-loop fast path, merging both lanes: pops the earliest live event
+  /// The only pop, merging both lanes: pops the earliest live event
   /// at or before `horizon`. `on_event(when, seq)` fires right before the
   /// event runs (the simulation advances its clock there; the seq lets the
   /// sharded executor expose the running event's global sequence). A typed
@@ -192,8 +181,6 @@ class EventQueue {
   bool empty() const;
   /// Queued events across both lanes (cancelled entries leave immediately).
   std::size_t size() const { return heap_.size() + typed_heap_.size(); }
-  /// Earliest live event time across both lanes (call only when !empty()).
-  SimTime next_time() const;
 
  private:
   friend class EventHandle;
@@ -312,7 +299,6 @@ class EventQueue {
   bool slot_live(std::uint32_t s, std::uint32_t generation) const {
     return slot(s).generation == generation;
   }
-  void take_top(SimTime& when, EventFn& fn);
 
   /// Eager cancellation: replace the closure entry at `i` with the heap's
   /// last entry and restore the invariant in whichever direction it moved.

@@ -106,7 +106,7 @@ net::DcId Client::route_dc() {
       return d;
     }
   }
-  return home_;  // every DC is dark; the request comes back unavailable
+  return home_;  // every DC is dark: the cluster answers unavailable
 }
 
 void Client::do_read(const Op& op, bool then_write, SimTime first_start,

@@ -86,7 +86,8 @@ class Client {
                int shed_attempts);
   void do_write(const Op& op, SimTime first_start, int shed_attempts);
   /// Home DC while it has alive nodes; otherwise the next alive DC (when
-  /// re-routing is enabled).
+  /// re-routing is enabled). With every DC dark it stays home: a serial
+  /// cluster then has no node to coordinate and answers unavailable.
   net::DcId route_dc();
 
   ClientEnv* env_;

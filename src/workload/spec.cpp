@@ -66,16 +66,6 @@ void WorkloadSpec::validate() const {
   open_loop.validate();
 }
 
-WorkloadSpec WorkloadSpec::scaled(double factor) const {
-  HARMONY_CHECK(factor > 0);
-  WorkloadSpec s = *this;
-  s.op_count = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(static_cast<double>(op_count) * factor));
-  s.record_count = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(static_cast<double>(record_count) * factor));
-  return s;
-}
-
 WorkloadSpec WorkloadSpec::ycsb_a() {
   WorkloadSpec s;
   s.name = "ycsb-a";
@@ -90,35 +80,6 @@ WorkloadSpec WorkloadSpec::ycsb_b() {
   s.name = "ycsb-b";
   s.read_proportion = 0.95;
   s.update_proportion = 0.05;
-  s.request_dist.kind = KeyDistributionKind::kScrambledZipfian;
-  return s;
-}
-
-WorkloadSpec WorkloadSpec::ycsb_c() {
-  WorkloadSpec s;
-  s.name = "ycsb-c";
-  s.read_proportion = 1.0;
-  s.update_proportion = 0.0;
-  s.request_dist.kind = KeyDistributionKind::kScrambledZipfian;
-  return s;
-}
-
-WorkloadSpec WorkloadSpec::ycsb_d() {
-  WorkloadSpec s;
-  s.name = "ycsb-d";
-  s.read_proportion = 0.95;
-  s.update_proportion = 0.0;
-  s.insert_proportion = 0.05;
-  s.request_dist.kind = KeyDistributionKind::kLatest;
-  return s;
-}
-
-WorkloadSpec WorkloadSpec::ycsb_f() {
-  WorkloadSpec s;
-  s.name = "ycsb-f";
-  s.read_proportion = 0.5;
-  s.update_proportion = 0.0;
-  s.rmw_proportion = 0.5;
   s.request_dist.kind = KeyDistributionKind::kScrambledZipfian;
   return s;
 }

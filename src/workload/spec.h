@@ -143,15 +143,12 @@ struct WorkloadSpec {
 
   void validate() const;
 
-  /// Scale op/record counts by `factor` (for laptop-scale bench runs).
-  WorkloadSpec scaled(double factor) const;
-
   // ---- presets -----------------------------------------------------------
+  // The mixes the benches and examples run. Insert and read-modify-write
+  // traffic comes from setting insert_proportion / rmw_proportion on one of
+  // them.
   static WorkloadSpec ycsb_a();  ///< update heavy: 50/50 read/update, zipfian
   static WorkloadSpec ycsb_b();  ///< read mostly: 95/5
-  static WorkloadSpec ycsb_c();  ///< read only
-  static WorkloadSpec ycsb_d();  ///< read latest: 95/5 with latest distribution
-  static WorkloadSpec ycsb_f();  ///< read-modify-write: 50/50
   /// The paper's experiment workload: an intensive read+update mix on a
   /// zipfian-hot key space (§IV "heavy read-update workload").
   static WorkloadSpec heavy_read_update();

@@ -15,7 +15,6 @@ ClusterConfig small_config() {
   cfg.node_count = 10;
   cfg.dc_count = 2;
   cfg.rf = 5;
-  cfg.use_nts = true;
   cfg.latency = net::TieredLatencyModel::ec2_two_az();
   return cfg;
 }

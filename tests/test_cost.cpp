@@ -39,6 +39,18 @@ TEST(Billing, SummaryMentionsTotal) {
   EXPECT_NE(b.summary().find("total=$1.00"), std::string::npos);
 }
 
+/// Index of the most efficient level: argmax of evaluate(), first index on
+/// ties — the rule BismarController::tick applies to the ranking.
+std::size_t best_level(const ConsistencyCostEfficiency& metric,
+                       const std::vector<LevelEstimate>& levels) {
+  const auto points = metric.evaluate(levels);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (points[i].efficiency > points[best].efficiency) best = i;
+  }
+  return best;
+}
+
 TEST(Efficiency, StrongerLevelsCostMore) {
   std::vector<LevelEstimate> levels;
   for (int k = 1; k <= 5; ++k) {
@@ -55,7 +67,7 @@ TEST(Efficiency, StrongerLevelsCostMore) {
     EXPECT_GT(points[i].relative_cost, points[i - 1].relative_cost);
   }
   // With zero staleness everywhere, the cheapest level is the most efficient.
-  EXPECT_EQ(ConsistencyCostEfficiency().best_index(levels), 0u);
+  EXPECT_EQ(best_level(ConsistencyCostEfficiency(), levels), 0u);
 }
 
 TEST(Efficiency, StalenessPenalizesWeakLevels) {
@@ -65,7 +77,7 @@ TEST(Efficiency, StalenessPenalizesWeakLevels) {
   levels[0] = {1, 500, 500, 100, 0.60};
   levels[1] = {3, 1000, 1000, 200, 0.0};
   ConsistencyCostEfficiency metric({0.8, 0.1, 0.1}, 2.0);
-  EXPECT_EQ(metric.best_index(levels), 1u);
+  EXPECT_EQ(best_level(metric, levels), 1u);
 }
 
 TEST(Efficiency, MildStalenessKeepsWeakLevelEfficient) {
@@ -74,7 +86,7 @@ TEST(Efficiency, MildStalenessKeepsWeakLevelEfficient) {
   levels[0] = {1, 500, 500, 100, 0.10};
   levels[1] = {3, 1500, 1500, 200, 0.0};
   ConsistencyCostEfficiency metric({0.8, 0.1, 0.1}, 2.0);
-  EXPECT_EQ(metric.best_index(levels), 0u);
+  EXPECT_EQ(best_level(metric, levels), 0u);
 }
 
 TEST(Efficiency, AlphaControlsConsistencyWeight) {
@@ -82,8 +94,10 @@ TEST(Efficiency, AlphaControlsConsistencyWeight) {
   levels[0] = {1, 500, 500, 100, 0.35};
   levels[1] = {3, 1200, 1200, 200, 0.0};
   // Low alpha: cost dominates -> ONE. High alpha: consistency dominates.
-  EXPECT_EQ(ConsistencyCostEfficiency({0.8, 0.1, 0.1}, 0.5).best_index(levels), 0u);
-  EXPECT_EQ(ConsistencyCostEfficiency({0.8, 0.1, 0.1}, 4.0).best_index(levels), 1u);
+  EXPECT_EQ(best_level(ConsistencyCostEfficiency({0.8, 0.1, 0.1}, 0.5), levels),
+            0u);
+  EXPECT_EQ(best_level(ConsistencyCostEfficiency({0.8, 0.1, 0.1}, 4.0), levels),
+            1u);
 }
 
 TEST(Efficiency, BaselineIsSmallestReplicaCount) {

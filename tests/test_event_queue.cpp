@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -51,6 +52,20 @@ TEST(EventQueue, ScheduleMoveOnlyCallbackThroughSimulation) {
   EXPECT_EQ(result, 42);
 }
 
+/// Run the earliest event at or before `horizon` through run_before, the
+/// queue's only pop; `when` receives its time. Typed events are counted in
+/// `typed` (when given) instead of dispatched.
+EventQueue::PopResult run_next(
+    EventQueue& q, SimTime& when,
+    SimTime horizon = std::numeric_limits<SimTime>::max(),
+    int* typed = nullptr) {
+  return q.run_before(
+      horizon, [&when](SimTime t, std::uint64_t) { when = t; },
+      [typed](const TypedEvent&) {
+        if (typed != nullptr) ++*typed;
+      });
+}
+
 TEST(EventQueue, SlotReuseDoesNotResurrectCancelledHandles) {
   EventQueue q;
   bool a_ran = false;
@@ -65,13 +80,22 @@ TEST(EventQueue, SlotReuseDoesNotResurrectCancelledHandles) {
   EXPECT_TRUE(b.pending());
 
   SimTime when = 0;
-  EventFn fn;
-  ASSERT_TRUE(q.pop(when, fn));
-  fn();
+  ASSERT_EQ(run_next(q, when), EventQueue::PopResult::kEvent);
   EXPECT_EQ(when, 20);
   EXPECT_FALSE(a_ran);
   EXPECT_TRUE(b_ran);
-  EXPECT_FALSE(q.pop(when, fn));
+  EXPECT_EQ(run_next(q, when), EventQueue::PopResult::kEmpty);
+}
+
+TEST(EventQueue, TombstonesDoNotLeakIntoPop) {
+  EventQueue q;
+  auto h1 = q.push(10, [] {});
+  q.push(20, [] {});
+  h1.cancel();
+  SimTime when = 0;
+  ASSERT_EQ(run_next(q, when), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(when, 20);
+  EXPECT_EQ(run_next(q, when), EventQueue::PopResult::kEmpty);
 }
 
 TEST(EventQueue, CancellationChurnStress) {
@@ -295,17 +319,25 @@ TEST(TypedLane, CancelStaysEagerOnClosureLane) {
 }
 
 TEST(EventQueue, PopBeforeHonorsHorizon) {
+  // run_before pops only events at or before the horizon, on either lane.
   EventQueue q;
   int ran = 0;
+  int typed = 0;
   q.push(10, [&] { ++ran; });
+  q.push_typed_stamped(25, q.alloc_seq(), TypedEvent{});
   q.push(30, [&] { ++ran; });
   SimTime when = 0;
-  EventFn fn;
-  EXPECT_EQ(q.pop_before(20, when, fn), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(run_next(q, when, 20, &typed), EventQueue::PopResult::kEvent);
   EXPECT_EQ(when, 10);
-  EXPECT_EQ(q.pop_before(20, when, fn), EventQueue::PopResult::kLater);
-  EXPECT_EQ(q.pop_before(30, when, fn), EventQueue::PopResult::kEvent);
-  EXPECT_EQ(q.pop_before(30, when, fn), EventQueue::PopResult::kEmpty);
+  EXPECT_EQ(run_next(q, when, 20, &typed), EventQueue::PopResult::kLater);
+  EXPECT_EQ(run_next(q, when, 25, &typed), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(when, 25);
+  EXPECT_EQ(typed, 1);
+  EXPECT_EQ(run_next(q, when, 29, &typed), EventQueue::PopResult::kLater);
+  EXPECT_EQ(run_next(q, when, 30, &typed), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(when, 30);
+  EXPECT_EQ(run_next(q, when, 30, &typed), EventQueue::PopResult::kEmpty);
+  EXPECT_EQ(ran, 2);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.h"
 
@@ -155,6 +156,59 @@ TEST(Failures, DoubleKillAndReviveAreIdempotent) {
   c.revive_node(0);
   c.revive_node(0);
   EXPECT_EQ(c.alive_count(), 8u);
+}
+
+TEST(Failures, NoAliveNodeComesBackUnavailable) {
+  // Every node dies at 1 s and revives at 2 s. A request issued during the
+  // outage has no coordinator anywhere: it comes back unavailable (no
+  // abort, no timeout, no hint), and requests after the revival succeed.
+  sim::Simulation sim(10);
+  ClusterConfig cfg = cfg_rf3();
+  cfg.node_count = 6;
+  Cluster c(sim, cfg);
+  c.preload_range(100, 64);
+  for (net::NodeId n = 0; n < 6; ++n) {
+    c.schedule_fault({sec(1), FaultOp::kKillNode, n});
+    c.schedule_fault({sec(2), FaultOp::kReviveNode, n});
+  }
+  struct Outcome {
+    SimTime issued;
+    bool ok;
+  };
+  std::vector<Outcome> outcomes;
+  std::size_t issued = 0;
+  for (SimTime t = msec(10); t < sec(3); t += msec(20)) {
+    sim.schedule_at(t, [&c, &outcomes, &issued, t] {
+      const Key key = static_cast<Key>(t / msec(20)) % 100;
+      c.client_read(0, key, resolve_count(1, 3),
+                    [&outcomes, t](const ReadResult& r) {
+                      outcomes.push_back({t, r.ok});
+                    });
+      c.client_write(1, key, 64, resolve_count(1, 3),
+                     [&outcomes, t](const WriteResult& w) {
+                       outcomes.push_back({t, w.ok});
+                     });
+      issued += 2;
+    });
+  }
+  ASSERT_NO_THROW(sim.run());
+
+  ASSERT_EQ(outcomes.size(), issued);  // every request ends exactly once
+  std::uint64_t during = 0, after = 0;
+  for (const Outcome& o : outcomes) {
+    if (o.issued > sec(1) && o.issued < sec(2)) {
+      EXPECT_FALSE(o.ok) << "issued at " << o.issued;
+      ++during;
+    } else if (o.issued > sec(2)) {
+      EXPECT_TRUE(o.ok) << "issued at " << o.issued;
+      ++after;
+    }
+  }
+  EXPECT_GT(during, 0u);
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(c.unavailable(), during);
+  EXPECT_EQ(c.hints_stored(), 0u);
+  EXPECT_EQ(c.alive_count(), 6u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "ml/classifier.h"
-#include "ml/dbscan.h"
 #include "ml/features.h"
 #include "ml/kmeans.h"
 #include "ml/silhouette.h"
@@ -49,16 +48,6 @@ TEST(ZScore, ConstantFeatureMapsToZero) {
   ZScoreNormalizer n;
   n.fit(x);
   for (const auto& row : n.transform(x)) EXPECT_EQ(row[0], 0.0);
-}
-
-TEST(MinMax, MapsToUnitInterval) {
-  FeatureMatrix x = {{0, 10}, {5, 20}, {10, 30}};
-  MinMaxNormalizer n;
-  n.fit(x);
-  const auto t = n.transform(x);
-  EXPECT_DOUBLE_EQ(t[0][0], 0.0);
-  EXPECT_DOUBLE_EQ(t[2][0], 1.0);
-  EXPECT_DOUBLE_EQ(t[1][1], 0.5);
 }
 
 TEST(KMeans, RecoversWellSeparatedBlobs) {
@@ -116,11 +105,16 @@ TEST(KMeans, RejectsKBeyondSamples) {
 }
 
 TEST(KMeans, AssignLabelsMatchesFit) {
+  // The runtime classifier built from the fitted centroids (the behavior
+  // modeler's path) labels every training row as the fit did.
   const auto x = three_blobs(20, 4);
   KMeansOptions opt;
   opt.k = 3;
   const auto r = kmeans(x, opt);
-  EXPECT_EQ(assign_labels(x, r.centroids), r.labels);
+  const NearestCentroidClassifier classifier(r.centroids);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(classifier.predict(x[i]), r.labels[i]) << "row " << i;
+  }
 }
 
 TEST(Silhouette, HighForSeparatedLowForMixed) {
@@ -147,26 +141,6 @@ TEST(Silhouette, SelectKFindsThree) {
   EXPECT_EQ(sel.best_k, 3);
   EXPECT_GT(sel.best_score, 0.7);
   EXPECT_EQ(sel.scores.size(), 5u);
-}
-
-TEST(Dbscan, FindsBlobsAndNoise) {
-  auto x = three_blobs(40, 8);
-  x.push_back({100.0, 100.0});  // an outlier
-  DbscanOptions opt;
-  opt.eps = 2.0;
-  opt.min_points = 4;
-  const auto r = dbscan(x, opt);
-  EXPECT_EQ(r.cluster_count, 3);
-  EXPECT_EQ(r.noise_count, 1u);
-  EXPECT_EQ(r.labels.back(), -1);
-}
-
-TEST(Dbscan, EpsControlsMerging) {
-  const auto x = three_blobs(40, 9);
-  DbscanOptions wide;
-  wide.eps = 50.0;
-  wide.min_points = 4;
-  EXPECT_EQ(dbscan(x, wide).cluster_count, 1);
 }
 
 TEST(Classifier, PredictsNearestCentroid) {

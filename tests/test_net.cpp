@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
 #include "net/latency_model.h"
 #include "net/net_stats.h"
@@ -41,8 +44,8 @@ TEST(Topology, PaperScaleTopologies) {
 
 TEST(Topology, SameDcSameRack) {
   Topology topo;
-  const auto dc0 = topo.add_datacenter("east");
-  const auto dc1 = topo.add_datacenter("west");
+  const auto dc0 = topo.add_datacenter();
+  const auto dc1 = topo.add_datacenter();
   const auto a = topo.add_node(dc0, 0);
   const auto b = topo.add_node(dc0, 0);
   const auto c = topo.add_node(dc0, 1);
@@ -55,23 +58,37 @@ TEST(Topology, SameDcSameRack) {
 
 TEST(Topology, BadAccessThrows) {
   Topology topo;
-  topo.add_datacenter("only");
+  topo.add_datacenter();
   EXPECT_THROW(topo.node(0), harmony::CheckError);
-  EXPECT_THROW(topo.add_node(5), harmony::CheckError);
+  EXPECT_THROW(topo.add_node(5, 0), harmony::CheckError);
+}
+
+/// Median of 201 sampled one-way delays src -> dst.
+SimDuration sampled_median(const TieredLatencyModel& model,
+                           const Topology& topo, NodeId src, NodeId dst) {
+  harmony::Rng rng(7);
+  std::vector<SimDuration> xs;
+  for (int i = 0; i < 201; ++i) xs.push_back(model.sample(topo, src, dst, rng));
+  std::nth_element(xs.begin(), xs.begin() + 100, xs.end());
+  return xs[100];
 }
 
 TEST(LatencyModel, TierOrdering) {
   const auto topo = Topology::balanced(8, 2);
   TieredLatencyModel model(TieredLatencyModel::grid5000_two_sites());
-  // loopback < same-dc < cross-dc in expectation.
-  const auto loop = model.mean(topo, 0, 0);
+  // loopback < same-dc < cross-dc, in the tiers and in what sample() draws.
+  const TieredLatencyModel::Params& p = model.params();
+  EXPECT_LT(p.loopback.base, p.same_dc.base);
+  EXPECT_LT(p.same_dc.base, p.cross_dc.base);
   NodeId same_dc = 0, cross_dc = 0;
   for (NodeId n = 1; n < 8; ++n) {
     if (topo.same_dc(0, n) && !topo.same_rack(0, n)) same_dc = n;
     if (!topo.same_dc(0, n)) cross_dc = n;
   }
-  EXPECT_LT(loop, model.mean(topo, 0, same_dc));
-  EXPECT_LT(model.mean(topo, 0, same_dc), model.mean(topo, 0, cross_dc));
+  const SimDuration loop = sampled_median(model, topo, 0, 0);
+  EXPECT_LT(loop, sampled_median(model, topo, 0, same_dc));
+  EXPECT_LT(sampled_median(model, topo, 0, same_dc),
+            sampled_median(model, topo, 0, cross_dc));
 }
 
 TEST(LatencyModel, SamplesArePositiveAndJittered) {
@@ -92,11 +109,19 @@ TEST(LatencyModel, SamplesArePositiveAndJittered) {
 }
 
 TEST(LatencyModel, MeanAboveMedianForLognormal) {
+  // Lognormal jitter around the tier's median skews the sampled mean above
+  // it: base * exp(sigma^2 / 2), +2% for the Grid'5000 WAN tier.
   const auto topo = Topology::balanced(4, 2);
   TieredLatencyModel::Params p = TieredLatencyModel::grid5000_two_sites();
   TieredLatencyModel model(p);
   NodeId remote = topo.same_dc(0, 1) ? 2 : 1;
-  EXPECT_GT(model.mean(topo, 0, remote), p.cross_dc.base);
+  harmony::Rng rng(3);
+  const int n = 20000;
+  double sum = 0;
+  for (int i = 0; i < n; ++i) {
+    sum += static_cast<double>(model.sample(topo, 0, remote, rng));
+  }
+  EXPECT_GT(sum / n, static_cast<double>(p.cross_dc.base));
 }
 
 TEST(LatencyModel, PresetsHaveDistinctWanCosts) {

@@ -518,7 +518,6 @@ ClusterRunResult run_cluster_schedule(std::uint64_t seed,
   const int max_rf = static_cast<int>(cfg.node_count / cfg.dc_count);
   cfg.rf = 2 + static_cast<int>(setup.uniform_u64(
                    static_cast<std::uint64_t>(std::min(3, max_rf - 1))));
-  cfg.use_nts = setup.chance(0.7);
   if (setup.chance(0.3)) {
     // WAN slower than the deadline: a slice of requests must time out.
     cfg.latency.cross_dc.base = 60 * kMillisecond;
@@ -599,7 +598,7 @@ ClusterRunResult run_cluster_schedule(std::uint64_t seed,
     if (lvl < 0.15) {
       req = cluster::resolve(cluster::Level::kLocalQuorum, cfg.rf,
                              cfg.local_rf(dc));
-    } else if (lvl < 0.25 && cfg.dc_count > 1 && cfg.use_nts) {
+    } else if (lvl < 0.25 && cfg.dc_count > 1) {
       req = cluster::resolve(cluster::Level::kEachQuorum, cfg.rf,
                              cfg.local_rf(dc));
     }
@@ -802,7 +801,6 @@ ClusterRunResult run_sharded_schedule(std::uint64_t seed,
   cfg.dc_count = 3;
   const std::size_t per_dc = 3 + setup.uniform_u64(2);
   cfg.node_count = cfg.dc_count * per_dc;
-  cfg.use_nts = true;  // per-DC placement keeps local quorums meaningful
   // rf == 2 under NTS splits [1, 1, 0]: DC 2 holds no replicas, so with its
   // clients also silenced its shard processes zero events all run.
   cfg.rf = opts.quiet_dc2 ? 2 : 3;
@@ -1092,7 +1090,6 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
   cfg.dc_count = opts.second_dc ? 2 : 1;
   const std::size_t per_dc = 2 * opts.shards;  // two coordinator candidates
   cfg.node_count = cfg.dc_count * per_dc;      // per shard, kills included
-  cfg.use_nts = true;
   cfg.rf = 3;
   // Intra-DC hops now cross shards, so the conservative lookahead is the
   // *intra*-DC floor — the floors must cover it (the cluster ctor enforces

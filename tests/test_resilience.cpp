@@ -238,7 +238,6 @@ RankedHedgeRun run_ranked_hedge(bool revive_same_rack) {
   cfg.dc_count = 2;
   cfg.node_count = 8;  // 4 per DC, 2 racks of 2
   cfg.rf = 6;          // NTS split: 3 replicas in each DC
-  cfg.use_nts = true;
   cfg.closest_first_snitch = false;  // ordering must come from the ranking
   cfg.resilience.hedge_reads = true;
   cfg.resilience.hedge_fallback_delay = msec(1);

@@ -6,15 +6,24 @@
 
 #include "cluster/shard_map.h"
 #include "common/check.h"
+#include "reference/reference_ring.h"
 
 namespace harmony::cluster {
 namespace {
+
+/// NTS placement as a vector (the request path writes a ReplicaList).
+std::vector<net::NodeId> place(const TokenRing& ring, Key key,
+                               const DcCounts& rf_per_dc) {
+  ReplicaList out;
+  ring.replicas_nts(key, rf_per_dc, out);
+  return {out.begin(), out.end()};
+}
 
 TEST(TokenRing, ReplicasAreDistinctNodes) {
   const auto topo = net::Topology::balanced(10, 2);
   TokenRing ring(topo, 8, 42);
   for (Key k = 0; k < 500; ++k) {
-    const auto replicas = ring.replicas_simple(k, 3);
+    const auto replicas = place(ring, k, {2, 1});
     ASSERT_EQ(replicas.size(), 3u);
     const std::set<net::NodeId> uniq(replicas.begin(), replicas.end());
     EXPECT_EQ(uniq.size(), 3u);
@@ -25,7 +34,7 @@ TEST(TokenRing, DeterministicPlacement) {
   const auto topo = net::Topology::balanced(12, 2);
   TokenRing r1(topo, 8, 7), r2(topo, 8, 7);
   for (Key k = 0; k < 200; ++k) {
-    EXPECT_EQ(r1.replicas_simple(k, 3), r2.replicas_simple(k, 3));
+    EXPECT_EQ(place(r1, k, {2, 1}), place(r2, k, {2, 1}));
   }
 }
 
@@ -34,7 +43,7 @@ TEST(TokenRing, DifferentSeedsChangePlacement) {
   TokenRing r1(topo, 8, 7), r2(topo, 8, 8);
   int diff = 0;
   for (Key k = 0; k < 200; ++k) {
-    if (r1.replicas_simple(k, 3) != r2.replicas_simple(k, 3)) ++diff;
+    if (place(r1, k, {2, 1}) != place(r2, k, {2, 1})) ++diff;
   }
   EXPECT_GT(diff, 150);
 }
@@ -65,11 +74,13 @@ INSTANTIATE_TEST_SUITE_P(VnodeCounts, RingBalance,
                          ::testing::Values(8, 64, 256));
 
 TEST(TokenRing, KeysSpreadAcrossNodes) {
+  // With one replica wanted per DC, the first replica is the key's primary:
+  // the owner of the first vnode clockwise from its token.
   const auto topo = net::Topology::balanced(10, 2);
   TokenRing ring(topo, 64, 5);
   std::vector<int> primary_count(10, 0);
   for (Key k = 0; k < 5000; ++k) {
-    ++primary_count[ring.replicas_simple(k, 1)[0]];
+    ++primary_count[place(ring, k, {1, 1})[0]];
   }
   for (int c : primary_count) {
     EXPECT_GT(c, 100);  // every node owns a meaningful share
@@ -79,9 +90,8 @@ TEST(TokenRing, KeysSpreadAcrossNodes) {
 TEST(TokenRing, NtsPerDcCounts) {
   const auto topo = net::Topology::balanced(10, 2);
   TokenRing ring(topo, 16, 9);
-  const std::vector<int> rf_per_dc = {3, 2};
   for (Key k = 0; k < 300; ++k) {
-    const auto replicas = ring.replicas_nts(k, rf_per_dc);
+    const auto replicas = place(ring, k, {3, 2});
     ASSERT_EQ(replicas.size(), 5u);
     int dc0 = 0, dc1 = 0;
     for (const auto n : replicas) {
@@ -97,7 +107,7 @@ TEST(TokenRing, NtsPerDcCounts) {
 TEST(TokenRing, NtsSingleDcZeroAllowed) {
   const auto topo = net::Topology::balanced(8, 2);
   TokenRing ring(topo, 16, 9);
-  const auto replicas = ring.replicas_nts(7, {3, 0});
+  const auto replicas = place(ring, 7, {3, 0});
   ASSERT_EQ(replicas.size(), 3u);
   for (const auto n : replicas) EXPECT_EQ(topo.dc_of(n), 0);
 }
@@ -105,8 +115,8 @@ TEST(TokenRing, NtsSingleDcZeroAllowed) {
 TEST(TokenRing, RfBeyondNodesThrows) {
   const auto topo = net::Topology::balanced(4, 2);
   TokenRing ring(topo, 8, 1);
-  EXPECT_THROW(ring.replicas_simple(1, 5), harmony::CheckError);
-  EXPECT_THROW(ring.replicas_nts(1, {3, 0}), harmony::CheckError);
+  EXPECT_THROW(place(ring, 1, {3, 2}), harmony::CheckError);
+  EXPECT_THROW(place(ring, 1, {3, 0}), harmony::CheckError);
 }
 
 TEST(TokenRing, TokenForIsStable) {
@@ -116,58 +126,20 @@ TEST(TokenRing, TokenForIsStable) {
 
 // The per-DC cursor merge inside replicas_nts must reproduce the classic
 // "walk the global ring clockwise, admit nodes while their DC still owes
-// replicas" placement, including the interleaved output order. The reference
-// is derived from replicas_simple with rf = node_count, which yields every
-// node in clockwise first-appearance order.
-std::vector<net::NodeId> nts_reference(const TokenRing& ring,
-                                       const net::Topology& topo, Key key,
-                                       std::vector<int> wanted) {
-  std::vector<net::NodeId> out;
-  for (const net::NodeId n :
-       ring.replicas_simple(key, static_cast<int>(topo.node_count()))) {
-    if (wanted[topo.dc_of(n)] > 0) {
-      out.push_back(n);
-      --wanted[topo.dc_of(n)];
-    }
-  }
-  return out;
-}
-
+// replicas" placement, including the interleaved output order
+// (tests/reference/reference_ring.h walks the ring's sorted vnodes).
 TEST(TokenRing, NtsMatchesGlobalWalkReference) {
   for (const std::size_t nodes : {10u, 13u}) {
     const auto topo = net::Topology::balanced(nodes, 2);
     TokenRing ring(topo, 16, 77);
     for (const auto& rf_per_dc :
          {std::vector<int>{3, 2}, {2, 2}, {3, 0}, {0, 1}, {1, 1}}) {
+      const DcCounts counts{rf_per_dc[0], rf_per_dc[1]};
       for (Key k = 0; k < 400; ++k) {
-        EXPECT_EQ(ring.replicas_nts(k, rf_per_dc),
-                  nts_reference(ring, topo, k, rf_per_dc))
+        EXPECT_EQ(place(ring, k, counts),
+                  harmony::testing::reference_nts(ring, topo, k, rf_per_dc))
             << "nodes=" << nodes << " key=" << k;
       }
-    }
-  }
-}
-
-TEST(TokenRing, InlineOverloadsMatchVectorOverloads) {
-  const auto topo = net::Topology::balanced(12, 2);
-  TokenRing ring(topo, 32, 5);
-  const DcCounts rf_per_dc{2, 1};
-  const std::vector<int> rf_per_dc_vec{2, 1};
-  for (Key k = 0; k < 300; ++k) {
-    ReplicaList simple;
-    ring.replicas_simple(k, 3, simple);
-    const auto simple_vec = ring.replicas_simple(k, 3);
-    ASSERT_EQ(simple.size(), simple_vec.size());
-    for (std::size_t i = 0; i < simple.size(); ++i) {
-      EXPECT_EQ(simple[i], simple_vec[i]);
-    }
-
-    ReplicaList nts;
-    ring.replicas_nts(k, rf_per_dc, nts);
-    const auto nts_vec = ring.replicas_nts(k, rf_per_dc_vec);
-    ASSERT_EQ(nts.size(), nts_vec.size());
-    for (std::size_t i = 0; i < nts.size(); ++i) {
-      EXPECT_EQ(nts[i], nts_vec[i]);
     }
   }
 }

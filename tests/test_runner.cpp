@@ -114,7 +114,9 @@ TEST(Runner, TargetRateThrottlesClients) {
 
 TEST(Runner, RmwWorkloadRuns) {
   auto cfg = small_run(3000);
-  cfg.workload = WorkloadSpec::ycsb_f();
+  cfg.workload = WorkloadSpec::ycsb_a();  // 50/50 read/read-modify-write
+  cfg.workload.update_proportion = 0.0;
+  cfg.workload.rmw_proportion = 0.5;
   cfg.workload.op_count = 3000;
   cfg.workload.record_count = 500;
   cfg.workload.clients_per_dc = 8;
@@ -125,7 +127,9 @@ TEST(Runner, RmwWorkloadRuns) {
 
 TEST(Runner, InsertWorkloadGrowsKeySpace) {
   auto cfg = small_run(3000);
-  cfg.workload = WorkloadSpec::ycsb_d();
+  cfg.workload = WorkloadSpec::ycsb_b();  // 95/5 read/insert
+  cfg.workload.update_proportion = 0.0;
+  cfg.workload.insert_proportion = 0.05;
   cfg.workload.op_count = 3000;
   cfg.workload.record_count = 500;
   cfg.workload.clients_per_dc = 8;
@@ -195,7 +199,9 @@ TEST(Runner, ShardedRunIsThreadCountInvariant) {
 TEST(Runner, ShardedInsertWorkloadIsThreadCountInvariant) {
   auto make = [](unsigned threads) {
     auto cfg = sharded_run(threads, 4000);
-    cfg.workload = WorkloadSpec::ycsb_d();  // insert-heavy: per-DC key lanes
+    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: per-DC key lanes
+    cfg.workload.update_proportion = 0.0;
+    cfg.workload.insert_proportion = 0.05;
     cfg.workload.op_count = 4000;
     cfg.workload.record_count = 500;
     cfg.workload.clients_per_dc = 6;
@@ -303,7 +309,9 @@ TEST(Runner, KeyRangeShardedRunIsThreadCountInvariant) {
 TEST(Runner, KeyRangeShardedInsertWorkloadIsThreadCountInvariant) {
   auto make = [](unsigned threads) {
     auto cfg = key_range_run(threads, 4, 4000);
-    cfg.workload = WorkloadSpec::ycsb_d();  // insert-heavy: skip-scan lanes
+    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: skip-scan lanes
+    cfg.workload.update_proportion = 0.0;
+    cfg.workload.insert_proportion = 0.05;
     cfg.workload.op_count = 4000;
     cfg.workload.record_count = 500;
     cfg.workload.clients_per_dc = 8;

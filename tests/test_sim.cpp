@@ -210,17 +210,5 @@ TEST(PeriodicTimer, RestartFromInsideCallbackReplacesCadence) {
   EXPECT_EQ(fires, (std::vector<SimTime>{10, 50, 90}));
 }
 
-TEST(EventQueue, TombstonesDoNotLeakIntoPop) {
-  EventQueue q;
-  auto h1 = q.push(10, [] {});
-  q.push(20, [] {});
-  h1.cancel();
-  SimTime when = 0;
-  EventFn fn;
-  ASSERT_TRUE(q.pop(when, fn));
-  EXPECT_EQ(when, 20);
-  EXPECT_FALSE(q.pop(when, fn));
-}
-
 }  // namespace
 }  // namespace harmony::sim

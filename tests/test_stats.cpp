@@ -98,14 +98,6 @@ TEST(Ewma, EmptyFlag) {
   EXPECT_TRUE(e.empty());
 }
 
-TEST(Describe, BasicStats) {
-  const auto s = describe({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_EQ(s.n, 4u);
-}
-
 TEST(Entropy, UniformIsLogN) {
   std::vector<std::uint64_t> counts(16, 10);
   EXPECT_NEAR(shannon_entropy(counts), 4.0, 1e-9);

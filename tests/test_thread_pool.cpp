@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -57,47 +56,6 @@ TEST(ThreadPool, ParallelForRethrows) {
 TEST(ThreadPool, ThreadCountDefaultsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-}
-
-TEST(ParallelMap, PreservesOrder) {
-  auto out = parallel_map<int>(
-      16, [](std::size_t i) { return static_cast<int>(i * i); }, 4);
-  ASSERT_EQ(out.size(), 16u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
-TEST(ParallelMap, WorksWithSingleThread) {
-  auto out = parallel_map<std::size_t>(
-      8, [](std::size_t i) { return i + 1; }, 1);
-  EXPECT_EQ(std::accumulate(out.begin(), out.end(), std::size_t{0}), 36u);
-}
-
-TEST(ParallelMap, PropagatesException) {
-  EXPECT_THROW(parallel_map<int>(
-                   32,
-                   [](std::size_t i) -> int {
-                     if (i == 17) throw std::runtime_error("boom");
-                     return static_cast<int>(i);
-                   },
-                   4),
-               std::runtime_error);
-}
-
-TEST(ParallelMap, IndexOrderUnderUnevenWork) {
-  // Tasks finish out of submission order (later indices are much cheaper);
-  // results must still come back in index order.
-  auto out = parallel_map<std::size_t>(
-      64,
-      [](std::size_t i) {
-        volatile std::size_t sink = 0;
-        for (std::size_t k = 0; k < (64 - i) * 5000; ++k) sink = sink + k;
-        return i;
-      },
-      8);
-  ASSERT_EQ(out.size(), 64u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i);
 }
 
 TEST(ThreadPool, ParallelForFirstExceptionWins) {

@@ -8,22 +8,22 @@ namespace harmony::workload {
 namespace {
 
 TEST(WorkloadSpec, PresetsValidate) {
-  for (const auto& spec :
-       {WorkloadSpec::ycsb_a(), WorkloadSpec::ycsb_b(), WorkloadSpec::ycsb_c(),
-        WorkloadSpec::ycsb_d(), WorkloadSpec::ycsb_f(),
-        WorkloadSpec::heavy_read_update()}) {
+  for (const auto& spec : {WorkloadSpec::ycsb_a(), WorkloadSpec::ycsb_b(),
+                           WorkloadSpec::heavy_read_update()}) {
     EXPECT_NO_THROW(spec.validate()) << spec.name;
   }
 }
 
 TEST(WorkloadSpec, PresetMixes) {
   EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_a().read_proportion, 0.5);
+  EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_a().update_proportion, 0.5);
   EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_b().read_proportion, 0.95);
-  EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_c().read_proportion, 1.0);
-  EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_d().insert_proportion, 0.05);
-  EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_f().rmw_proportion, 0.5);
-  EXPECT_EQ(WorkloadSpec::ycsb_d().request_dist.kind,
-            KeyDistributionKind::kLatest);
+  EXPECT_DOUBLE_EQ(WorkloadSpec::ycsb_b().update_proportion, 0.05);
+  for (const auto& spec : {WorkloadSpec::ycsb_a(), WorkloadSpec::ycsb_b()}) {
+    EXPECT_EQ(spec.request_dist.kind, KeyDistributionKind::kScrambledZipfian);
+    EXPECT_DOUBLE_EQ(spec.insert_proportion, 0.0);
+    EXPECT_DOUBLE_EQ(spec.rmw_proportion, 0.0);
+  }
 }
 
 TEST(WorkloadSpec, HeavyReadUpdateIsTheExperimentWorkload) {
@@ -37,17 +37,6 @@ TEST(WorkloadSpec, InvalidProportionsThrow) {
   s.read_proportion = 0.7;
   s.update_proportion = 0.7;
   EXPECT_THROW(s.validate(), CheckError);
-}
-
-TEST(WorkloadSpec, ScaledAdjustsCounts) {
-  auto s = WorkloadSpec::ycsb_a();
-  s.op_count = 1000;
-  s.record_count = 2000;
-  const auto half = s.scaled(0.5);
-  EXPECT_EQ(half.op_count, 500u);
-  EXPECT_EQ(half.record_count, 1000u);
-  const auto tiny = s.scaled(1e-9);
-  EXPECT_GE(tiny.op_count, 1u);  // never zero
 }
 
 TEST(WorkloadSpec, DatasetSize) {
