@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <ranges>
 
 #include "common/check.h"
@@ -108,7 +109,9 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
     }
     shards_.push_back(std::move(st));
   }
-  if (deferred_) sim.set_barrier_hook(&Cluster::barrier_hook, this);
+  if (deferred_) {
+    sim.set_barrier_hook(&Cluster::seal_logs, this, &Cluster::replay_logs);
+  }
 
   for (std::size_t d = 0; d < rf_per_dc_.size(); ++d) {
     HARMONY_CHECK_MSG(
@@ -1194,10 +1197,12 @@ void Cluster::repair_apply(net::NodeId target, Key key,
 
 // The staleness oracle is global state with monotonicity contracts, so a
 // sharded run cannot call it mid-window. Instead every oracle touch appends
-// to the executing shard's log, stamped with the event's (time, seq); the
-// window-barrier hook K-way-merges the logs in that order — which IS the
-// serial call order (per-shard logs are time-sorted by construction, and seq
-// streams are disjoint residues mod K, so cross-shard ties cannot happen).
+// to the executing shard's live log, stamped with the event's (time, seq).
+// Each window barrier seals the live logs; the replay K-way-merges the
+// sealed ones in that order — which IS the serial call order (per-shard
+// logs are time-sorted by construction, seq streams are disjoint residues
+// mod K, so cross-shard ties cannot happen, and every sealed op predates
+// every op of the next batch).
 
 void Cluster::oracle_commit(Key key, const Version& version) {
   if (!deferred_) {
@@ -1205,9 +1210,9 @@ void Cluster::oracle_commit(Key key, const Version& version) {
     return;
   }
   // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only — the alloc-pinned serial request path takes the
-  // direct call above (alloc_guard runs unsharded).
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
+  // replay; sharded runs only — the alloc-pinned serial request path takes
+  // the direct call above (alloc_guard runs unsharded).
+  live_logs().oracle.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
                                        version, 0, OracleOp::Kind::kCommit});
 }
 
@@ -1217,7 +1222,7 @@ void Cluster::oracle_begin_read(SimTime read_start) {
     return;
   }
   // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
+  live_logs().oracle.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
                                        kNoVersion, read_start,
                                        OracleOp::Kind::kBeginRead});
 }
@@ -1228,7 +1233,7 @@ void Cluster::oracle_end_read(SimTime read_start) {
     return;
   }
   // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
+  live_logs().oracle.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
                                        kNoVersion, read_start,
                                        OracleOp::Kind::kEndRead});
 }
@@ -1246,65 +1251,80 @@ void Cluster::oracle_judge_end(Key key, const Version& returned,
   // delivered. ReadResult.stale stays false under shard_count > 1 (a
   // documented restriction); the oracle's aggregate counters remain exact.
   // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
+  live_logs().oracle.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
                                        returned, read_start,
                                        OracleOp::Kind::kJudgeEnd});
 }
 
-void Cluster::barrier_hook(void* ctx, SimTime safe_time) {
+void Cluster::seal_logs(void* ctx, SimTime safe_time) {
   Cluster* c = static_cast<Cluster*>(ctx);
-  c->apply_oracle_logs(safe_time);
-  c->apply_monitor_logs(safe_time);
+  c->sealed_safe_ = safe_time;
+  c->live_log_ ^= 1;
   // Cross-shard aggregates (net_stats) memoize on the barrier epoch: bumping
   // it here invalidates the merged snapshot exactly when per-shard state may
   // have advanced.
   ++c->barrier_epoch_;
 }
 
-void Cluster::apply_oracle_logs(SimTime safe_time) {
-  // K-way merge by (at, seq); every op dated strictly before the barrier's
-  // safe time is final on its shard (no event before safe_time remains).
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const ShardState& st = *shards_[s];
-      if (st.oracle_pos >= st.oracle_log.size()) continue;
-      const OracleOp& op = st.oracle_log[st.oracle_pos];
-      if (op.at >= safe_time) continue;  // logs are time-sorted: shard done
-      if (best >= 0) {
-        // Strictly-less keeps the lowest shard on (at, seq) ties (only
-        // setup-time ops can tie across shards; they carry seq 0).
-        const ShardState& bs = *shards_[best];
-        const OracleOp& bop = bs.oracle_log[bs.oracle_pos];
-        const bool less = op.at < bop.at || (op.at == bop.at && op.seq < bop.seq);
-        if (!less) continue;
-      }
-      best = static_cast<int>(s);
-    }
-    if (best < 0) break;
-    ShardState& st = *shards_[best];
-    const OracleOp op = st.oracle_log[st.oracle_pos++];
-    switch (op.kind) {
-      case OracleOp::Kind::kCommit:
-        oracle_.record_commit(op.key, op.version, op.at);
-        break;
-      case OracleOp::Kind::kBeginRead:
-        oracle_.begin_read(op.read_start);
-        break;
-      case OracleOp::Kind::kEndRead:
-        oracle_.end_read(op.read_start);
-        break;
-      case OracleOp::Kind::kJudgeEnd:
-        oracle_.judge(op.key, op.version, op.read_start);
-        oracle_.end_read(op.read_start);
-        break;
-    }
+void Cluster::replay_logs(void* ctx) {
+  Cluster* c = static_cast<Cluster*>(ctx);
+  c->replay_sealed(&DeferredLogs::oracle,
+                   [c](const OracleOp& op) { c->replay_oracle_op(op); });
+  c->replay_sealed(&DeferredLogs::monitor,
+                   [c](const MonitorOp& op) { c->replay_monitor_op(op); });
+}
+
+template <typename Op, typename Apply>
+void Cluster::replay_sealed(std::vector<Op> DeferredLogs::*log, Apply apply) {
+  // The merge cursors live on this stack, off every line a worker writes.
+  struct Head {
+    const Op* next;
+    const Op* end;
+  };
+  std::array<Head, 256> heads;  // ShardSet caps the shard count at 255
+  const std::size_t n = shards_.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::vector<Op>& sealed = shards_[s]->logs[live_log_ ^ 1].*log;
+    heads[s] = Head{sealed.data(), sealed.data() + sealed.size()};
   }
-  for (const auto& sp : shards_) {
-    if (sp->oracle_pos == sp->oracle_log.size() && sp->oracle_pos > 0) {
-      sp->oracle_log.clear();
-      sp->oracle_pos = 0;
+  for (;;) {
+    Head* best = nullptr;
+    for (std::size_t s = 0; s < n; ++s) {
+      Head& h = heads[s];
+      if (h.next == h.end) continue;
+      // Strictly-less keeps the lowest shard on (at, seq) ties (only
+      // setup-time ops can tie across shards; they carry seq 0).
+      if (best == nullptr || h.next->at < best->next->at ||
+          (h.next->at == best->next->at && h.next->seq < best->next->seq)) {
+        best = &h;
+      }
     }
+    if (best == nullptr) break;
+    const Op& op = *best->next++;
+    HARMONY_CHECK_MSG(op.at < sealed_safe_,
+                      "a sealed log op is dated at or past its barrier");
+    apply(op);
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    (shards_[s]->logs[live_log_ ^ 1].*log).clear();
+  }
+}
+
+void Cluster::replay_oracle_op(const OracleOp& op) {
+  switch (op.kind) {
+    case OracleOp::Kind::kCommit:
+      oracle_.record_commit(op.key, op.version, op.at);
+      break;
+    case OracleOp::Kind::kBeginRead:
+      oracle_.begin_read(op.read_start);
+      break;
+    case OracleOp::Kind::kEndRead:
+      oracle_.end_read(op.read_start);
+      break;
+    case OracleOp::Kind::kJudgeEnd:
+      oracle_.judge(op.key, op.version, op.read_start);
+      oracle_.end_read(op.read_start);
+      break;
   }
 }
 
@@ -1313,14 +1333,14 @@ void Cluster::apply_oracle_logs(SimTime safe_time) {
 // The observer (monitor/monitor.h) couples all six callback kinds through one
 // last-event timestamp and one reservoir RNG, so sharded runs cannot invoke
 // it mid-window from racing shards. Like the oracle, every observer touch
-// appends to the executing shard's log; the barrier hook K-way-merges the
-// logs in (time, seq) order — the serial call order — and replays them with
-// the op's own timestamp as `now`.
+// appends to the executing shard's live log; the barrier replay
+// K-way-merges the sealed logs in (time, seq) order — the serial call
+// order — and replays them with the op's own timestamp as `now`.
 
 Cluster::MonitorOp& Cluster::append_monitor_op(MonitorOp::Kind kind) {
   // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only — unsharded callers dispatch directly.
-  auto& log = here().monitor_log;
+  // replay; sharded runs only — unsharded callers dispatch directly.
+  auto& log = live_logs().monitor;
   log.emplace_back();
   MonitorOp& op = log.back();
   op.at = sim_->now();
@@ -1395,54 +1415,26 @@ void Cluster::observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
   op.cross_dc = cross_dc;
 }
 
-void Cluster::apply_monitor_logs(SimTime safe_time) {
-  if (observer_ == nullptr) return;
-  // K-way merge by (at, seq), identical to apply_oracle_logs: every op dated
-  // strictly before the barrier's safe time is final on its shard.
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const ShardState& st = *shards_[s];
-      if (st.monitor_pos >= st.monitor_log.size()) continue;
-      const MonitorOp& op = st.monitor_log[st.monitor_pos];
-      if (op.at >= safe_time) continue;  // logs are time-sorted: shard done
-      if (best >= 0) {
-        const ShardState& bs = *shards_[best];
-        const MonitorOp& bop = bs.monitor_log[bs.monitor_pos];
-        const bool less = op.at < bop.at || (op.at == bop.at && op.seq < bop.seq);
-        if (!less) continue;
-      }
-      best = static_cast<int>(s);
-    }
-    if (best < 0) break;
-    ShardState& st = *shards_[best];
-    const MonitorOp& op = st.monitor_log[st.monitor_pos++];
-    switch (op.kind) {
-      case MonitorOp::Kind::kReadIssued:
-        observer_->record_read_issued(op.ts, op.key);
-        break;
-      case MonitorOp::Kind::kWriteIssued:
-        observer_->record_write_issued(op.at, op.key, op.size);
-        break;
-      case MonitorOp::Kind::kReadComplete:
-        observer_->record_read_complete(op.at, op.dur);
-        break;
-      case MonitorOp::Kind::kWriteComplete:
-        observer_->record_write_complete(op.at, op.dur);
-        break;
-      case MonitorOp::Kind::kWritePropagated:
-        observer_->on_write_propagated(op.key, op.ts, op.delays);
-        break;
-      case MonitorOp::Kind::kReplicaReadRtt:
-        observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
-        break;
-    }
-  }
-  for (const auto& sp : shards_) {
-    if (sp->monitor_pos == sp->monitor_log.size() && sp->monitor_pos > 0) {
-      sp->monitor_log.clear();
-      sp->monitor_pos = 0;
-    }
+void Cluster::replay_monitor_op(const MonitorOp& op) {
+  switch (op.kind) {
+    case MonitorOp::Kind::kReadIssued:
+      observer_->record_read_issued(op.ts, op.key);
+      break;
+    case MonitorOp::Kind::kWriteIssued:
+      observer_->record_write_issued(op.at, op.key, op.size);
+      break;
+    case MonitorOp::Kind::kReadComplete:
+      observer_->record_read_complete(op.at, op.dur);
+      break;
+    case MonitorOp::Kind::kWriteComplete:
+      observer_->record_write_complete(op.at, op.dur);
+      break;
+    case MonitorOp::Kind::kWritePropagated:
+      observer_->on_write_propagated(op.key, op.ts, op.delays);
+      break;
+    case MonitorOp::Kind::kReplicaReadRtt:
+      observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
+      break;
   }
 }
 

@@ -53,16 +53,20 @@
 //     fan-out, immutable until every leg completed; pools are pre-grown so
 //     the slab never moves under a reader);
 //   * the ground-truth staleness oracle is global, so sharded runs append
-//     per-shard op logs that the window-barrier hook merges by (time, seq) —
-//     exactly the serial call order. ReadResult.stale is not populated under
-//     shard_count > 1 (the judgement may not have been applied yet when the
-//     client callback fires); aggregate oracle counters remain exact;
+//     per-shard op logs. Each window barrier seals them, and the replay,
+//     overlapped with the next window, merges the sealed logs by (time,
+//     seq) — exactly the serial call order. ReadResult.stale is not
+//     populated under shard_count > 1 (the judgement may not have been
+//     applied yet when the client callback fires); aggregate oracle
+//     counters remain exact;
 //   * observer/monitor callbacks defer the same way: every hook appends to
 //     the executing shard's monitor log (one log for all six callback kinds
 //     — the monitor couples them through one last-event timestamp), and the
-//     barrier hook replays the merged stream into the attached
-//     ClusterObserver in exact serial order, so set_observer is legal under
-//     sharding;
+//     replay feeds the merged stream to the attached ClusterObserver in
+//     exact serial order, so set_observer is legal under sharding. The
+//     executor joins the replay before every fence instant and before a run
+//     returns; only fenced handlers and post-run readers look at the oracle
+//     and the observer (docs/INVARIANTS.md lists them);
 //   * anti-entropy keeps one dirty-key set per shard and runs its sweeps
 //     merged-serial at fenced instants every anti_entropy_period.
 // Remaining restrictions under shard_count > 1, each enforced by a contract
@@ -334,10 +338,10 @@ class Cluster {
   /// Network traffic summed over all shards. A single shard's stats are
   /// returned directly; multi-shard runs merge into a cached copy memoized
   /// on the window-barrier epoch — per-shard stats only change inside a
-  /// window, and callers read between windows or after the run, so the merge
-  /// runs once per barrier at most instead of once per call. Epoch 0 (before
-  /// the first barrier, i.e. during setup) always re-merges. The reference
-  /// is valid until the next call.
+  /// window, and callers read at fence instants or after the run, so the
+  /// merge runs once per barrier at most instead of once per call. Epoch 0
+  /// (before the first barrier, i.e. during setup) always re-merges. The
+  /// reference is valid until the next call.
   const net::NetStats& net_stats() const {
     if (shards_.size() == 1) return shards_[0]->net_stats;
     if (barrier_epoch_ == 0 || net_stats_epoch_ != barrier_epoch_) {
@@ -413,16 +417,16 @@ class Cluster {
 
   /// Attach the measurement observer. Legal under sharding: every callback
   /// site defers into the executing shard's monitor log, and the barrier
-  /// hook replays the (time, seq)-merged stream — the exact serial callback
-  /// order — into the observer between windows.
+  /// replay feeds the (time, seq)-merged stream — the exact serial callback
+  /// order — to the observer, on the control thread.
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
 
   // ---- client-side measurement records -----------------------------------
   // The workload layer's only way into the observer's record_* hooks:
   // forwarded immediately when unsharded, via the per-shard monitor log
-  // (barrier-merged replay) when sharded. `issued_at` is the read's issue
-  // time as the client measures it (a paced client's intended arrival), so
-  // it may precede now().
+  // (sealed at barriers, replayed merged) when sharded. `issued_at` is the
+  // read's issue time as the client measures it (a paced client's intended
+  // arrival), so it may precede now().
   void record_read_issued(Key key, SimTime issued_at);
   void record_write_issued(Key key, std::uint32_t value_size);
   void record_read_complete(SimDuration latency);
@@ -605,7 +609,7 @@ class Cluster {
   static constexpr std::size_t kReplicaCacheSize = 16384;
 
   /// One deferred staleness-oracle call (shard_count > 1 only). Per-shard
-  /// logs are appended in that shard's execution order; the barrier hook
+  /// logs are appended in that shard's execution order; the barrier replay
   /// K-way-merges them by (at, seq) — the exact serial call order, which is
   /// what the oracle's monotonicity contracts require.
   struct OracleOp {
@@ -651,6 +655,15 @@ class Cluster {
     bool cross_dc = false;  ///< kReplicaReadRtt
   };
 
+  /// One buffer of a shard's deferred logs (shard_count > 1 only). A shard
+  /// has two: its worker appends to the live one (Cluster::live_log_)
+  /// while the control thread replays and clears the sealed one. Own cache
+  /// line, so the two never share one.
+  struct alignas(64) DeferredLogs {
+    std::vector<OracleOp> oracle;
+    std::vector<MonitorOp> monitor;
+  };
+
   /// Everything the request path mutates, one instance per event shard (a
   /// single instance when unsharded — shard 0's RNG stream and slot order
   /// are byte-identical to the historical flat members). Each instance is
@@ -678,10 +691,7 @@ class Cluster {
     SlotPool<PendingWrite> pending_writes;
     SlotPool<PendingRead> pending_reads;
     std::vector<ReplicaCacheEntry> replica_cache;
-    std::vector<OracleOp> oracle_log;  ///< deferred mode only
-    std::size_t oracle_pos = 0;        ///< merge cursor into oracle_log
-    std::vector<MonitorOp> monitor_log;  ///< deferred mode only
-    std::size_t monitor_pos = 0;         ///< merge cursor into monitor_log
+    DeferredLogs logs[2];  ///< indexed by live_log_ / its complement
     /// Keys written since this shard's last anti-entropy sweep (shard 0's
     /// set is the historical global one when unsharded).
     // lint: allow(hot-path-alloc): touched only when anti-entropy is on;
@@ -693,6 +703,8 @@ class Cluster {
   /// dispatching shard's inside an event, shard 0 (or the setup shard) at
   /// setup time, the single instance when unsharded.
   ShardState& here() const { return *shards_[sim_->current_shard()]; }
+  /// The executing shard's live log buffer (deferred mode).
+  DeferredLogs& live_logs() const { return here().logs[live_log_]; }
   /// The shard owning a node's replica state (ShardMap round-robin within
   /// the node's DC — identical to "its DC" under the one-shard-per-DC plan),
   /// 0 when unsharded.
@@ -791,11 +803,18 @@ class Cluster {
   /// result->stale / staleness_age. Sharded: defers (result stays fresh).
   void oracle_judge_end(Key key, const Version& returned, SimTime read_start,
                         ReadResult* result);
-  /// Window-barrier hook: merge per-shard logs by (at, seq) and apply every
-  /// op dated strictly before `safe_time` to the global oracle and the
-  /// observer; bumps the barrier epoch the memoized accessors key on.
-  static void barrier_hook(void* ctx, SimTime safe_time);
-  void apply_oracle_logs(SimTime safe_time);
+  /// Barrier seal (sim::BarrierHook), O(1): the live log buffers become the
+  /// sealed ones, whose every op is dated strictly before `safe_time`, and
+  /// the barrier epoch the memoized accessors key on moves.
+  static void seal_logs(void* ctx, SimTime safe_time);
+  /// Barrier replay (sim::ReplayHook): apply the sealed oracle and monitor
+  /// ops to the oracle and the observer in (at, seq) order, then empty them.
+  static void replay_logs(void* ctx);
+  /// K-way merge of one kind of sealed log by (at, seq): `apply` each op,
+  /// then clear the buffers.
+  template <typename Op, typename Apply>
+  void replay_sealed(std::vector<Op> DeferredLogs::*log, Apply apply);
+  void replay_oracle_op(const OracleOp& op);
 
   // ---- deferred observer (shard_count > 1) -------------------------------
   // Observer-side call sites route through these: immediate when unsharded,
@@ -805,7 +824,7 @@ class Cluster {
   void observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                  bool cross_dc);
   MonitorOp& append_monitor_op(MonitorOp::Kind kind);
-  void apply_monitor_logs(SimTime safe_time);
+  void replay_monitor_op(const MonitorOp& op);
 
   sim::Simulation* sim_;
   ClusterConfig cfg_;
@@ -826,9 +845,14 @@ class Cluster {
   bool deferred_ = false;
   /// Key-range/node -> shard ownership; built only when deferred.
   ShardMap shard_map_;
-  /// Window barriers seen so far (bumped by the barrier hook); memoized
-  /// merged accessors re-merge only when it moved. 0 = setup time.
+  /// Window barriers seen so far (bumped by the seal); memoized merged
+  /// accessors re-merge only when it moved. 0 = setup time.
   std::uint64_t barrier_epoch_ = 0;
+  /// Which ShardState::logs buffer the workers append to; the other one is
+  /// sealed. Flipped by the seal, between windows.
+  std::uint32_t live_log_ = 0;
+  /// The last seal's safe time: every sealed op must be dated before it.
+  SimTime sealed_safe_ = 0;
   mutable net::NetStats net_stats_merged_;
   mutable std::uint64_t net_stats_epoch_ = 0;  ///< epoch net_stats_merged_ is at
 

@@ -99,10 +99,15 @@ ShardSet::ShardSet(Simulation& sim, std::uint32_t count, SimDuration lookahead,
     sh->queue.set_seq_stream(i, count);
     shards_.push_back(std::move(sh));
   }
-  mailboxes_.resize(static_cast<std::size_t>(count) * count);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    for (std::uint32_t d = 0; d < count; ++d) {
-      if (s != d) mailbox(s, d).configure(mailbox_capacity);
+  // `mailbox_capacity` is entries per (source, destination) pair, split
+  // across the pair's two halves: the slab bytes do not depend on the
+  // halving.
+  mailboxes_.resize(2 * static_cast<std::size_t>(count) * count);
+  for (std::uint32_t h = 0; h < 2; ++h) {
+    for (std::uint32_t s = 0; s < count; ++s) {
+      for (std::uint32_t d = 0; d < count; ++d) {
+        if (s != d) mailbox(h, s, d).configure(mailbox_capacity / 2);
+      }
     }
   }
 }
@@ -128,6 +133,15 @@ bool ShardSet::peek_global(SimTime& when, std::uint64_t& seq,
     }
   }
   return any;
+}
+
+bool ShardSet::next_window_start(SimTime& when) const {
+  std::uint64_t seq;
+  std::uint32_t which;
+  const bool queued = peek_global(when, seq, which);
+  if (pending_min_ == kNever) return queued;
+  when = queued ? std::min(when, pending_min_) : pending_min_;
+  return true;
 }
 
 namespace {
@@ -182,18 +196,29 @@ void ShardSet::run_merged_serial(SimTime instant_end) {
 void ShardSet::run_window_slice(unsigned worker) {
   const auto dispatch = [this](const TypedEvent& ev) { sim_.dispatch(ev); };
   const unsigned stride = std::min<unsigned>(num_threads_, count());
-  // The window is [start, window_end_): run_before's horizon is inclusive.
+  // Senders fill fill_half_ in this window; the other half holds what the
+  // previous window sent, all of it dated at or past this window's start.
+  const std::uint32_t inbox = fill_half_ ^ 1;
   for (std::uint32_t s = worker; s < count(); s += stride) {
-    run_shard_until(*shards_[s], window_end_ - 1, dispatch);
+    Shard& sh = *shards_[s];
+    for (std::uint32_t src = 0; src < count(); ++src) {
+      if (src != s) mailbox(inbox, src, s).drain_into(sh.queue);
+    }
+    // The window is [start, window_end_): run_before's horizon is inclusive.
+    run_shard_until(sh, window_end_ - 1, dispatch);
   }
 }
 
-void ShardSet::drain_mailboxes() {
+void ShardSet::drain_pending() {
+  if (pending_min_ == kNever) return;
   for (std::uint32_t src = 0; src < count(); ++src) {
     for (std::uint32_t dst = 0; dst < count(); ++dst) {
-      if (src != dst) mailbox(src, dst).drain_into(shards_[dst]->queue);
+      if (src != dst) {
+        mailbox(fill_half_, src, dst).drain_into(shards_[dst]->queue);
+      }
     }
   }
+  pending_min_ = kNever;
 }
 
 SimTime ShardSet::run(SimTime horizon) {
@@ -201,8 +226,12 @@ SimTime ShardSet::run(SimTime horizon) {
   std::uint64_t seq;
   std::uint32_t which;
 
-  const auto flush = [this](SimTime safe) {
-    if (barrier_hook_ != nullptr) barrier_hook_(barrier_ctx_, safe);
+  // A barrier whose replay runs at once: merged-serial windows, fence
+  // instants, and the end of the run.
+  const auto barrier = [this](SimTime safe) {
+    if (seal_ == nullptr) return;
+    seal_(hook_ctx_, safe);
+    if (replay_ != nullptr) replay_(hook_ctx_);
   };
   const auto final_time = [this, horizon]() {
     // The clock lands on the last executed event when drained, on the
@@ -215,11 +244,12 @@ SimTime ShardSet::run(SimTime horizon) {
 
   if (num_threads_ <= 1 && count() > 1) {
     // Serial reference mode: strict global (time, seq) order, windowed only
-    // to bound the deferred-work buffers. Fences are honored exactly like
-    // the parallel branch — every instant already runs serial, but barrier
-    // consumers (the deferred oracle/monitor logs, policy ticks at fences)
-    // must see the identical flush(safe) sequence in both modes so a fenced
-    // handler observes the same applied-prefix of deferred state.
+    // to bound the deferred-work buffers. Mailboxes stay unused. Fences are
+    // honored exactly like the parallel branch — every instant already runs
+    // serial, but barrier consumers (the deferred oracle/monitor logs, policy
+    // ticks at fences) must see the identical seal(safe) sequence in both
+    // modes so a fenced handler observes the same applied-prefix of deferred
+    // state.
     while (peek_global(when, seq, which)) {
       if (when > horizon) break;
       ++windows_;
@@ -227,7 +257,7 @@ SimTime ShardSet::run(SimTime horizon) {
           std::lower_bound(fences_.begin(), fences_.end(), when);
       if (fence != fences_.end() && *fence == when) {
         run_merged_serial(when);
-        flush(saturating_add(when, 1));
+        barrier(saturating_add(when, 1));
         continue;
       }
       SimTime bound = std::min(horizon, saturating_add(when, lookahead_ - 1));
@@ -236,19 +266,21 @@ SimTime ShardSet::run(SimTime horizon) {
       window_end_ = wend;
       run_merged_serial(bound);
       window_end_ = 0;
-      flush(wend);
+      barrier(wend);
     }
-    flush(kNever);
+    barrier(kNever);
     return final_time();
   }
 
   // Windows. Per window the control thread publishes (window_end_,
-  // parallel_phase_, then wake(epoch_)), runs slice 0, and waits for the
-  // other workers' arrivals; then, while they wait for the next epoch, it
-  // drains the mailboxes and runs the barrier hook. A check that fails on
-  // any thread is captured, the workers are released and joined, and it is
-  // rethrown here — never left to unwind past a joinable thread. A single
-  // shard runs here as one worker on this thread and spawns nothing.
+  // parallel_phase_, fill_half_, then wake(epoch_)), runs slice 0, replays
+  // the batch the previous barrier sealed, and waits for the other workers'
+  // arrivals; then, while they wait for the next epoch, it seals this
+  // window's logs. Each worker drains its own shards' inboxes at the start
+  // of its slice. A check that fails on any thread is captured, the workers
+  // are released and joined, and it is rethrown here — never left to unwind
+  // past a joinable thread. A single shard runs here as one worker on this
+  // thread and spawns nothing.
   const unsigned workers = std::min<unsigned>(num_threads_, count());
   // More threads than CPUs: the thread a waiter spins for is often not
   // running, and a pause spin only delays it. Go straight to yielding. A
@@ -256,12 +288,28 @@ SimTime ShardSet::run(SimTime horizon) {
   const bool spin = workers > 1 && workers <= usable_cpus();
   const std::uint32_t first_epoch = epoch_.value.load(std::memory_order_relaxed);
   FirstError error;
-  // A slice that throws still arrives, so the window's handoff completes.
-  const auto run_slice = [this, &error](unsigned w) {
+  // Work the control thread does inside a window is captured like a slice,
+  // so the window's handoff completes.
+  const auto capture = [&error](auto&& work) {
     try {
-      run_window_slice(w);
+      work();
     } catch (...) {
       error.capture(std::current_exception());
+    }
+  };
+  const auto run_slice = [this, &capture](unsigned w) {
+    capture([this, w] { run_window_slice(w); });
+  };
+  // A sealed batch whose replay has not run yet.
+  bool replay_due = false;
+  // Join point, between windows only: drain the undrained mailbox half and
+  // replay the pending sealed batch, so every event sent so far is queued
+  // and every op dated before now has reached the consumers.
+  const auto join = [this, &replay_due] {
+    drain_pending();
+    if (replay_due) {
+      replay_due = false;
+      replay_(hook_ctx_);
     }
   };
   std::vector<std::thread> pool;
@@ -281,16 +329,17 @@ SimTime ShardSet::run(SimTime horizon) {
       });
     }
 
-    while (peek_global(when, seq, which) && when <= horizon) {
+    while (next_window_start(when) && when <= horizon) {
       ++windows_;
       const auto fence =
           std::lower_bound(fences_.begin(), fences_.end(), when);
       if (fence != fences_.end() && *fence == when) {
         // Fence instant: cross-shard state may be mutated, so run the whole
         // instant merged-serial on this thread (workers wait for the next
-        // epoch).
+        // epoch), after the join.
+        join();
         run_merged_serial(when);
-        flush(saturating_add(when, 1));
+        barrier(saturating_add(when, 1));
         continue;
       }
       SimTime wend = saturating_add(when, lookahead_);
@@ -298,16 +347,31 @@ SimTime ShardSet::run(SimTime horizon) {
       wend = std::min(wend, saturating_add(horizon, 1));
       window_end_ = wend;
       parallel_phase_ = true;
+      fill_half_ ^= 1;
       arrived_.value.store(0, std::memory_order_relaxed);
       wake(epoch_);
       run_slice(0);
+      if (replay_due) {
+        replay_due = false;
+        capture([this] { replay_(hook_ctx_); });
+      }
       await(arrived_, spin,
             [n = workers - 1](std::uint32_t a) { return a == n; });
       parallel_phase_ = false;
       window_end_ = 0;
       if (error.failed()) break;
-      drain_mailboxes();
-      flush(wend);
+      // The workers drained the half the previous window filled; the half
+      // this window filled waits for the next one. Its earliest entry is
+      // the earliest of the shards' outbox minima.
+      pending_min_ = kNever;
+      for (const auto& sh : shards_) {
+        pending_min_ = std::min(pending_min_, sh->outbox_min);
+        sh->outbox_min = kNever;
+      }
+      if (seal_ != nullptr) {
+        seal_(hook_ctx_, wend);
+        replay_due = replay_ != nullptr;
+      }
     }
   } catch (...) {
     error.capture(std::current_exception());
@@ -316,7 +380,8 @@ SimTime ShardSet::run(SimTime horizon) {
   wake(epoch_);
   for (auto& t : pool) t.join();
   error.rethrow_if_failed();
-  flush(kNever);
+  join();
+  barrier(kNever);
   return final_time();
 }
 

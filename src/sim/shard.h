@@ -20,9 +20,9 @@
 //   2. Sender-stamped cross-shard events. An event destined for another
 //      shard gets its seq from the *sender's* counter at schedule time —
 //      exactly the seq it would have received in the serial merge — and
-//      rides a fixed-capacity mailbox that the control thread drains into
-//      the destination heap at the next window barrier. Heap pop order
-//      depends only on (time, seq), so drain order is irrelevant.
+//      rides a fixed-capacity mailbox that the destination's worker drains
+//      into its own heap when the next window opens. Heap pop order depends
+//      only on (time, seq), so drain order is irrelevant.
 //   3. Fences. Operations that touch cross-shard state (fault injection:
 //      kill/revive/degrade) register their instant as a fence; the executor
 //      never lets a window span a fence and runs the fence instant in
@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -58,14 +59,18 @@ struct Shard;
 /// unchanged under sharding.
 inline thread_local Shard* tls_current_shard = nullptr;
 
-/// Cross-shard hand-off buffer for one (source, destination) shard pair.
-/// Single-writer (the source shard's worker, during a window), single-reader
-/// (the control thread, between windows) — phase separation through the
-/// window handoff replaces atomics. Steady state is allocation-free: entries
-/// land in a fixed slab sized at configure time; overflow spills into a
-/// growable vector (counted, so benchmarks can see backpressure) rather than
-/// dropping or blocking.
-class Mailbox {
+/// Cross-shard hand-off buffer: one parity half of a (source, destination)
+/// shard pair. Each pair has two halves, and windows alternate between
+/// them. The writer of a half is the source shard's worker during window N.
+/// Its reader is the destination shard's worker at the start of window N+1,
+/// or the control thread at a fence instant and at the end of a run. The
+/// window handoff orders the two phases, so a half needs no atomics. Steady
+/// state is allocation-free: entries land in a fixed slab sized at
+/// configure time; overflow spills into a growable vector (counted, so
+/// benchmarks can see backpressure) rather than dropping or blocking. Own
+/// cache line: a pair's two halves are written by different threads in the
+/// same window.
+class alignas(64) Mailbox {
  public:
   struct Entry {
     SimTime when;
@@ -95,7 +100,7 @@ class Mailbox {
   }
 
   /// Drain every entry into `q` (stamped: seqs were allocated by the
-  /// sender). Called by the control thread between windows.
+  /// sender).
   void drain_into(EventQueue& q) {
     for (std::uint32_t i = 0; i < count_; ++i) {
       q.push_typed_stamped(slab_[i].when, slab_[i].seq, slab_[i].ev);
@@ -125,13 +130,24 @@ struct Shard {
   SimTime now = 0;
   std::uint64_t current_seq = 0;  ///< seq of the event being dispatched
   std::uint64_t events_processed = 0;
+  /// Earliest `when` this shard pushed into a mailbox during the current
+  /// window (max() if none). The control thread reads and resets it between
+  /// windows, so it can open the next window without scanning mailboxes.
+  SimTime outbox_min = std::numeric_limits<SimTime>::max();
   std::uint32_t id = 0;
 };
 
-/// Called by the control thread at every window barrier (and once after the
-/// run drains), with all events strictly before `safe_time` executed. The
-/// cluster layer applies its deferred per-shard oracle logs here.
+/// The barrier hook, in two halves. `seal` runs on the control thread at
+/// every window barrier, at every fence instant's end and once after the
+/// run drains, with all events strictly before `safe_time` executed and the
+/// workers waiting; it must be O(1) (the cluster layer flips its per-shard
+/// oracle/monitor log buffers). `replay` consumes what the last seal
+/// sealed. The control thread runs it after its own slice of the next
+/// window, while the workers run theirs, and before any fence instant and
+/// before run() returns. With K > 1 shards and one thread, each seal is
+/// followed by its replay at once.
 using BarrierHook = void (*)(void* ctx, SimTime safe_time);
+using ReplayHook = void (*)(void* ctx);
 
 /// The windowed executor. Owned by Simulation: its constructor builds the
 /// default one-shard instance, and configure_shards() replaces it.
@@ -160,7 +176,8 @@ class ShardSet {
       HARMONY_CHECK_MSG(when >= window_end_,
                         "cross-shard event inside the lookahead window");
       if (parallel_phase_) {
-        mailbox(from.id, dest.id).push(when, seq, ev);
+        mailbox(fill_half_, from.id, dest.id).push(when, seq, ev);
+        if (when < from.outbox_min) from.outbox_min = when;
         return;
       }
     }
@@ -171,9 +188,12 @@ class ShardSet {
   /// merged-serial: no window will span `t`. Setup-time / fence-time only.
   void register_fence(SimTime t);
 
-  void set_barrier_hook(BarrierHook hook, void* ctx) {
-    barrier_hook_ = hook;
-    barrier_ctx_ = ctx;
+  /// See BarrierHook. `replay` may be null: then `seal` is the whole hook.
+  void set_barrier_hook(BarrierHook seal, void* ctx,
+                        ReplayHook replay = nullptr) {
+    seal_ = seal;
+    replay_ = replay;
+    hook_ctx_ = ctx;
   }
 
   /// Run until every queue drains or `horizon` passes. Merged-serial when
@@ -208,8 +228,8 @@ class ShardSet {
   static std::uint32_t await(HandoffWord& w, bool spin, Done done);
   static void wake(HandoffWord& w);
 
-  Mailbox& mailbox(std::uint32_t src, std::uint32_t dst) {
-    return mailboxes_[src * count() + dst];
+  Mailbox& mailbox(std::uint32_t half, std::uint32_t src, std::uint32_t dst) {
+    return mailboxes_[(half * count() + src) * count() + dst];
   }
 
   /// Run events from all shards in strict (time, seq) order while their time
@@ -217,34 +237,47 @@ class ShardSet {
   /// the single-thread execution mode and the fence-instant mode.
   void run_merged_serial(SimTime instant_end);
 
-  /// One worker's share of a parallel window: run every shard s with
-  /// s % num_workers == worker to just before window_end_.
+  /// One worker's share of a parallel window: for every shard s with
+  /// s % num_workers == worker, drain s's inbox (the half the previous
+  /// window filled), then run s to just before window_end_.
   void run_window_slice(unsigned worker);
 
-  void drain_mailboxes();
+  /// Drain the half the last window filled into every destination queue.
+  /// Control thread, between windows only.
+  void drain_pending();
   /// Earliest pending (when, seq) across all shards; false when drained.
   bool peek_global(SimTime& when, std::uint64_t& seq, std::uint32_t& which) const;
+  /// Where the next window opens: the earliest queue head or undrained
+  /// mailbox entry; false when both are empty.
+  bool next_window_start(SimTime& when) const;
 
   Simulation& sim_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Mailbox> mailboxes_;  // count*count, row = source shard
+  /// 2*count*count: [half][source][destination].
+  std::vector<Mailbox> mailboxes_;
   std::vector<SimTime> fences_;     // sorted ascending
   SimDuration lookahead_;
   unsigned num_threads_;
-  BarrierHook barrier_hook_ = nullptr;
-  void* barrier_ctx_ = nullptr;
+  BarrierHook seal_ = nullptr;
+  ReplayHook replay_ = nullptr;
+  void* hook_ctx_ = nullptr;
 
   // Window state. The control thread writes it, then publishes the window
   // by bumping epoch_ (seq_cst, so also a release); a worker reads it only
   // after seeing the new epoch (acquire). Each worker bumps arrived_ when
   // its slice is done, and the control thread touches shard state again
   // only after seeing all of them (acquire). Both sides spin, then park:
-  // workers on epoch_ while the control thread drains mailboxes and runs
-  // the barrier hook, the control thread on arrived_ while the slowest
+  // workers on epoch_ while the control thread seals the logs (or runs a
+  // fence instant), the control thread on arrived_ while the slowest
   // worker finishes.
   SimTime window_end_ = 0;
   bool parallel_phase_ = false;
   bool done_ = false;
+  /// The mailbox half senders fill in the current window. Between windows
+  /// it names the half the last window filled, not yet drained.
+  std::uint32_t fill_half_ = 0;
+  /// Earliest entry of that undrained half; max() when it is empty.
+  SimTime pending_min_ = std::numeric_limits<SimTime>::max();
   std::uint64_t windows_ = 0;
   HandoffWord epoch_;
   HandoffWord arrived_;

@@ -26,6 +26,8 @@ namespace harmony::sim {
 
 class Simulation {
  public:
+  /// Mailbox entries per (source, destination) shard pair, split evenly
+  /// across the pair's two halves (see sim/shard.h Mailbox).
   static constexpr std::uint32_t kDefaultMailboxCapacity = 4096;
 
   /// Starts on the default kernel: one shard, unbounded lookahead, run on
@@ -127,8 +129,9 @@ class Simulation {
   void register_fence(SimTime t) { shards_->register_fence(t); }
 
   /// See sim/shard.h BarrierHook.
-  void set_barrier_hook(BarrierHook hook, void* ctx) {
-    shards_->set_barrier_hook(hook, ctx);
+  void set_barrier_hook(BarrierHook seal, void* ctx,
+                        ReplayHook replay = nullptr) {
+    shards_->set_barrier_hook(seal, ctx, replay);
   }
 
   std::uint64_t mailbox_spills() const { return shards_->mailbox_spills(); }

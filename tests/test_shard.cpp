@@ -12,18 +12,26 @@
 //     bit for bit at 1, 2, and 4 worker threads;
 //   * fence instants running merged-serial (cross-shard mutation is safe);
 //   * barrier-hook safe-time monotonicity;
+//   * the split barrier: a fenced event sees every op sealed before the
+//     fence, though replays otherwise overlap the next window;
+//   * worker-side inbox drains: a window opens at an event still sitting in
+//     an undrained mailbox half, and halves that overflow window after
+//     window keep the merge order and count their spills alike;
 //   * shards with zero events neither stalling nor perturbing the run;
 //   * the window handoff's park path (a barrier hook or a shard slow enough
 //     to outlast the spin budget) and an 8-shard x 8-thread plan;
-//   * a failed check on any thread surfacing as a catchable CheckError.
+//   * a failed check on any thread, in the barrier hook or in its replay,
+//     surfacing as a catchable CheckError.
 //
 // Built as its own binary so CI's TSan job can exercise the window handoff,
 // mailbox hand-off, and fence protocol under the race detector directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -193,7 +201,7 @@ struct ShardProbe {
     TypedEvent out;
     out.kind = EventKind::kUserProbe;
     out.shard = static_cast<std::uint8_t>(dest);
-    out.target = this;
+    out.target = ev.target;  // a wrapping probe (LoggedProbe) keeps its hops
     out.u.raw[0] = next;
     out.u.raw[1] = hops - 1;
     // Cross-shard sends must respect the lookahead; same-shard sends may be
@@ -600,6 +608,337 @@ TEST(ShardSet, BarrierHookSafeTimeIsMonotoneAndFinalCallIsSentinel) {
   }
   // The final flush reports "everything executed": the sentinel max value.
   EXPECT_EQ(log.safes.back(), std::numeric_limits<SimTime>::max());
+}
+
+// ------------------------------------------ split barrier: seal, then replay
+
+/// A hook-fed consumer built like the cluster's deferred oracle/monitor
+/// logs: events append their (time, seq) to their shard's live buffer, the
+/// seal flips every shard's buffers, and the replay merges the sealed ones
+/// by (time, seq) into the consumer's stream.
+struct DeferredLog {
+  struct Op {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    bool operator==(const Op&) const = default;
+  };
+  struct alignas(64) PerShard {
+    std::vector<Op> buf[2];
+  };
+  std::array<PerShard, 8> per_shard{};
+  std::uint32_t live = 0;  ///< flipped by the seal, between windows
+  SimTime sealed_safe = 0;
+  // The consumer: only the replay (control thread) and fenced events touch it.
+  std::vector<Op> applied;
+  /// Every replayed op predates its seal and follows the one applied last.
+  bool in_order = true;
+
+  void append(std::uint32_t shard, SimTime at, std::uint64_t seq) {
+    per_shard[shard].buf[live].push_back(Op{at, seq});
+  }
+
+  static void seal(void* ctx, SimTime safe) {
+    auto* l = static_cast<DeferredLog*>(ctx);
+    l->sealed_safe = safe;
+    l->live ^= 1;
+  }
+
+  static void replay(void* ctx) {
+    auto* l = static_cast<DeferredLog*>(ctx);
+    std::vector<Op> batch;
+    for (PerShard& ps : l->per_shard) {
+      std::vector<Op>& sealed = ps.buf[l->live ^ 1];
+      batch.insert(batch.end(), sealed.begin(), sealed.end());
+      sealed.clear();
+    }
+    std::sort(batch.begin(), batch.end(), [](const Op& a, const Op& b) {
+      return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    });
+    for (const Op& op : batch) {
+      l->in_order &= op.at < l->sealed_safe;
+      if (!l->applied.empty()) {
+        const Op& last = l->applied.back();
+        l->in_order &=
+            last.at < op.at || (last.at == op.at && last.seq < op.seq);
+      }
+      l->applied.push_back(op);
+    }
+  }
+};
+
+/// ShardProbe traffic that logs every event into a DeferredLog, plus reader
+/// events (u.raw[2] == kReadConsumer) that record how many ops the consumer
+/// had applied when they ran.
+struct LoggedProbe {
+  static constexpr std::uint64_t kReadConsumer = 1;
+
+  ShardProbe traffic;
+  DeferredLog log;
+  std::vector<std::pair<SimTime, std::size_t>> reads;  ///< (time, applied)
+
+  static void dispatch(const TypedEvent& ev) {
+    auto* p = static_cast<LoggedProbe*>(ev.target);
+    const Simulation& sim = *p->traffic.sim;
+    if (ev.u.raw[2] == kReadConsumer) {
+      p->reads.emplace_back(sim.now(), p->log.applied.size());
+      return;
+    }
+    p->log.append(sim.current_shard(), sim.now(), sim.current_seq());
+    p->traffic.on_event(ev);
+  }
+};
+
+TEST(ShardSet, FencedEventSeesEveryOpSealedBeforeTheFence) {
+  // Between windows the control thread only seals; the sealed batch is
+  // replayed while the workers run the next window. A fence instant is
+  // where a consumer may be read, so the executor joins the pending replay
+  // before it: the reader sees exactly the ops dated before the fence.
+  constexpr std::uint32_t kShards = 4;
+  constexpr SimDuration kLookahead = 1000;
+  constexpr std::array<SimTime, 2> kFences = {4321, 12345};
+  struct Outcome {
+    std::vector<std::pair<SimTime, std::size_t>> reads;
+    std::vector<DeferredLog::Op> applied;
+  };
+  auto run = [&](unsigned threads) {
+    Simulation sim(13);
+    sim.configure_shards(kShards, kLookahead, threads, 64);
+    sim.set_event_dispatcher(EventDomain::kUser, &LoggedProbe::dispatch);
+    LoggedProbe probe;
+    probe.traffic.sim = &sim;
+    probe.traffic.shard_count = kShards;
+    probe.traffic.lookahead = kLookahead;
+    sim.set_barrier_hook(&DeferredLog::seal, &probe.log, &DeferredLog::replay);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      sim.set_setup_shard(s);
+      for (int i = 0; i < 8; ++i) {
+        TypedEvent ev;
+        ev.kind = EventKind::kUserProbe;
+        ev.shard = static_cast<std::uint8_t>(s);
+        ev.target = &probe;
+        ev.u.raw[0] = splitmix(s * 1000 + static_cast<std::uint64_t>(i));
+        ev.u.raw[1] = 30;
+        sim.schedule_event_at(static_cast<SimTime>(1 + (ev.u.raw[0] % 3000)),
+                              ev);
+      }
+    }
+    sim.set_setup_shard(1);
+    for (const SimTime f : kFences) {
+      sim.register_fence(f);
+      TypedEvent reader;
+      reader.kind = EventKind::kUserProbe;
+      reader.shard = 1;
+      reader.target = &probe;
+      reader.u.raw[2] = LoggedProbe::kReadConsumer;
+      sim.schedule_event_at(f, reader);
+    }
+    sim.set_setup_shard(0);
+    sim.run();
+    EXPECT_TRUE(probe.log.in_order) << "threads " << threads;
+    return Outcome{probe.reads, probe.log.applied};
+  };
+  const Outcome serial = run(1);
+  ASSERT_EQ(serial.reads.size(), kFences.size());
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const Outcome got = run(threads);
+    EXPECT_EQ(got.applied, serial.applied) << "threads " << threads;
+    ASSERT_EQ(got.reads.size(), kFences.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < kFences.size(); ++i) {
+      const auto before = static_cast<std::size_t>(std::count_if(
+          got.applied.begin(), got.applied.end(),
+          [f = kFences[i]](const DeferredLog::Op& op) { return op.at < f; }));
+      EXPECT_GT(before, 0u);
+      EXPECT_EQ(got.reads[i], std::pair(kFences[i], before))
+          << "threads " << threads << ", fence " << kFences[i];
+    }
+  }
+}
+
+TEST(ShardSet, CheckFailingInBarrierReplayThrowsCheckError) {
+  // The replay runs on the control thread after its own slice, while the
+  // workers run theirs (at one thread: right after its seal). A failed check
+  // there is captured like a failed slice: the window's handoff completes,
+  // the workers are joined, the executor is left between windows, and the
+  // error surfaces on the calling thread.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Simulation sim(5);
+    sim.configure_shards(4, 1000, threads, 16);
+    sim.set_event_dispatcher(EventDomain::kUser, &ShardProbe::dispatch);
+    int replays = 0;
+    sim.set_barrier_hook(
+        [](void*, SimTime) {}, &replays, [](void* ctx) {
+          HARMONY_CHECK_MSG(++*static_cast<int*>(ctx) < 5, "replay gave up");
+        });
+    ShardProbe probe;
+    probe.sim = &sim;
+    probe.shard_count = 4;
+    probe.lookahead = 1000;
+    probe.last_shard_burn = 1u << 10;  // the workers outlast the replay
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      sim.set_setup_shard(s);
+      TypedEvent ev;
+      ev.kind = EventKind::kUserProbe;
+      ev.shard = static_cast<std::uint8_t>(s);
+      ev.target = &probe;
+      ev.u.raw[0] = splitmix(s);
+      ev.u.raw[1] = 40;
+      sim.schedule_event_at(1, ev);
+    }
+    sim.set_setup_shard(0);
+    EXPECT_THROW(sim.run(), CheckError) << "threads " << threads;
+    EXPECT_EQ(replays, 5) << "threads " << threads;
+    // Between windows again: registering a fence is legal.
+    EXPECT_NO_THROW(sim.register_fence(1'000'000)) << "threads " << threads;
+  }
+}
+
+// ------------------------------------------------ worker-side inbox drains
+
+/// One chain of hops that alternates between shards 0 and 1, every hop
+/// `gap` after the last, so between windows the only pending event sits in
+/// the mailbox half the last window filled. Each shard records the times of
+/// the events it ran.
+struct PingPongProbe {
+  struct alignas(64) PerShard {
+    std::vector<SimTime> times;
+  };
+  Simulation* sim = nullptr;
+  std::array<PerShard, 2> per_shard{};
+  SimDuration gap = 0;
+
+  static void dispatch(const TypedEvent& ev) {
+    auto* p = static_cast<PingPongProbe*>(ev.target);
+    const std::uint32_t s = p->sim->current_shard();
+    p->per_shard[s].times.push_back(p->sim->now());
+    if (ev.u.raw[0] == 0) return;
+    TypedEvent out = ev;
+    out.shard = static_cast<std::uint8_t>(1 - s);
+    out.u.raw[0] = ev.u.raw[0] - 1;
+    p->sim->schedule_event(p->gap, out);
+  }
+};
+
+TEST(ShardSet, WindowOpensAtAnEventLeftInAnUndrainedMailboxHalf) {
+  // Workers drain their own inboxes when the next window opens, so between
+  // windows the queues can be empty while a mailbox half is not. The next
+  // window must open at that event, not end the run or skip past it.
+  constexpr SimDuration kLookahead = 1000;
+  constexpr std::uint64_t kHops = 12;
+  auto run = [&](unsigned threads) {
+    Simulation sim(17);
+    sim.configure_shards(2, kLookahead, threads, 16);
+    sim.set_event_dispatcher(EventDomain::kUser, &PingPongProbe::dispatch);
+    PingPongProbe probe;
+    probe.sim = &sim;
+    probe.gap = 3 * kLookahead + 7;  // every window holds one event
+    TypedEvent ev;
+    ev.kind = EventKind::kUserProbe;
+    ev.shard = 0;
+    ev.target = &probe;
+    ev.u.raw[0] = kHops;
+    sim.set_setup_shard(0);
+    sim.schedule_event_at(5, ev);
+    sim.run();
+    return std::tuple{probe.per_shard[0].times, probe.per_shard[1].times,
+                      sim.events_processed(), sim.shard_windows(), sim.now()};
+  };
+  const auto serial = run(1);
+  EXPECT_EQ(std::get<2>(serial), kHops + 1);
+  EXPECT_EQ(std::get<3>(serial), kHops + 1);
+  EXPECT_EQ(std::get<4>(serial),
+            5 + static_cast<SimTime>(kHops) * (3 * kLookahead + 7));
+  for (const unsigned threads : {2u, 4u}) {
+    EXPECT_EQ(run(threads), serial) << "threads " << threads;
+  }
+}
+
+/// Even shards fan out `fanout` events to the next odd shard in every
+/// window, more than a mailbox half holds, at times that tie in groups (so
+/// the seq breaks the ties); odd shards fold what they run, in order, into
+/// a fingerprint.
+struct FanoutProbe {
+  struct alignas(64) PerShard {
+    std::uint64_t fp = kFnvOffset;
+    std::uint64_t events = 0;
+  };
+  Simulation* sim = nullptr;
+  std::array<PerShard, 8> per_shard{};
+  SimDuration lookahead = 0;
+  std::uint64_t fanout = 0;
+
+  static void dispatch(const TypedEvent& ev) {
+    auto* p = static_cast<FanoutProbe*>(ev.target);
+    const std::uint32_t s = p->sim->current_shard();
+    PerShard& ps = p->per_shard[s];
+    ps.fp = mix(mix(ps.fp, static_cast<std::uint64_t>(p->sim->now())),
+                ev.u.raw[0]);
+    ++ps.events;
+    if (s % 2 == 1 || ev.u.raw[1] == 0) return;
+    TypedEvent out = ev;
+    out.shard = static_cast<std::uint8_t>(s + 1);
+    out.u.raw[1] = 0;
+    for (std::uint64_t i = 0; i < p->fanout; ++i) {
+      out.u.raw[0] = splitmix(ev.u.raw[0] + i);
+      p->sim->schedule_event(
+          p->lookahead + static_cast<SimDuration>(i % 3) * 100, out);
+    }
+    TypedEvent next = ev;
+    next.u.raw[0] = splitmix(ev.u.raw[0]);
+    next.u.raw[1] = ev.u.raw[1] - 1;
+    p->sim->schedule_event(p->lookahead, next);
+  }
+
+  std::uint64_t fingerprint() const {
+    std::uint64_t fp = kFnvOffset;
+    for (const PerShard& ps : per_shard) fp = mix(mix(fp, ps.fp), ps.events);
+    return fp;
+  }
+};
+
+TEST(ShardSet, HalvesOverflowingWindowAfterWindowKeepOrderAndSpillAlike) {
+  // Capacity 4 per pair is 2 entries per half; every window each of the
+  // four sending pairs pushes 5, so both halves spill in alternation. The
+  // merge must still equal merged-serial, and the spill count is a function
+  // of the schedule: pairs x windows x (fanout - half capacity).
+  constexpr std::uint32_t kShards = 8;
+  constexpr SimDuration kLookahead = 1000;
+  constexpr std::uint64_t kFanout = 5;
+  constexpr std::uint64_t kRounds = 20;
+  constexpr std::uint32_t kCapacity = 4;
+  auto run = [&](unsigned threads) {
+    Simulation sim(19);
+    sim.configure_shards(kShards, kLookahead, threads, kCapacity);
+    sim.set_event_dispatcher(EventDomain::kUser, &FanoutProbe::dispatch);
+    FanoutProbe probe;
+    probe.sim = &sim;
+    probe.lookahead = kLookahead;
+    probe.fanout = kFanout;
+    for (std::uint32_t s = 0; s < kShards; s += 2) {
+      sim.set_setup_shard(s);
+      TypedEvent ev;
+      ev.kind = EventKind::kUserProbe;
+      ev.shard = static_cast<std::uint8_t>(s);
+      ev.target = &probe;
+      ev.u.raw[0] = splitmix(s);
+      ev.u.raw[1] = kRounds;
+      sim.schedule_event_at(10, ev);
+    }
+    sim.set_setup_shard(0);
+    sim.run();
+    return std::tuple{probe.fingerprint(), sim.events_processed(),
+                      sim.shard_windows(), sim.mailbox_spills()};
+  };
+  const auto serial = run(1);
+  EXPECT_EQ(std::get<3>(serial), 0u) << "merged-serial never uses a mailbox";
+  constexpr std::uint64_t kExpectedSpills =
+      (kShards / 2) * kRounds * (kFanout - kCapacity / 2);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const auto par = run(threads);
+    EXPECT_EQ(std::get<0>(par), std::get<0>(serial)) << "threads " << threads;
+    EXPECT_EQ(std::get<1>(par), std::get<1>(serial)) << "threads " << threads;
+    EXPECT_EQ(std::get<2>(par), std::get<2>(serial)) << "threads " << threads;
+    EXPECT_EQ(std::get<3>(par), kExpectedSpills) << "threads " << threads;
+  }
 }
 
 // ------------------------------------------------------------ failed checks
