@@ -49,8 +49,9 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 void BM_RingLookup(benchmark::State& state) {
-  // The request path's ring walk (Cluster::place on a replica-cache miss):
-  // NTS placement of rf 3 split {2, 1} over two DCs, into an inline list.
+  // The per-key NTS ring walk: rf 3 split {2, 1} over two DCs, into an
+  // inline list. Cluster runs this walk once per arc at construction to
+  // build its placement table; no request pays it.
   const auto topo = net::Topology::balanced(84, 2);
   cluster::TokenRing ring(topo, static_cast<int>(state.range(0)), 42);
   Rng rng(1);
@@ -63,6 +64,27 @@ void BM_RingLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingLookup)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_PlacementLookup(benchmark::State& state) {
+  // What the request path pays for placement (Cluster::replicas_for): key ->
+  // token -> arc_of -> the arc's entry of a per-arc table, copied into an
+  // inline list — on BM_RingLookup's ring and rf split.
+  const auto topo = net::Topology::balanced(84, 2);
+  cluster::TokenRing ring(topo, static_cast<int>(state.range(0)), 42);
+  const cluster::DcCounts rf_per_dc{2, 1};
+  std::vector<cluster::ReplicaList> table(ring.vnode_count());
+  for (std::size_t a = 0; a < table.size(); ++a) {
+    ring.replicas_at(a, rf_per_dc, table[a]);
+  }
+  Rng rng(1);
+  cluster::ReplicaList out;
+  for (auto _ : state) {
+    out = table[ring.arc_of(cluster::TokenRing::token_for(rng.next()))];
+    benchmark::DoNotOptimize(out.begin());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PlacementLookup)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

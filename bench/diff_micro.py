@@ -16,6 +16,8 @@ google-benchmark's tools/compare.py does:
     --threshold, or either side has fewer than 3 repetitions. The numbers
     cannot tell a change of that size from noise, so the row is reported
     but does not fail.
+  * (new): a benchmark only the candidate has. Its median is printed with
+    nothing to compare it to; it never fails.
 
 Only meaningful for reports produced on the same host: cross-machine
 numbers differ for reasons that have nothing to do with the code. So the
@@ -102,9 +104,10 @@ def main():
         print("diff_micro: no common benchmarks between reports", file=sys.stderr)
         return 1
 
+    only_cand = sorted(set(cand) - set(base))
     regressions = []
     unresolved = 0
-    width = max(len(n) for n in shared)
+    width = max(len(n) for n in shared + only_cand)
     print(f"{'benchmark':<{width}}  {'base med':>12}  {'base IQR':>8}  "
           f"{'cand med':>12}  {'reps':>5}  delta")
     for name in shared:
@@ -125,6 +128,11 @@ def main():
             flag = "  << REGRESSION"
         print(f"{name:<{width}}  {old:>12.4g}  {old_iqr:>8.1%}  {new:>12.4g}  "
               f"{len(old_values):>2}/{len(new_values):<2}  {change:+7.1%}{flag}")
+    for name in only_cand:
+        new_values = cand[name][2]
+        new, _ = spread(new_values)
+        print(f"{name:<{width}}  {'-':>12}  {'-':>8}  {new:>12.4g}  "
+              f"{'-':>2}/{len(new_values):<2}  {'(new)':>7}")
 
     only_base = sorted(set(base) - set(cand))
     if only_base:

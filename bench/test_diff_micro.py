@@ -4,12 +4,14 @@
 Writes small google-benchmark reports with five repetitions per benchmark
 and checks diff_micro's verdicts: a clean pair passes, a real median
 regression fails, a baseline noisier than the bound is reported as
-"unresolved" without failing, and a report from another host is refused.
+"unresolved" without failing, a candidate-only benchmark is shown as "(new)"
+with its median without failing, and a report from another host is refused.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,7 +55,8 @@ STEADY = [100.0, 101.0, 99.0, 100.5, 99.5]
 
 def main():
     cases = [
-        # (name, baseline rows, candidate rows, host, exit code, must print)
+        # (name, baseline rows, candidate rows, host, exit code, regex the
+        # output must match)
         ("clean pair", {"BM_A": STEADY},
          {"BM_A": [99.0, 98.5, 100.0, 99.2, 98.8]}, HOST, 0, "OK"),
         ("real regression", {"BM_A": STEADY},
@@ -62,6 +65,14 @@ def main():
         # median (and a last repetition 40% down) cannot be told from noise.
         ("noisy baseline", {"BM_A": [70.0, 85.0, 100.0, 115.0, 130.0]},
          {"BM_A": [78.0, 80.0, 82.0, 79.0, 60.0]}, HOST, 0, "unresolved"),
+        # BM_B exists only in the candidate: listed with its median (1.5e+04)
+        # and never a failure, beside a clean and a regressed shared row.
+        ("new row", {"BM_A": STEADY},
+         {"BM_A": STEADY, "BM_B": [15000.0, 14000.0, 16000.0, 15500.0, 14500.0]},
+         HOST, 0, r"BM_B +- +- +1\.5e\+04 +-/5 +\(new\)"),
+        ("new row beside a regression", {"BM_A": STEADY},
+         {"BM_A": [80.0, 81.0, 79.0, 80.5, 79.5], "BM_B": STEADY},
+         HOST, 1, r"BM_B .*\(new\)"),
         ("host mismatch", {"BM_A": STEADY}, {"BM_A": STEADY},
          {**HOST, "num_cpus": 8}, 2, "different hosts"),
     ]
@@ -69,7 +80,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, base, cand, host, want_code, want_text in cases:
             code, text = run(tmp, report(base), report(cand, host))
-            ok = code == want_code and want_text in text
+            ok = code == want_code and re.search(want_text, text) is not None
             print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {code} "
                   f"(want {want_code}, {want_text!r})")
             if not ok:

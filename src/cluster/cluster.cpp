@@ -99,7 +99,6 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
     auto st = std::make_unique<ShardState>();
     st->id = s;
     st->rng = sim.fork_rng(0xC1D2E3F4ULL + s);
-    st->replica_cache.resize(kReplicaCacheSize);
     if (deferred_) {
       // Pre-grow the pools: remote shards read pinned write records through
       // get() while the home shard acquires/releases, which is only race-free
@@ -118,6 +117,10 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
         static_cast<std::size_t>(rf_per_dc_[d]) <=
             topo_.nodes_in_dc(static_cast<net::DcId>(d)).size(),
         "NTS rf split exceeds a DC's node count");
+  }
+  placement_.resize(ring_.vnode_count());
+  for (std::size_t a = 0; a < placement_.size(); ++a) {
+    ring_.replicas_at(a, rf_per_dc_, placement_[a]);
   }
   nodes_.reserve(cfg_.node_count);
   for (std::size_t i = 0; i < cfg_.node_count; ++i) {
@@ -166,23 +169,6 @@ Node& Cluster::node(net::NodeId id) {
   return *nodes_[id];
 }
 
-void Cluster::place(Key key, ReplicaList& out) const {
-  ring_.replicas_nts(key, rf_per_dc_, out);
-}
-
-const ReplicaList& Cluster::replicas_for(Key key) const {
-  // Direct-mapped cache keyed by the key's token hash; the ring walk only
-  // runs on a miss (cold key or index collision). Per shard: placement is
-  // identical everywhere, but sharing one cache would race.
-  ReplicaCacheEntry& e =
-      here().replica_cache[TokenRing::token_for(key) & (kReplicaCacheSize - 1)];
-  if (e.valid && e.key == key) return e.replicas;
-  place(key, e.replicas);
-  e.key = key;
-  e.valid = true;
-  return e.replicas;
-}
-
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   for (const auto& n : nodes_) {
     HARMONY_CHECK_MSG(n->store().key_count() == 0,
@@ -199,11 +185,8 @@ void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
     b = {count, seq0, stride, size,
          std::vector<std::uint64_t>((count + 63) / 64)};
   }
-  // One cold ring walk per key; the replica cache would only churn.
-  ReplicaList replicas;
   for (std::uint64_t k = 0; k < count; ++k) {
-    place(k, replicas);
-    for (const net::NodeId r : replicas) {
+    for (const net::NodeId r : replicas_for(k)) {
       bases[r].bits[k >> 6] |= 1ULL << (k & 63);
     }
   }
@@ -1607,7 +1590,7 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
       }
     }
 
-    const auto replicas = replicas_for(key);
+    const ReplicaList& replicas = replicas_for(key);
     Version newest = kNoVersion;
     std::uint32_t newest_size = 0;
     for (const net::NodeId r : replicas) {

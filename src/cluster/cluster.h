@@ -39,9 +39,10 @@
 // TokenRing token ranges (see cluster/shard_map.h) — the cluster routes
 // every typed event to the shard owning the state its handler touches and
 // keeps ALL mutable request-path state per shard (ShardState below): RNG
-// stream, pending-request pools, hint store, replica cache, net/latency
-// stats, counters, anti-entropy dirty set. An operation on key k from DC d
-// executes on ShardMap::home_shard(d, k); replicas of one key may live on
+// stream, pending-request pools, hint store, net/latency stats, counters,
+// anti-entropy dirty set (placement is one immutable table every shard
+// reads). An operation on key k from DC d executes on
+// ShardMap::home_shard(d, k); replicas of one key may live on
 // *other* shards of the same DC, so write fan-out legs can be intra-DC
 // cross-shard events — the configured lookahead must therefore be a floor on
 // every link class that can cross shards (the intra-DC floors too once any
@@ -371,14 +372,14 @@ class Cluster {
   }
   Node& node(net::NodeId id);
 
-  /// Replica set for `key` (placement order). Served from a fixed-size
-  /// direct-mapped cache: placement is a pure function of key, ring and rf
-  /// — all fixed at construction, liveness is not an input — so hot keys
-  /// skip the ring walk entirely and entries never go stale. The reference
-  /// is valid until the next replicas_for call (callers on the request path
-  /// copy the 40-byte list into their pending state). Sharded runs keep one
-  /// cache per shard.
-  const ReplicaList& replicas_for(Key key) const;
+  /// Replica set for `key` (placement order): its arc's entry in the
+  /// placement table. Placement is a pure function of the key's arc, the
+  /// ring and rf — all fixed at construction, liveness is not an input — so
+  /// the table is built once and read by every shard. The reference is valid
+  /// for the cluster's lifetime.
+  const ReplicaList& replicas_for(Key key) const {
+    return placement_[ring_.arc_of(TokenRing::token_for(key))];
+  }
 
   /// Event shards the cluster routes across (1 unless the owning simulation
   /// was configured with per-DC shards).
@@ -595,19 +596,6 @@ class Cluster {
   using WriteHandle = SlotPool<PendingWrite>::Handle;
   using ReadHandle = SlotPool<PendingRead>::Handle;
 
-  // Key -> replica set cache (direct-mapped, power-of-two). Placement depends
-  // only on the ring and rf, both immutable after construction (kill/revive
-  // change liveness, not placement), so entries never need flushing. Sized
-  // so conflict misses stay rare for zipfian working sets of tens of
-  // thousands of hot keys (~900KB; a miss is a full ring walk, ~two orders
-  // of magnitude dearer).
-  struct ReplicaCacheEntry {
-    Key key = 0;
-    bool valid = false;
-    ReplicaList replicas;
-  };
-  static constexpr std::size_t kReplicaCacheSize = 16384;
-
   /// One deferred staleness-oracle call (shard_count > 1 only). Per-shard
   /// logs are appended in that shard's execution order; the barrier replay
   /// K-way-merges them by (at, seq) — the exact serial call order, which is
@@ -690,7 +678,6 @@ class Cluster {
     net::NetStats net_stats;
     SlotPool<PendingWrite> pending_writes;
     SlotPool<PendingRead> pending_reads;
-    std::vector<ReplicaCacheEntry> replica_cache;
     DeferredLogs logs[2];  ///< indexed by live_log_ / its complement
     /// Keys written since this shard's last anti-entropy sweep (shard 0's
     /// set is the historical global one when unsharded).
@@ -717,8 +704,6 @@ class Cluster {
     return n;
   }
 
-  /// Ring walk behind replicas_for (and the preload's cold pass).
-  void place(Key key, ReplicaList& out) const;
   /// An alive coordinator for a request from `dc`: one in `dc` when any is
   /// alive, else (serial runs) any alive node; -1 when no node is alive.
   int pick_coordinator(net::DcId dc, Rng& rng);
@@ -836,6 +821,10 @@ class Cluster {
   ClusterObserver* observer_ = nullptr;
 
   DcCounts rf_per_dc_;    // cfg_.rf_per_dc(), computed once
+  /// placement_[a]: the replica list of every key in ring arc a (see
+  /// TokenRing::arc_of), one NTS walk per arc at construction. Immutable, so
+  /// every shard reads it without synchronization.
+  std::vector<ReplicaList> placement_;
 
   /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
   std::vector<std::unique_ptr<ShardState>> shards_;

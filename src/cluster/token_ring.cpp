@@ -40,6 +40,8 @@ TokenRing::TokenRing(const net::Topology& topo, int vnodes_per_node,
   // Skip table for NTS cursor seeding (see header). Built back-to-front so
   // each position inherits the successor's "next" until a DC vnode overrides.
   const std::size_t n = ring_.size();
+  HARMONY_CHECK_MSG(n < (std::uint64_t{1} << 32),
+                    "ring size must fit the u32 ring indexes");
   std::vector<std::uint32_t> local_idx(n);
   std::vector<std::uint32_t> counter(topo.dc_count(), 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -55,29 +57,36 @@ TokenRing::TokenRing(const net::Topology& topo, int vnodes_per_node,
     }
     next_in_dc_[topo.dc_of(ring_[i].node)][i] = local_idx[i];
   }
+
+  // Radix index for arc_of (see header), filled in one merge pass over the
+  // bucket starts and the sorted ring.
+  unsigned bits = 1;
+  while ((std::uint64_t{1} << bits) < 2 * static_cast<std::uint64_t>(n)) ++bits;
+  arc_shift_ = 64 - bits;
+  arc_index_.resize(std::size_t{1} << bits);
+  std::uint32_t first = 0;
+  for (std::size_t b = 0; b < arc_index_.size(); ++b) {
+    const std::uint64_t bucket = static_cast<std::uint64_t>(b) << arc_shift_;
+    while (first < n && ring_[first].token < bucket) ++first;
+    arc_index_[b] = first;
+  }
 }
 
 std::uint64_t TokenRing::token_for(Key key) { return mix64(key); }
 
-std::size_t TokenRing::first_at_or_after(std::uint64_t token) const {
-  const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), token,
-      [](const VNode& v, std::uint64_t t) { return v.token < t; });
-  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
-}
-
-void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
-                             ReplicaList& out) const {
+void TokenRing::replicas_at(std::size_t arc, const DcCounts& rf_per_dc,
+                            ReplicaList& out) const {
   const std::size_t dcs = rf_per_dc.size();
   HARMONY_CHECK(dcs == topo_->dc_count());
   HARMONY_CHECK_MSG(dcs <= kMaxDcs, "dc_count exceeds kMaxDcs");
+  HARMONY_CHECK(arc < ring_.size());
   out.clear();
-  const std::uint64_t t = token_for(key);
+  const std::uint64_t t = ring_[arc].token;
 
   // One cursor per DC that still owes replicas; placement within a DC is the
   // clockwise walk over that DC's own vnodes, and the global interleaved
   // order is recovered by always advancing the cursor whose current vnode is
-  // nearest clockwise from the key's token.
+  // nearest clockwise from the arc's token.
   struct Cursor {
     const std::vector<VNode>* ring;
     std::size_t idx;
@@ -87,7 +96,6 @@ void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
     int wanted;
   };
   SmallVec<Cursor, kMaxDcs> cursors;
-  const std::size_t start = first_at_or_after(t);
   for (std::size_t d = 0; d < dcs; ++d) {
     HARMONY_CHECK_MSG(
         static_cast<std::size_t>(rf_per_dc[d]) <=
@@ -95,7 +103,7 @@ void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
         "per-DC rf exceeds DC size");
     if (rf_per_dc[d] <= 0) continue;
     const std::vector<VNode>& ring = dc_ring_[d];
-    std::size_t idx = next_in_dc_[d][start];
+    std::size_t idx = next_in_dc_[d][arc];
     if (idx == ring.size()) idx = 0;  // wrap past the last token
     cursors.push_back(Cursor{&ring, idx, 0, ring[idx].token - t,
                              static_cast<net::DcId>(d), rf_per_dc[d]});

@@ -2,8 +2,11 @@
 // NetworkTopologyStrategy placement: per-datacenter replica counts, each DC's
 // replicas chosen clockwise within that DC, in global clockwise order.
 //
-// Hot-path design: placement runs millions of times per experiment, so the
-// ring keeps a per-DC index (each DC's vnodes in token order) and merges
+// Placement depends only on a token's arc — the first vnode at or after it —
+// so a ring of n vnodes has only n distinct replica lists. arc_of() finds the
+// arc in O(1) through a radix index over the token's top bits; replicas_at()
+// walks the ring once per arc (Cluster tabulates every arc at construction).
+// The walk keeps a per-DC index (each DC's vnodes in token order) and merges
 // those DC-local walks by clockwise distance instead of scanning the global
 // ring past foreign-DC vnodes. Replica sets are produced into fixed-capacity
 // inline lists (ReplicaList) — no heap allocation per lookup.
@@ -58,7 +61,28 @@ class TokenRing {
   /// NetworkTopologyStrategy placement: rf_per_dc[d] replicas in DC d,
   /// written into `out`. Order: clockwise from the token, so the "primary"
   /// replica comes first.
-  void replicas_nts(Key key, const DcCounts& rf_per_dc, ReplicaList& out) const;
+  void replicas_nts(Key key, const DcCounts& rf_per_dc,
+                    ReplicaList& out) const {
+    replicas_at(arc_of(token_for(key)), rf_per_dc, out);
+  }
+
+  /// NTS placement of every token in arc `arc` (see arc_of). Ranking vnodes
+  /// by clockwise distance from any token of the arc gives the clockwise
+  /// order from ring index `arc`, so the walk ranks from the arc's own token.
+  void replicas_at(std::size_t arc, const DcCounts& rf_per_dc,
+                   ReplicaList& out) const;
+
+  /// The arc holding `token`: the ring index of the first vnode at or after
+  /// it, 0 past the last vnode — std::lower_bound over vnodes(), wrapped.
+  /// The radix entry is the first vnode at or after the token's bucket
+  /// start; the scan skips the bucket's vnodes below the token (fewer than
+  /// one on average: the index has at least two buckets per vnode).
+  std::uint32_t arc_of(std::uint64_t token) const {
+    const auto n = static_cast<std::uint32_t>(ring_.size());
+    std::uint32_t i = arc_index_[token >> arc_shift_];
+    while (i < n && ring_[i].token < token) ++i;
+    return i == n ? 0 : i;
+  }
 
   std::size_t vnode_count() const { return ring_.size(); }
 
@@ -78,11 +102,13 @@ class TokenRing {
   std::vector<std::vector<VNode>> dc_ring_;  // per-DC vnodes, same order
   // Skip table: next_in_dc_[d][g] is the dc_ring_[d] index of DC d's first
   // vnode at global ring position >= g (== dc_ring_[d].size() means "wrap to
-  // 0"). Lets NTS seed all DC cursors from ONE global binary search.
+  // 0"). Lets NTS seed all DC cursors from the arc's global index.
   std::vector<std::vector<std::uint32_t>> next_in_dc_;
-
-  /// Global ring index of the first vnode at or after `token` (0 on wrap).
-  std::size_t first_at_or_after(std::uint64_t token) const;
+  // Radix index behind arc_of: 2^b entries, b the smallest width with
+  // 2^b >= 2 * vnode_count(); entry i is the first ring index whose token is
+  // >= i << arc_shift_ (== vnode_count() past the last token).
+  std::vector<std::uint32_t> arc_index_;
+  unsigned arc_shift_ = 63;  // 64 - b
 };
 
 }  // namespace harmony::cluster

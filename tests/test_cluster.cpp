@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "reference/reference_ring.h"
 
 namespace harmony::cluster {
 namespace {
@@ -305,10 +306,11 @@ TEST(Cluster, DeterministicAcrossRuns) {
   EXPECT_FALSE(a == c);  // different seed, different trajectory
 }
 
-TEST(Cluster, ReplicaCacheSurvivesMembershipChanges) {
+TEST(Cluster, PlacementSurvivesMembershipChanges) {
   // Placement is a pure function of key, ring and rf — liveness is not an
-  // input — so the cache is never flushed and the preload base bitmaps never
-  // go stale: 1,000 keys' replica sets survive a kill and the revive.
+  // input — so the placement table is built once and the preload base
+  // bitmaps never go stale: 1,000 keys' replica sets survive a kill and the
+  // revive.
   sim::Simulation sim(5);
   Cluster c(sim, small_config());
   constexpr Key kKeys = 1000;
@@ -321,6 +323,53 @@ TEST(Cluster, ReplicaCacheSurvivesMembershipChanges) {
   c.revive_node(before[42][0]);
   for (Key k = 0; k < kKeys; ++k) {
     EXPECT_TRUE(c.replicas_for(k) == before[k]) << "after revive, key " << k;
+  }
+}
+
+// The per-arc placement table must serve, for every key, the textbook NTS
+// walk over the global ring (tests/reference/reference_ring.h) — for each rf
+// split, on the default kernel, one shard per DC and a key-range plan (the
+// table is shared by every shard).
+TEST(Cluster, PlacementTableMatchesReferenceWalk) {
+  struct Shape {
+    std::size_t nodes, dcs;
+    int rf;
+    std::vector<int> split;
+  };
+  const SimDuration lookahead = usec(150);
+  for (const Shape& shape :
+       {Shape{10, 2, 3, {2, 1}}, Shape{12, 3, 3, {1, 1, 1}},
+        Shape{10, 2, 5, {3, 2}}}) {
+    ClusterConfig cfg;
+    cfg.node_count = shape.nodes;
+    cfg.dc_count = shape.dcs;
+    cfg.rf = shape.rf;
+    ASSERT_EQ(cfg.rf_per_dc(), shape.split);
+    // Floors that let every kernel below accept the config.
+    cfg.latency.same_rack.floor = lookahead;
+    cfg.latency.same_dc.floor = lookahead;
+    cfg.latency.cross_dc.base = 2 * kMillisecond;
+    cfg.latency.cross_dc.floor = kMillisecond;
+    std::vector<std::uint32_t> key_range_plan(shape.dcs, 1);
+    key_range_plan[0] = 2;  // DC 0 split in two key-range shards
+    for (int kernel = 0; kernel < 3; ++kernel) {
+      sim::Simulation sim(40 + kernel);
+      if (kernel == 1) {
+        sim.configure_shards(static_cast<std::uint32_t>(shape.dcs),
+                             kMillisecond, 1);
+      } else if (kernel == 2) {
+        sim.configure_shards(key_range_plan, lookahead, 1);
+      }
+      Cluster c(sim, cfg);
+      for (Key k = 0; k < 10'000; ++k) {
+        const ReplicaList& served = c.replicas_for(k);
+        ASSERT_EQ(std::vector<net::NodeId>(served.begin(), served.end()),
+                  harmony::testing::reference_nts(c.ring(), c.topology(), k,
+                                                  shape.split))
+            << "rf " << shape.rf << " over " << shape.dcs << " DCs, kernel "
+            << kernel << ", key " << k;
+      }
+    }
   }
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cluster/shard_map.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "reference/reference_ring.h"
 
 namespace harmony::cluster {
@@ -140,6 +143,42 @@ TEST(TokenRing, NtsMatchesGlobalWalkReference) {
                   harmony::testing::reference_nts(ring, topo, k, rf_per_dc))
             << "nodes=" << nodes << " key=" << k;
       }
+    }
+  }
+}
+
+// arc_of's radix index must answer exactly what a binary search over the
+// sorted vnodes answers, wrapping past the last token to arc 0 — at every
+// vnode token, one either side of it, both ends of the token space and
+// random tokens, on rings from one vnode to 84 x 256.
+TEST(TokenRing, ArcOfMatchesLowerBound) {
+  struct Shape {
+    std::size_t nodes, dcs;
+    int vnodes_per_node;
+  };
+  for (const Shape shape : {Shape{1, 1, 1}, Shape{3, 1, 1}, Shape{10, 2, 16},
+                            Shape{84, 2, 256}}) {
+    const auto topo = net::Topology::balanced(shape.nodes, shape.dcs);
+    const TokenRing ring(topo, shape.vnodes_per_node, 31);
+    const auto& vnodes = ring.vnodes();
+    ASSERT_EQ(vnodes.size(), shape.nodes * shape.vnodes_per_node);
+    auto expected = [&vnodes](std::uint64_t token) -> std::size_t {
+      const auto it = std::lower_bound(
+          vnodes.begin(), vnodes.end(), token,
+          [](const TokenRing::VNode& v, std::uint64_t t) {
+            return v.token < t;
+          });
+      return it == vnodes.end() ? 0 : it - vnodes.begin();
+    };
+    std::vector<std::uint64_t> tokens = {0, ~0ULL};
+    for (const auto& v : vnodes) {
+      tokens.insert(tokens.end(), {v.token - 1, v.token, v.token + 1});
+    }
+    Rng rng(shape.nodes);
+    for (int i = 0; i < 10'000; ++i) tokens.push_back(rng.next());
+    for (const std::uint64_t t : tokens) {
+      ASSERT_EQ(ring.arc_of(t), expected(t))
+          << shape.nodes << "x" << shape.vnodes_per_node << " token " << t;
     }
   }
 }
