@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <iterator>
+#include <limits>
 
 #include "cluster/cluster.h"
 #include "cluster/token_ring.h"
@@ -86,7 +88,11 @@ void BM_PlacementLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementLookup)->Arg(8)->Arg(64)->Arg(256);
 
+// The three BM_EventQueue* rows time the closure lane: cancellable timeouts
+// and timers, a small share of a run's events. BM_TypedLane times the lane
+// that carries the rest.
 void BM_EventQueue(benchmark::State& state) {
+  // Closure lane, cold: a fresh Simulation (and queue) per 1,000 events.
   for (auto _ : state) {
     sim::Simulation sim(1);
     for (int i = 0; i < 1000; ++i) {
@@ -100,8 +106,8 @@ void BM_EventQueue(benchmark::State& state) {
 BENCHMARK(BM_EventQueue);
 
 void BM_EventQueueSteadyState(benchmark::State& state) {
-  // Slab and heap warmed once; measures the pure schedule+pop cycle the
-  // simulation main loop pays per event (zero allocations in steady state).
+  // Closure lane, warm: slab and heap grown once, then the schedule+pop
+  // cycle of a closure event (zero allocations in steady state).
   sim::Simulation sim(1);
   std::uint64_t ticks = 0;
   for (int i = 0; i < 4096; ++i) sim.schedule(i % 101, [&ticks] { ++ticks; });
@@ -120,7 +126,7 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 BENCHMARK(BM_EventQueueSteadyState);
 
 void BM_EventQueueCancelChurn(benchmark::State& state) {
-  // Schedule-then-cancel half the events: measures tombstone sweeping and
+  // Closure lane, schedule-then-cancel half the events: eager removal and
   // slot/generation recycling under heavy cancellation (timeout-style load).
   sim::Simulation sim(1);
   std::vector<sim::EventHandle> handles;
@@ -138,6 +144,48 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+void BM_TypedLane(benchmark::State& state) {
+  // The typed lane: pop the head and push it back with a new delay, so
+  // range(0) events stay in flight (a full run's mean typed queue size is
+  // ~50 on openloop_2m, ~210 on harmony_ec2 and ~690 on
+  // write_storm_faults). Delays cycle through a fixed table shaped like a
+  // run's typed-push delay histogram: 10% zero-delay, 5% past the timing
+  // wheel's 2^14 µs span (the far tier), the rest 1 µs to 11 ms.
+  static constexpr SimDuration kDelays[] = {
+      0,   0,   1,   3,     12,    40,    90,    150,   250,    400,
+      600, 800, 1100, 1500, 2000, 3000, 4500, 7000, 11000, 60000};
+  constexpr std::size_t kTable = std::size(kDelays);
+  constexpr std::size_t kStep = 7;  // coprime with kTable: visits every entry
+  constexpr int kBatch = 1024;
+  sim::EventQueue q;
+  std::size_t cursor = 0;
+  SimTime now = 0;
+  sim::TypedEvent ev;
+  ev.kind = sim::EventKind::kUserProbe;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    q.push_typed_stamped(kDelays[cursor], q.alloc_seq(), ev);
+    cursor = (cursor + kStep) % kTable;
+  }
+  const auto on_event = [&now](SimTime when, std::uint64_t) { now = when; };
+  const auto reschedule = [&](const sim::TypedEvent& e) {
+    q.push_typed_stamped(now + kDelays[cursor], q.alloc_seq(), e);
+    cursor = (cursor + kStep) % kTable;
+  };
+  constexpr SimTime kNoHorizon = std::numeric_limits<SimTime>::max();
+  // Warm-up: node and far-tier growth, and a steady mix of delays.
+  for (int i = 0; i < 64 * kBatch; ++i) {
+    q.run_before(kNoHorizon, on_event, reschedule);
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      q.run_before(kNoHorizon, on_event, reschedule);
+    }
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_TypedLane)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_StaleModelEval(benchmark::State& state) {
   core::StaleModelParams params;

@@ -5,10 +5,11 @@
 // "deliver read response for request H", and so on. Carrying those shapes as
 // type-erased closures (InlineFn) costs an indirect call, a capture
 // destructor, and a 144-byte slab-slot round trip per event. A TypedEvent is
-// instead a tagged-union POD small enough to ride *inline in the heap entry*:
-// scheduling is a plain 4-ary-heap push, firing is a switch dispatching
-// straight into the owning subsystem's member function, and there is nothing
-// to destroy or recycle afterwards.
+// instead a tagged-union POD small enough to ride *inline* in one cache-line
+// queue node (a timing-wheel node, or a far-tier heap entry past the wheel's
+// span; see sim/event_queue.h): scheduling is usually a slot append, firing
+// is a switch dispatching straight into the owning subsystem's member
+// function, and there is nothing to destroy or recycle afterwards.
 //
 // Lane-selection rules (see bench/README.md "Two-lane event kernel"):
 //   * typed lane — fixed-shape, non-cancellable, POD payload (the request
@@ -140,7 +141,8 @@ struct TypedEvent {
   } u{};
 };
 
-static_assert(sizeof(TypedEvent) == 48, "typed events must stay heap-inline");
+static_assert(sizeof(TypedEvent) == 48,
+              "typed events must stay inline in a 64-byte queue node");
 static_assert(offsetof(TypedEvent, u) == 16,
               "16-byte header precedes the payload union");
 static_assert(std::is_trivially_copyable_v<TypedEvent>);

@@ -4,9 +4,21 @@
 
 namespace harmony::sim {
 
-EventQueue::EventQueue() {
+EventQueue::EventQueue()
+    // Not filled: a slot's entry is read only while its occupancy bit is
+    // set, and every Simulation builds a queue.
+    : slot_tail_(std::make_unique_for_overwrite<std::uint32_t[]>(kWheelSlots)) {
   heap_.reserve(kChunkSize);
+  nodes_.reserve(kChunkSize);
   typed_heap_.reserve(kChunkSize);
+}
+
+std::uint32_t EventQueue::grow_nodes() {
+  HARMONY_CHECK_MSG(nodes_.size() < kNil, "timing wheel full");
+  // Warm-up only: steady state recycles nodes through the free list
+  // (alloc_guard-pinned).
+  nodes_.emplace_back();
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -46,6 +58,6 @@ EventHandle EventQueue::push(SimTime when, EventFn fn) {
   return EventHandle{this, s, sl.generation};
 }
 
-bool EventQueue::empty() const { return heap_.empty() && typed_heap_.empty(); }
+bool EventQueue::empty() const { return heap_.empty() && typed_empty(); }
 
 }  // namespace harmony::sim

@@ -21,8 +21,9 @@
 //      shard gets its seq from the *sender's* counter at schedule time —
 //      exactly the seq it would have received in the serial merge — and
 //      rides a fixed-capacity mailbox that the destination's worker drains
-//      into its own heap when the next window opens. Heap pop order depends
-//      only on (time, seq), so drain order is irrelevant.
+//      into its own queue when the next window opens. Pop order depends
+//      only on (time, seq) — a wheel slot keeps its events sorted by seq —
+//      so drain order is irrelevant.
 //   3. Fences. Operations that touch cross-shard state (fault injection:
 //      kill/revive/degrade) register their instant as a fence; the executor
 //      never lets a window span a fence and runs the fence instant in

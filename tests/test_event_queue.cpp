@@ -277,19 +277,23 @@ TEST(TypedLane, ReentrantDispatchCanSchedule) {
 }
 
 TEST(TypedLane, SteadyStateScheduleDispatchIsAllocationFree) {
+  // Every eighth event lies past the timing wheel's 2^14 µs span: it waits
+  // in the far tier and moves into the wheel as time reaches it, and
+  // neither step may allocate once warm.
+  constexpr SimDuration kPastSpan = 3 * (SimDuration{1} << 14);
   Simulation sim;
   sim.set_event_dispatcher(EventDomain::kUser, &record_probe);
   std::vector<std::uint32_t> sink;
   sink.reserve(1 << 20);
   for (int i = 0; i < 4096; ++i) {
-    sim.schedule_event(i % 101, probe(&sink, 1));
+    sim.schedule_event(i % 8 == 0 ? kPastSpan + i : i % 101, probe(&sink, 1));
   }
   sim.run();
 
   const harmony::testing::AllocGuard guard;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 64; ++i) {
-      sim.schedule_event(i % 13, probe(&sink, 2));
+      sim.schedule_event(i % 8 == 0 ? kPastSpan + i : i % 13, probe(&sink, 2));
     }
     sim.run();
   }

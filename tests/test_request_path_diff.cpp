@@ -16,6 +16,11 @@
 //     preload base against a map that loaded every base key explicitly:
 //     ties and near-ties with base versions, unset bits, keys past the
 //     base, and clears;
+//   * event-queue schedules — typed pushes from zero delay to several wheel
+//     spans (and one past 2^32 µs), stamped pushes with earlier-drawn seqs
+//     delivered shuffled as a mailbox drain does, closure pushes and
+//     cancels, peeks, and pops at random horizons, against one ordered map
+//     over both lanes;
 //   * full cluster runs — real traffic with kill/revive, hinted handoff,
 //     request timeouts, and write storms, mirrored through the oracle's trace
 //     sink into the reference oracle, with run fingerprints asserted
@@ -29,11 +34,14 @@
 // HARMONY_DIFF_EXTRA_SEEDS (comma-separated uint64s, logged on startup).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -42,21 +50,25 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/slot_pool.h"
+#include "reference/reference_event_queue.h"
 #include "reference/reference_histogram.h"
 #include "reference/reference_oracle.h"
 #include "reference/reference_pending_map.h"
 #include "reference/reference_store.h"
+#include "sim/event_queue.h"
 #include "sim/simulation.h"
 
 namespace harmony::testing {
 namespace {
 
 // Default schedule counts; the acceptance bar for this harness is >= 5000
-// randomized schedules per full run (3200 + 1500 + 600 + 400 + 40 = 5740).
+// randomized schedules per full run (3200 + 1500 + 600 + 400 + 2000 + 40 =
+// 7740).
 constexpr std::uint64_t kOracleSchedules = 3200;
 constexpr std::uint64_t kHistogramSchedules = 1500;
 constexpr std::uint64_t kPoolSchedules = 600;
 constexpr std::uint64_t kStoreSchedules = 400;
+constexpr std::uint64_t kEventQueueSchedules = 2000;
 constexpr std::uint64_t kClusterRuns = 40;
 
 constexpr double kPercentileGrid[] = {0,  0.1, 1,  10,   25,  50,
@@ -459,6 +471,218 @@ TEST(RequestPathDiff, PreloadBaseMatchesExplicitLoad) {
   run_block(0xBA5E0001ULL, kStoreSchedules);
   for (const auto seed : extra_seeds()) run_block(seed, 40);
   std::printf("[diff] preload-base schedules: %llu\n",
+              (unsigned long long)schedules);
+}
+
+// ------------------------------------------------------- event-queue diff
+
+/// The typed lane's wheel span, 2^14 µs: schedules push events just inside,
+/// at and just past it.
+constexpr SimDuration kWheelSpan = SimDuration{1} << 14;
+
+/// A push delay: zero, short, medium, around the wheel's span, several spans
+/// out (the far tier), or one of a few same-instant values.
+SimDuration draw_event_delay(Rng& rng) {
+  switch (rng.uniform_u64(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return 1 + static_cast<SimDuration>(rng.uniform_u64(63));
+    case 2:
+      return 64 + static_cast<SimDuration>(rng.uniform_u64(4032));
+    case 3:
+      return kWheelSpan - 2 + static_cast<SimDuration>(rng.uniform_u64(5));
+    case 4:
+      return static_cast<SimDuration>(rng.uniform_u64(8 * kWheelSpan + 1));
+    default:
+      return static_cast<SimDuration>(rng.uniform_u64(4));
+  }
+}
+
+/// One randomized schedule through sim::EventQueue and the naive twin: typed
+/// pushes, stamped pushes whose seqs were drawn earlier (some from sibling
+/// shards' streams) inserted shuffled as a mailbox drain does, closure
+/// pushes and cancels, peeks, and pops at random horizons. Every pop's
+/// (when, seq, lane, tag) and PopResult must match.
+void run_event_queue_schedule(std::uint64_t seed) {
+  using Ref = ReferenceEventQueue;
+  Rng rng(seed);
+  // What the real queue's last pop ran (declared before the queue: pending
+  // closures point at them).
+  Ref::Lane ran_lane = Ref::Lane::kTyped;
+  std::uint64_t ran_tag = 0;
+  sim::EventQueue q;
+  Ref ref;
+
+  // The queue draws seqs offset, offset + K, ... like shard `offset` of K.
+  const std::uint64_t stride = std::uint64_t{1} << rng.uniform_u64(3);
+  const std::uint64_t offset = rng.uniform_u64(stride);
+  q.set_seq_stream(offset, stride);
+  std::vector<std::uint64_t> stream_next(stride);  // per stream, in units of K
+  auto draw_seq = [&](std::uint64_t stream) {
+    if (stream != offset) {
+      // A sibling shard's stream runs close to this one's.
+      const std::uint64_t own = stream_next[offset];
+      const std::uint64_t lag = rng.uniform_u64(4);
+      stream_next[stream] =
+          std::max(stream_next[stream], own > lag ? own - lag : 0);
+    }
+    return stream + stride * stream_next[stream]++;
+  };
+
+  auto typed = [](std::uint64_t tag) {
+    sim::TypedEvent ev;
+    ev.kind = sim::EventKind::kUserProbe;
+    ev.u.raw[0] = tag;
+    return ev;
+  };
+  struct Held {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t tag;
+  };
+  std::vector<Held> held;  // stamped events not yet delivered
+  struct Timer {
+    sim::EventHandle handle;
+    SimTime when;
+    std::uint64_t seq;
+  };
+  std::vector<Timer> timers;
+  SimTime now = 0;  // time of the last pop
+  std::uint64_t next_tag = 1;
+
+  auto deliver_held = [&] {
+    for (std::size_t i = held.size(); i > 1; --i) {
+      std::swap(held[i - 1], held[rng.uniform_u64(i)]);
+    }
+    for (const Held& h : held) {
+      q.push_typed_stamped(h.when, h.seq, typed(h.tag));
+      ref.push(h.when, h.seq, Ref::Lane::kTyped, h.tag);
+    }
+    held.clear();
+  };
+  auto push_typed = [&](SimTime when) {
+    const std::uint64_t seq = draw_seq(offset);
+    ASSERT_EQ(q.alloc_seq(), seq);
+    q.push_typed_stamped(when, seq, typed(next_tag));
+    ref.push(when, seq, Ref::Lane::kTyped, next_tag++);
+  };
+  // One pop on both sides; true when both ran an event.
+  auto pop_once = [&](SimTime horizon) {
+    Ref::Event want;
+    const Ref::Result want_r = ref.run_before(horizon, want);
+    SimTime when = -1;
+    std::uint64_t seq = 0;
+    ran_tag = 0;
+    const auto got_r = q.run_before(
+        horizon,
+        [&](SimTime w, std::uint64_t s) {
+          when = w;
+          seq = s;
+        },
+        [&](const sim::TypedEvent& ev) {
+          ran_lane = Ref::Lane::kTyped;
+          ran_tag = ev.u.raw[0];
+        });
+    EXPECT_EQ(static_cast<int>(got_r), static_cast<int>(want_r))
+        << "pop result, horizon " << horizon;
+    if (got_r != sim::EventQueue::PopResult::kEvent ||
+        want_r != Ref::Result::kEvent) {
+      return false;
+    }
+    EXPECT_EQ(when, want.when);
+    EXPECT_EQ(seq, want.seq);
+    EXPECT_EQ(ran_lane, want.lane);
+    EXPECT_EQ(ran_tag, want.tag);
+    now = when;
+    return !::testing::Test::HasFailure();
+  };
+
+  const std::uint64_t steps = 100 + rng.uniform_u64(300);
+  const std::uint64_t far_step = rng.uniform_u64(steps);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    if (step == far_step) {
+      // Past 2^32 µs: slot indices come from the low bits of the time.
+      push_typed(now + (SimDuration{1} << 32) +
+                 static_cast<SimDuration>(rng.uniform_u64(kWheelSpan)));
+    }
+    const std::uint64_t action = rng.uniform_u64(100);
+    if (action < 35) {
+      push_typed(now + draw_event_delay(rng));
+    } else if (action < 50) {
+      const std::uint64_t stream =
+          rng.chance(0.5) ? offset : rng.uniform_u64(stride);
+      const std::uint64_t seq = draw_seq(stream);
+      if (stream == offset) {
+        ASSERT_EQ(q.alloc_seq(), seq);
+      }
+      held.push_back({now + draw_event_delay(rng), seq, next_tag++});
+    } else if (action < 60) {
+      const SimTime when = now + draw_event_delay(rng);
+      const std::uint64_t tag = next_tag++;
+      sim::EventHandle h = q.push(when, [&ran_lane, &ran_tag, tag] {
+        ran_lane = Ref::Lane::kClosure;
+        ran_tag = tag;
+      });
+      const std::uint64_t seq = draw_seq(offset);
+      ref.push(when, seq, Ref::Lane::kClosure, tag);
+      timers.push_back({h, when, seq});
+    } else if (action < 66) {
+      if (!timers.empty()) {
+        // A fired or already-cancelled timer cancels as a no-op on both.
+        const std::size_t i = rng.uniform_u64(timers.size());
+        timers[i].handle.cancel();
+        ref.cancel(timers[i].when, timers[i].seq);
+        timers[i] = timers.back();
+        timers.pop_back();
+      }
+    } else if (action < 74) {
+      SimTime w1 = -1, w2 = -1;
+      std::uint64_t s1 = 0, s2 = 0;
+      const bool got = q.peek_next(w1, s1);
+      ASSERT_EQ(got, ref.peek(w2, s2));
+      if (got) {
+        ASSERT_EQ(w1, w2);
+        ASSERT_EQ(s1, s2);
+      }
+    } else {
+      // A window opens: the mailbox drains, then events run.
+      deliver_held();
+      const std::uint64_t pick = rng.uniform_u64(10);
+      if (pick == 0) {
+        while (pop_once(std::numeric_limits<SimTime>::max())) {
+        }
+      } else {
+        const SimTime horizon =
+            pick == 1 ? now - 1 : now + draw_event_delay(rng);
+        const std::uint64_t pops = 1 + rng.uniform_u64(16);
+        for (std::uint64_t k = 0; k < pops && pop_once(horizon); ++k) {
+        }
+      }
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "at step " << step;
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  deliver_held();
+  while (pop_once(std::numeric_limits<SimTime>::max())) {
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(ref.size(), 0u);
+}
+
+TEST(RequestPathDiff, EventQueueMatchesReference) {
+  std::uint64_t schedules = 0;
+  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      run_event_queue_schedule(base + i);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "event-queue diff diverged at seed " << base + i;
+      ++schedules;
+    }
+  };
+  run_block(0xE7E17001ULL, kEventQueueSchedules);
+  for (const auto seed : extra_seeds()) run_block(seed, 200);
+  std::printf("[diff] event-queue schedules: %llu\n",
               (unsigned long long)schedules);
 }
 

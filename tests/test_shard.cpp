@@ -122,8 +122,8 @@ TEST(Mailbox, SteadyStatePushAndDrainAreAllocationFree) {
   TypedEvent ev;
   ev.kind = EventKind::kUserProbe;
 
-  // Warm the destination heap past the high-water mark the drain will hit
-  // (heap slabs grow on push and keep their capacity after draining).
+  // Warm the destination queue past the high-water mark the drain will hit
+  // (its wheel nodes grow on push and return to a free list on pop).
   EventQueue q;
   for (std::uint32_t i = 0; i < kCapacity; ++i)
     q.push_typed_stamped(static_cast<SimTime>(i), i, ev);
