@@ -13,9 +13,10 @@
 //      diurnal / flash-crowd rate envelopes, over a heavy-tailed (scrambled
 //      zipfian) population of simulated users. The flash window must lift
 //      offered load; the heavy-tailed gaps must fatten the queueing tail.
-//   3. Determinism: the whole engine re-run with the same seed, and sharded
-//      across 1/2/4 worker threads, must reproduce every ledger counter,
-//      histogram percentile, and event count exactly.
+//   3. Determinism: the whole engine re-run with the same seed, and one DC
+//      cut into four key-range shards run on 1/2/4 worker threads, must
+//      reproduce every ledger counter, histogram percentile, and event count
+//      exactly.
 //
 // Extra flags on top of bench_common.h:
 //   --smoke       CI-sized run: 1 seed, small population, short duration
@@ -333,29 +334,28 @@ int main(int argc, char** argv) {
   {
     bench::print_header(
         "Scale 3/3: determinism — reruns and shard threads",
-        "9 nodes / 3 DCs (1ms cross-DC floor), flash-crowd overload; the "
-        "same seed must reproduce every counter and percentile exactly for "
-        "reruns and for 1/2/4 shard worker threads — then again for a "
-        "single DC split into 4 key-range shards");
+        "8 nodes / 1 DC split into 4 key-range shards (150us intra-DC "
+        "floors), flash-crowd overload; the same seed must reproduce every "
+        "counter and percentile exactly for a rerun and for 1/2/4 shard "
+        "worker threads");
 
-    auto make = [&](unsigned threads) {
+    // One source per key-range shard, ownership-filtered key streams: 1/2/4
+    // workers must reproduce the merged-serial ledger exactly.
+    auto make_kr = [&](unsigned threads) {
       auto cfg = open_config(p, saturating, args.seed);
-      cfg.label = "threads=" + std::to_string(threads);
-      cfg.cluster.node_count = 9;
-      cfg.cluster.dc_count = 3;
-      cfg.cluster.latency.cross_dc.floor = kMillisecond;
+      cfg.label = "kr-threads=" + std::to_string(threads);
+      cfg.cluster.node_count = 8;
+      cfg.cluster.dc_count = 1;
+      cfg.cluster.latency.same_rack.floor = usec(150);
+      cfg.cluster.latency.same_dc.floor = usec(150);
       cfg.workload.open_loop.curve = workload::RateCurve::kFlashCrowd;
       cfg.workload.open_loop.flash_at = p.duration / 2;
       cfg.workload.open_loop.flash_ramp = p.duration / 10;
       cfg.workload.open_loop.flash_hold = p.duration / 5;
       cfg.num_shard_threads = threads;
+      cfg.shards_per_dc = 4;
       return cfg;
     };
-
-    const auto serial = workload::run_experiment(make(1));
-    const auto rerun = workload::run_experiment(make(1));
-    const auto two = workload::run_experiment(make(2));
-    const auto four = workload::run_experiment(make(4));
 
     // Every comparison is exact equality — "close" is a determinism bug.
     auto same = [](const workload::RunResult& a, const workload::RunResult& b,
@@ -381,42 +381,15 @@ int main(int argc, char** argv) {
       return ok;
     };
 
-    std::printf("baseline threads=1: %llu arrivals, %llu events, read p99 %s\n",
-                static_cast<unsigned long long>(serial.open_loop.arrivals),
-                static_cast<unsigned long long>(serial.sim_events),
-                format_duration(serial.read_latency.percentile(99)).c_str());
-    bool pass = ledger_conserved(serial.open_loop, "threads=1");
-    pass &= same(serial, rerun, "rerun, same seed");
-    pass &= same(serial, two, "2 shard threads");
-    pass &= same(serial, four, "4 shard threads");
-
-    // Key-range variant: a *single-DC* open-loop run split into 4 key-range
-    // shards (one source per shard, ownership-filtered key streams). PR 8
-    // could not thread this topology at all; the determinism bar is the
-    // same — 1/2/4 workers reproduce the merged-serial ledger exactly.
-    auto make_kr = [&](unsigned threads) {
-      auto cfg = open_config(p, saturating, args.seed);
-      cfg.label = "kr-threads=" + std::to_string(threads);
-      cfg.cluster.node_count = 8;
-      cfg.cluster.dc_count = 1;
-      cfg.cluster.latency.cross_dc.floor = kMillisecond;
-      cfg.cluster.latency.same_rack.floor = usec(150);
-      cfg.cluster.latency.same_dc.floor = usec(150);
-      cfg.workload.open_loop.curve = workload::RateCurve::kFlashCrowd;
-      cfg.workload.open_loop.flash_at = p.duration / 2;
-      cfg.workload.open_loop.flash_ramp = p.duration / 10;
-      cfg.workload.open_loop.flash_hold = p.duration / 5;
-      cfg.num_shard_threads = threads;
-      cfg.shards_per_dc = 4;
-      return cfg;
-    };
     const auto kr_serial = workload::run_experiment(make_kr(1));
+    const auto kr_rerun = workload::run_experiment(make_kr(1));
     const auto kr_two = workload::run_experiment(make_kr(2));
     const auto kr_four = workload::run_experiment(make_kr(4));
     std::printf("key-range 1 DC x 4 shards: %llu arrivals, %llu events\n",
                 static_cast<unsigned long long>(kr_serial.open_loop.arrivals),
                 static_cast<unsigned long long>(kr_serial.sim_events));
-    pass &= ledger_conserved(kr_serial.open_loop, "kr-threads=1");
+    bool pass = ledger_conserved(kr_serial.open_loop, "kr-threads=1");
+    pass &= same(kr_serial, kr_rerun, "key-range rerun, same seed");
     pass &= same(kr_serial, kr_two, "key-range, 2 threads");
     pass &= same(kr_serial, kr_four, "key-range, 4 threads");
 

@@ -68,29 +68,28 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   for (const int w : cfg_.rf_per_dc()) rf_per_dc_.push_back(w);
 
   // Per-shard request-path state. One instance when the simulation has a
-  // single shard (the default kernel); one per event shard otherwise (a shard per DC, or S_d key-range shards
-  // per DC when the simulation carries a shard plan). Shard RNGs fork before
-  // the node RNGs below, in shard order, so a single-shard cluster replays
-  // the historical master-RNG draw sequence byte for byte.
+  // single shard (the default kernel); otherwise one per key-range shard of
+  // the cluster's one DC. Shard RNGs fork before the node RNGs below, in
+  // shard order, so a single-shard cluster replays the historical
+  // master-RNG draw sequence byte for byte.
   const std::uint32_t shard_count = sim.shard_count();
   deferred_ = shard_count > 1;
   if (deferred_) {
-    // Validates the plan (one entry per DC summing to shard_count; without a
-    // plan, exactly one shard per DC) and maps nodes/key ranges to shards.
-    shard_map_.build(topo_, sim.shard_plan(), shard_count);
-    HARMONY_CHECK_MSG(cfg_.latency.cross_dc.floor >= sim.lookahead(),
-                      "conservative sharding needs every cross-DC link delay "
-                      ">= the configured lookahead (set cross_dc.floor)");
-    if (shard_map_.multi_shard_dc()) {
-      // Splitting a DC into key-range shards makes same-rack/same-DC hops
-      // (write fan-out, acks, repairs between co-located replicas) possible
-      // cross-shard events, so those latency classes need floors covering
-      // the lookahead too — not just cross-DC.
-      HARMONY_CHECK_MSG(cfg_.latency.same_rack.floor >= sim.lookahead() &&
-                            cfg_.latency.same_dc.floor >= sim.lookahead(),
-                        "key-range sharding makes intra-DC hops cross-shard: "
-                        "same_rack/same_dc floors must cover the lookahead");
-    }
+    // Sharded execution cuts one DC into S key-range shards: shard s owns
+    // nodes s, s + S, ... and the keys whose token falls in range s.
+    HARMONY_CHECK_MSG(cfg_.dc_count == 1,
+                      "sharded execution cuts one DC into key-range shards: "
+                      "dc_count must be 1");
+    HARMONY_CHECK_MSG(shard_count <= cfg_.node_count,
+                      "a DC cannot split into more shards than it has nodes "
+                      "(every shard needs a coordinator)");
+    // Replicas of one key live on several shards, so same-rack/same-DC hops
+    // (write fan-out, acks, repairs) are cross-shard events whose latency
+    // floors must cover the lookahead.
+    HARMONY_CHECK_MSG(cfg_.latency.same_rack.floor >= sim.lookahead() &&
+                          cfg_.latency.same_dc.floor >= sim.lookahead(),
+                      "key-range sharding makes intra-DC hops cross-shard: "
+                      "same_rack/same_dc floors must cover the lookahead");
   }
   shards_.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
@@ -138,16 +137,12 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   latency_mult_.assign(cfg_.node_count, 1.0);
   if (cfg_.resilience.admission_rate > 0) {
     // Buckets start full so a run's leading edge is not spuriously shed.
-    // Sharded: one bucket per shard carrying 1/S_d of its DC's rate and
-    // burst, so shards admit independently (no cross-shard bucket mutation)
-    // while the per-DC aggregate matches the configuration; S_d == 1 divides
-    // by 1.0 — exact, byte-identical to the per-DC buckets.
+    // Sharded: one bucket per shard carrying 1/S of the DC's rate and burst,
+    // so shards admit independently (no cross-shard bucket mutation) while
+    // the aggregate matches the configuration.
     admission_.resize(deferred_ ? shard_count : cfg_.dc_count);
+    const double split = deferred_ ? static_cast<double>(shard_count) : 1.0;
     for (std::size_t b = 0; b < admission_.size(); ++b) {
-      const double split =
-          deferred_ ? static_cast<double>(shard_map_.shards_in_dc(
-                          shard_map_.dc_of_shard(static_cast<std::uint32_t>(b))))
-                    : 1.0;
       admission_[b].rate = cfg_.resilience.admission_rate / split;
       admission_[b].burst = cfg_.resilience.admission_burst / split;
       admission_[b].tokens = admission_[b].burst;
@@ -216,11 +211,18 @@ int Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
   };
   if (deferred_) {
     // A node's coordinator state (service queue, busy time) is owned by
-    // exactly one shard, so the pick must stay inside the executing shard's
-    // node list — which IS the DC's list under the one-shard-per-DC plan
-    // (identical candidates, identical draw), and that shard's round-robin
-    // slice of it under key-range sharding.
-    const int sc = pick_from(shard_map_.nodes_of_shard(sim_->current_shard()));
+    // exactly one shard, so the pick stays inside the executing shard's
+    // nodes: s, s + S, s + 2S, ...
+    const std::uint32_t s = sim_->current_shard();
+    const auto stride = static_cast<std::uint32_t>(shards_.size());
+    const auto owned =
+        (static_cast<std::uint32_t>(topo_.node_count()) - s + stride - 1) /
+        stride;
+    const int sc = pick_from(
+        std::views::iota(std::uint32_t{0}, owned) |
+        std::views::transform([s, stride](std::uint32_t i) -> net::NodeId {
+          return s + i * stride;
+        }));
     HARMONY_CHECK_MSG(sc >= 0,
                       "sharded execution requires an alive coordinator in the "
                       "request's shard");
@@ -304,12 +306,6 @@ void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
                            ReplicaRequirement req, WriteCallback cb,
                            net::DcId origin_dc) {
   ShardState& st = here();
-  // The workload layer routes each operation to home_shard(client_dc, key);
-  // the cluster only asserts the shard belongs to the client's DC (request
-  // state lives here, the coordinator pool is this shard's node list).
-  HARMONY_CHECK_MSG(
-      !deferred_ || shard_map_.dc_of_shard(sim_->current_shard()) == client_dc,
-      "sharded writes must be issued from a shard of the client's DC");
   // Acquired slots come back in default state (release resets them), so only
   // the non-default fields need touching.
   HARMONY_CHECK_MSG(!deferred_ ||
@@ -328,9 +324,6 @@ void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
   w->local_only = req.local_only;
   w->each_quorum = req.each_quorum;
   w->cross_origin = origin_dc != kSameOrigin && origin_dc != client_dc;
-  HARMONY_CHECK_MSG(!deferred_ || !w->cross_origin,
-                    "cross-origin (DC failover) clients would issue into a "
-                    "foreign shard; serial-only");
   w->cb = std::move(cb);
 
   account_client(kMessageOverheadBytes + size, w->cross_origin);
@@ -650,10 +643,6 @@ void Cluster::write_deliver(WriteHandle h) {
 void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
                           ReadCallback cb, net::DcId origin_dc) {
   ShardState& st = here();
-  // See client_write: issuing shard must belong to the client's DC.
-  HARMONY_CHECK_MSG(
-      !deferred_ || shard_map_.dc_of_shard(sim_->current_shard()) == client_dc,
-      "sharded reads must be issued from a shard of the client's DC");
   HARMONY_CHECK_MSG(!deferred_ ||
                         st.pending_reads.live() < st.pending_reads.capacity(),
                     "sharded_slot_reserve exhausted (pending reads)");
@@ -665,9 +654,6 @@ void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
   r->needed = req.count;
   r->each_quorum = req.each_quorum;
   r->cross_origin = origin_dc != kSameOrigin && origin_dc != client_dc;
-  HARMONY_CHECK_MSG(!deferred_ || !r->cross_origin,
-                    "cross-origin (DC failover) clients would issue into a "
-                    "foreign shard; serial-only");
   r->cb = std::move(cb);
   // local_only reads restrict the contact set; encode via needed_per_dc.
   if (req.local_only) {
@@ -941,7 +927,7 @@ void Cluster::observe_read_rtt(ShardState& st, SimDuration rtt) {
 }
 
 SimDuration Cluster::admit(net::DcId dc) {
-  // Rate and burst live in the bucket: per DC unsharded, per shard (1/S_d of
+  // Rate and burst live in the bucket: per DC unsharded, per shard (1/S of
   // the DC's configuration) sharded.
   TokenBucket& b = admission_bucket(dc);
   const SimTime now = sim_->now();
@@ -1449,13 +1435,13 @@ void Cluster::revive_dc(net::DcId dc) {
 }
 
 void Cluster::schedule_fault(const FaultSpec& f) {
-  // DC-scoped blackouts force cross-DC coordinator failover, which a sharded
-  // run cannot express (requests may not leave their shard).
+  // A sharded run's one DC going dark leaves no shard a coordinator
+  // (requests may not leave their shard), so blackouts stay serial-only.
   HARMONY_CHECK_MSG(
       !deferred_ ||
           (f.op != FaultOp::kDcBlackout && f.op != FaultOp::kDcRestore),
-      "DC blackout faults are serial-only (coordinators must stay in the "
-      "client's DC under shard_count > 1)");
+      "DC blackout faults are serial-only (every shard needs an alive "
+      "coordinator under shard_count > 1)");
   TypedEvent ev = cluster_event(EventKind::kFault, this);
   ev.node = f.node;
   ev.u.fault = {static_cast<std::uint32_t>(f.op),

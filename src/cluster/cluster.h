@@ -34,21 +34,19 @@
 //     the typed event lane, so every fault scenario is seed-reproducible.
 //
 // Sharded execution (docs/INVARIANTS.md "Cross-shard determinism"): when the
-// owning Simulation is partitioned into event shards — one per DC, or a
-// DC -> shard-count plan splitting DC d into S_d key-range shards over
-// TokenRing token ranges (see cluster/shard_map.h) — the cluster routes
-// every typed event to the shard owning the state its handler touches and
-// keeps ALL mutable request-path state per shard (ShardState below): RNG
-// stream, pending-request pools, hint store, net/latency stats, counters,
-// anti-entropy dirty set (placement is one immutable table every shard
-// reads). An operation on key k from DC d executes on
-// ShardMap::home_shard(d, k); replicas of one key may live on
-// *other* shards of the same DC, so write fan-out legs can be intra-DC
-// cross-shard events — the configured lookahead must therefore be a floor on
-// every link class that can cross shards (the intra-DC floors too once any
-// S_d > 1, not just cross-DC; the ctor checks this). Cross-shard interaction
-// happens only through scheduled events with at least that delay, plus the
-// carefully-fenced exceptions:
+// owning Simulation is partitioned into S >= 2 event shards, the cluster's
+// one DC is cut into S key-range shards over TokenRing token ranges. Shard s
+// owns nodes s, s + S, s + 2S, ... and every key whose token falls in range
+// s (home_shard). The cluster routes every typed event to the shard owning
+// the state its handler touches and keeps ALL mutable request-path state
+// per shard (ShardState below): RNG stream, pending-request pools, hint
+// store, net/latency stats, counters, anti-entropy dirty set (placement is
+// one immutable table every shard reads). An operation on key k executes on
+// home_shard(k); replicas of one key live on other shards, so write fan-out
+// legs are cross-shard events — the configured lookahead must be a floor on
+// the same-rack and same-DC link classes (the ctor checks this).
+// Cross-shard interaction happens only through scheduled events with at
+// least that delay, plus the carefully-fenced exceptions:
 //   * write legs executing on a replica's shard read the *pinned* fields of
 //     the home shard's pending record (key/value/coord/start — written before
 //     fan-out, immutable until every leg completed; pools are pre-grown so
@@ -71,8 +69,7 @@
 //   * anti-entropy keeps one dirty-key set per shard and runs its sweeps
 //     merged-serial at fenced instants every anti_entropy_period.
 // Remaining restrictions under shard_count > 1, each enforced by a contract
-// check: coordinators stay in the client's DC (no cross-DC failover
-// re-routing, no DC blackout faults), degrade factors >= 1.
+// check: one DC, no DC blackout faults, degrade factors >= 1.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +81,6 @@
 #include "cluster/consistency.h"
 #include "cluster/hinted_handoff.h"
 #include "cluster/node.h"
-#include "cluster/shard_map.h"
 #include "cluster/staleness_oracle.h"
 #include "cluster/token_ring.h"
 #include "cluster/versioned_value.h"
@@ -382,7 +378,7 @@ class Cluster {
   }
 
   /// Event shards the cluster routes across (1 unless the owning simulation
-  /// was configured with per-DC shards).
+  /// was configured with key-range shards).
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
@@ -433,17 +429,13 @@ class Cluster {
   void record_read_complete(SimDuration latency);
   void record_write_complete(SimDuration latency);
 
-  /// Key-range ownership: the shard an operation on `key` issued from DC
-  /// `dc` must execute on (0 when unsharded — everything lives on the one
-  /// shard). The workload layer routes per-shard clients and open-loop
-  /// sources with this.
-  std::uint32_t home_shard(net::DcId dc, Key key) const {
-    return deferred_ ? shard_map_.home_shard(dc, key) : 0;
-  }
-  /// The full key-range/node -> shard map (sharded runs only).
-  const ShardMap& shard_map() const {
-    HARMONY_CHECK_MSG(deferred_, "shard_map() is meaningful only when sharded");
-    return shard_map_;
+  /// Key-range ownership: the shard an operation on `key` must execute on
+  /// (0 when unsharded — everything lives on the one shard). The workload
+  /// layer routes per-shard clients and open-loop sources with this.
+  std::uint32_t home_shard(Key key) const {
+    return deferred_ ? TokenRing::range_of(TokenRing::token_for(key),
+                                           shard_count())
+                     : 0;
   }
 
   sim::Simulation& simulation() { return *sim_; }
@@ -692,11 +684,10 @@ class Cluster {
   ShardState& here() const { return *shards_[sim_->current_shard()]; }
   /// The executing shard's live log buffer (deferred mode).
   DeferredLogs& live_logs() const { return here().logs[live_log_]; }
-  /// The shard owning a node's replica state (ShardMap round-robin within
-  /// the node's DC — identical to "its DC" under the one-shard-per-DC plan),
-  /// 0 when unsharded.
+  /// The shard owning a node's replica state: nodes deal round-robin over
+  /// the shards (node n on shard n % S), 0 when unsharded.
   std::uint8_t shard_of(net::NodeId n) const {
-    return deferred_ ? shard_map_.node_shard(n) : 0;
+    return deferred_ ? static_cast<std::uint8_t>(n % shard_count()) : 0;
   }
   std::uint64_t sum(std::uint64_t ShardState::* m) const {
     std::uint64_t n = 0;
@@ -832,8 +823,6 @@ class Cluster {
   /// logs, write lifecycle legs route home as events, pools are pre-grown,
   /// and the sharded-restriction contract checks are armed.
   bool deferred_ = false;
-  /// Key-range/node -> shard ownership; built only when deferred.
-  ShardMap shard_map_;
   /// Window barriers seen so far (bumped by the seal); memoized merged
   /// accessors re-merge only when it moved. 0 = setup time.
   std::uint64_t barrier_epoch_ = 0;
@@ -859,11 +848,11 @@ class Cluster {
   std::uint64_t anti_entropy_repairs_ = 0;
 
   /// Admission token buckets (lazy refill on access), one per DC unsharded
-  /// and one per *shard* when sharded — each shard gets 1/S_d of its DC's
-  /// rate and burst, so the aggregate admitted rate matches the per-DC
-  /// configuration while bucket b is touched only by shard b (no cross-shard
-  /// mutation; with S_d == 1 the split is exact and byte-identical). Each
-  /// bucket carries its own rate/burst and is padded to a cache line.
+  /// and one per *shard* when sharded — each shard gets 1/S of the DC's
+  /// rate and burst, so the aggregate admitted rate matches the
+  /// configuration while bucket b is touched only by shard b (no
+  /// cross-shard mutation). Each bucket carries its own rate/burst and is
+  /// padded to a cache line.
   struct TokenBucket {
     double tokens = 0;
     SimTime last = 0;

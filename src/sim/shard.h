@@ -1,14 +1,14 @@
 // Sharded parallel execution for one Simulation.
 //
-// A Simulation can be partitioned into K event shards (the cluster layer maps
-// one datacenter to one shard). Each shard owns a full two-lane EventQueue, a
-// clock, and everything the handlers it runs will touch; shards only interact
-// through *scheduled events* whose network delay is at least `lookahead` (the
-// minimum cross-DC link latency). That bound is the classic conservative-
-// simulation guarantee (Chandy–Misra–Bryant): while every shard's clock sits
-// inside the window [T, T + lookahead), no shard can receive a new event
-// dated inside that window, so all K shards may run the window concurrently
-// with no communication at all.
+// A Simulation can be partitioned into K event shards (the cluster layer cuts
+// its one datacenter into K key-range shards). Each shard owns a full
+// two-lane EventQueue, a clock, and everything the handlers it runs will
+// touch; shards only interact through *scheduled events* whose network delay
+// is at least `lookahead` (the smaller intra-DC link floor). That bound is
+// the classic conservative-simulation guarantee (Chandy–Misra–Bryant): while
+// every shard's clock sits inside the window [T, T + lookahead), no shard can
+// receive a new event dated inside that window, so all K shards may run the
+// window concurrently with no communication at all.
 //
 // Determinism is the hard requirement, and it reduces to one rule: the merged
 // execution must equal the K-queue serial merge by (time, seq). Three

@@ -42,7 +42,7 @@ void Client::start() {
   sim.set_event_dispatcher(sim::EventDomain::kWorkload,
                            &Client::dispatch_event);
   // The whole closed loop (issue event, request callback, pacing closure)
-  // stays on the ctor-assigned shard (a key-range shard of the home DC).
+  // stays on the ctor-assigned shard (a key-range shard; 0 unsharded).
   const auto stagger = static_cast<SimDuration>(rng_.exponential(500.0));
   sim.schedule_event(stagger, issue_event(this, shard_));
 }

@@ -26,7 +26,7 @@ struct Op {
 
 /// The runner-side services a client needs. Runs inside the simulation loop:
 /// single-threaded by default, or — under sharded execution — on the worker
-/// thread of the client's home-DC shard. Implementations must keep any state
+/// thread of the client's key-range shard. Implementations must keep any state
 /// they mutate from these callbacks shard-local (see workload/runner.cpp).
 /// Clients report their measurements through Cluster::record_*, never to
 /// the monitor directly, so every run feeds the observer the same way.
@@ -54,8 +54,7 @@ class Client {
   /// `reroute_on_dc_outage` / `shed_retry_limit` mirror the WorkloadSpec
   /// resilience knobs (the runner forwards them). `shard` is the event shard
   /// the client's whole closed loop runs on: the runner homes each client on
-  /// one key-range shard of its DC (under the per-DC plan, the home DC's
-  /// shard id; 0 in a one-shard run).
+  /// one key-range shard of the single DC (0 in a one-shard run).
   Client(ClientEnv& env, net::DcId home_dc, double target_rate_per_s, Rng rng,
          bool reroute_on_dc_outage = false, int shed_retry_limit = 8,
          std::uint8_t shard = 0);
@@ -95,7 +94,7 @@ class Client {
   double target_rate_;
   Rng rng_;
   /// Event shard the client's issue loop runs on (ctor-assigned by the
-  /// runner: one key-range shard of the home DC; 0 unsharded).
+  /// runner: one key-range shard of the single DC; 0 unsharded).
   std::uint8_t shard_ = 0;
   SimTime last_issue_ = 0;
   /// Rate-paced clients: the op's *intended* issue time on the arrival grid.

@@ -53,8 +53,7 @@ void OpenLoopSource::start() {
   sim::Simulation& sim = env_->simulation();
   sim.set_event_dispatcher(sim::EventDomain::kWorkload,
                            &Client::dispatch_event);
-  key_filter_ = sim.shard_count() > 1 &&
-                env_->cluster().shard_map().shards_in_dc(dc_) > 1;
+  key_filter_ = sim.shard_count() > 1;
   // The first arrival lands one gap after t=0: sources de-synchronize
   // through their private RNG streams, no explicit stagger needed.
   schedule_next_arrival(0);
@@ -136,8 +135,8 @@ void OpenLoopSource::draw_op(Op& op) {
   if (op.type == OpType::kInsert) {
     // Interleaved per-source insert lane (same scheme as the sharded
     // closed-loop stream): key identity is independent of execution order.
-    // Under key-range sharding the lane contains keys other shards of the
-    // DC own; skip those (lanes are disjoint across sources, so a skipped
+    // Under key-range sharding the lane contains keys other shards own;
+    // skip those (lanes are disjoint across sources, so a skipped
     // key is simply never inserted — uniqueness holds). Ownership is ~1/S
     // per lane step, so the scan is geometric with mean S.
     for (int probe = 0;; ++probe) {
@@ -146,8 +145,7 @@ void OpenLoopSource::draw_op(Op& op) {
       op.key = spec_->record_count + insert_lane_ +
                next_insert_seq_ * insert_stride_;
       ++next_insert_seq_;
-      if (!key_filter_ ||
-          env_->cluster().home_shard(dc_, op.key) == shard_) {
+      if (!key_filter_ || env_->cluster().home_shard(op.key) == shard_) {
         break;
       }
     }
@@ -158,7 +156,7 @@ void OpenLoopSource::draw_op(Op& op) {
   // their own profile row with probability user_affinity, otherwise the
   // workload's request distribution supplies the key. Key-range sharded
   // sources rejection-sample until the draw lands in their own range (the
-  // whole draw repeats so the accept stream stays i.i.d.); at S_d == 1 the
+  // whole draw repeats so the accept stream stays i.i.d.); unsharded the
   // filter is off and RNG consumption is identical to the serial stream.
   int tries = 0;
   do {
@@ -171,8 +169,7 @@ void OpenLoopSource::draw_op(Op& op) {
     } else {
       op.key = keys_->next(rng_);
     }
-  } while (key_filter_ &&
-           env_->cluster().home_shard(dc_, op.key) != shard_);
+  } while (key_filter_ && env_->cluster().home_shard(op.key) != shard_);
 }
 
 void OpenLoopSource::on_arrival() {

@@ -21,11 +21,12 @@
 //   arrivals == completed + shed_queue_full + queued_at_end + in_flight_at_end
 // which tests assert exactly (see tests/test_open_loop.cpp).
 //
-// One source per client-hosting DC. Every piece of mutable state is owned by
-// the source and only touched from its home DC's event shard (arrival events
-// carry the shard id; the cluster delivers completion callbacks on the same
-// shard), so sharded runs (RunConfig::num_shard_threads) reproduce the serial
-// merge bit for bit — the same contract as the closed-loop clients.
+// One source per client-hosting DC, or one per key-range shard of the single
+// DC in a sharded run. Every piece of mutable state is owned by the source
+// and only touched from its event shard (arrival events carry the shard id;
+// the cluster delivers completion callbacks on the same shard), so sharded
+// runs (RunConfig::num_shard_threads) reproduce the serial merge bit for bit
+// — the same contract as the closed-loop clients.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,7 @@ class OpenLoopSource {
   /// `keys` is this source's private request distribution (clone per source);
   /// `users` is copied (the copy shares the already-computed zeta constants).
   /// `shard` is the event shard the source's whole loop runs on — under
-  /// key-range sharding one source exists per shard of each hosting DC, and
+  /// key-range sharding one source exists per shard of the single DC, and
   /// draw_op() keeps only keys that shard owns (rejection sampling for
   /// distribution draws, lane skip-scan for inserts); 0 in a one-shard run.
   OpenLoopSource(ClientEnv& env, net::DcId dc, const WorkloadSpec& spec,
@@ -136,9 +137,9 @@ class OpenLoopSource {
   ScrambledZipfianKeys users_;
   double props_[4] = {0, 0, 0, 0};  ///< op-type weights, OpType order
   std::uint8_t shard_ = 0;
-  /// True when the home DC splits into several key-range shards: draw_op()
-  /// then filters keys by Cluster::home_shard ownership. Off at S_d == 1,
-  /// where every draw is owned by construction (zero extra RNG pulls).
+  /// True in a sharded run: draw_op() then filters keys by
+  /// Cluster::home_shard ownership. Off unsharded, where every draw is
+  /// owned by construction (zero extra RNG pulls).
   bool key_filter_ = false;
   bool measuring_ = false;
   bool gen_done_ = false;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "workload/client.h"
 
 namespace harmony::workload {
@@ -31,15 +30,6 @@ class Runner final : public ClientEnv {
     HARMONY_CHECK_MSG(cfg_.policy_tick >= 0,
                       "policy_tick must be >= 0 (0 = never retune)");
     HARMONY_CHECK_MSG(cfg_.warmup >= 0, "warmup must be >= 0");
-    if (sim_.shard_count() > 1) {
-      // The remaining cross-shard restriction; RunConfig::num_shard_threads
-      // documents the full list of sharded semantic deltas. Monitor, policy
-      // ticks and trace capture are NOT restricted: they run off per-shard
-      // logs replayed in (time, seq) order (barriers / fenced instants).
-      HARMONY_CHECK_MSG(!cfg_.workload.reroute_on_dc_outage,
-                        "DC re-routing sends requests to a foreign shard's "
-                        "coordinator; not supported under shard_count > 1");
-    }
     monitor_.attach(cluster_, /*client_home_dc=*/0);
     policy::PolicyInit init;
     init.rf = cfg_.cluster.rf;
@@ -57,14 +47,14 @@ class Runner final : public ClientEnv {
       setup_open_loop();
     } else {
       // Clients, spread over every DC (or confined to one via client_dc).
-      // Each client is homed on one shard of its DC (round-robin over the
-      // DC's key-range shards), where its whole closed loop — and every key
-      // it touches — lives.
+      // Each client is homed on one key-range shard (round-robin; shard 0
+      // in a one-shard run), where its whole closed loop — and every key it
+      // touches — lives.
       for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
         if (!hosts_clients(d)) continue;
         for (int i = 0; i < cfg_.workload.clients_per_dc; ++i) {
           const std::uint32_t shard =
-              dc_shard_base(d) + static_cast<std::uint32_t>(i) % dc_shards(d);
+              static_cast<std::uint32_t>(i) % sim_.shard_count();
           clients_.push_back(std::make_unique<Client>(
               *this, static_cast<net::DcId>(d),
               cfg_.workload.target_rate_per_client,
@@ -137,16 +127,16 @@ class Runner final : public ClientEnv {
   /// The op stream: each shard lane owns a slice of the op budget, its own
   /// RNG stream and key distribution, and an interleaved insert-key lane
   /// (record_count + shard + n*shard_count) so shards never contend for a
-  /// key counter. Under key-range sharding (S_d > 1) the lane additionally
-  /// keeps only keys its shard owns: distribution draws are
-  /// rejection-sampled against Cluster::home_shard and the insert lane is
-  /// skip-scanned (unowned lane keys are simply never inserted — lanes are
-  /// disjoint, so uniqueness holds). At S_d == 1 the filter is off and RNG
-  /// consumption is identical to the per-DC scheme. Runs on the calling
-  /// client's shard thread; touches only that shard's LaneState.
+  /// key counter. Under key-range sharding the lane additionally keeps only
+  /// keys its shard owns: distribution draws are rejection-sampled against
+  /// Cluster::home_shard and the insert lane is skip-scanned (unowned lane
+  /// keys are simply never inserted — lanes are disjoint, so uniqueness
+  /// holds). Runs on the calling client's shard thread; touches only that
+  /// shard's LaneState.
   bool next_op(Op& op) override {
     const std::uint32_t shard = sim_.current_shard();
     LaneState& s = lane_[shard];
+    const bool key_filter = lane_.size() > 1;
     if (s.ops_issued >= s.ops_budget) return false;
     ++s.ops_issued;
     const WorkloadSpec& w = cfg_.workload;
@@ -164,7 +154,7 @@ class Runner final : public ClientEnv {
                           "insert-lane skip-scan found no owned key");
         op.key = w.record_count + shard + s.next_insert_seq * lane_.size();
         ++s.next_insert_seq;
-        if (!s.key_filter || cluster_.home_shard(s.dc, op.key) == shard) break;
+        if (!key_filter || cluster_.home_shard(op.key) == shard) break;
       }
       s.request_dist->grow(op.key + 1);
     } else {
@@ -174,7 +164,7 @@ class Runner final : public ClientEnv {
                           "key ownership rejection sampling did not converge "
                           "(degenerate key distribution vs shard ranges)");
         op.key = s.request_dist->next(s.op_rng);
-      } while (s.key_filter && cluster_.home_shard(s.dc, op.key) != shard);
+      } while (key_filter && cluster_.home_shard(op.key) != shard);
     }
     op.value_size = w.value_size;
     if (cfg_.record_trace) {
@@ -245,18 +235,12 @@ class Runner final : public ClientEnv {
 
   /// Per-shard workload state ("lane"): everything a client callback mutates
   /// lives here, indexed by the executing shard, so workers never share a
-  /// cache line let alone a counter. A one-shard run has one lane; under the
-  /// per-DC plan lane i is exactly DC i; under key-range sharding each DC
-  /// owns a contiguous lane range. Padded to a line for the adjacent-element
-  /// case.
+  /// cache line let alone a counter. A one-shard run has one lane; a
+  /// key-range sharded run has one per shard. Padded to a line for the
+  /// adjacent-element case.
   struct alignas(64) LaneState {
     Rng op_rng;
     std::unique_ptr<KeyDistribution> request_dist;
-    /// Owning DC of this shard lane.
-    net::DcId dc = 0;
-    /// True when the owning DC splits past one shard: next_op then keeps
-    /// only keys this shard owns.
-    bool key_filter = false;
     /// record_trace: this shard's issued ops, stamped for the collect-time
     /// stitch.
     std::vector<StampedTrace> trace;
@@ -281,9 +265,6 @@ class Runner final : public ClientEnv {
     std::map<int, std::uint64_t> read_level_usage;
   };
 
-  /// Runs in the constructor's member-init list: shards must be configured
-  /// after the Simulation exists but before the Cluster (or anything else)
-  /// schedules its first event.
   /// Sharded slot pools never grow mid-window, so their reserve must cover
   /// the worst-case in-flight population. The open-loop engine states that
   /// bound explicitly (max_in_flight_per_dc, one coordinator slot per op,
@@ -300,30 +281,32 @@ class Runner final : public ClientEnv {
     return c;
   }
 
+  /// Runs in the constructor's member-init list: shards must be configured
+  /// after the Simulation exists but before the Cluster (or anything else)
+  /// schedules its first event, and a shape that cannot run is rejected
+  /// here, before the run starts. The one sharded shape is a single DC cut
+  /// into shards_per_dc key-range shards. Replicas of a key sit on several
+  /// shards, so intra-DC hops cross shards and their floors bound the
+  /// conservative lookahead (loopback never crosses shards: src == dst node
+  /// => same shard).
   static sim::Simulation& shard_configured(sim::Simulation& sim,
                                            const RunConfig& cfg) {
     if (cfg.num_shard_threads > 0) {
+      HARMONY_CHECK_MSG(cfg.cluster.dc_count == 1,
+                        "sharded runs (num_shard_threads > 0) cut one DC into "
+                        "key-range shards: dc_count must be 1");
+      HARMONY_CHECK_MSG(cfg.shards_per_dc >= 2,
+                        "sharded runs (num_shard_threads > 0) need "
+                        "shards_per_dc >= 2 key-range shards");
       const auto& lat = cfg.cluster.latency;
-      SimDuration lookahead = lat.cross_dc.floor;
-      HARMONY_CHECK_MSG(lookahead > 0,
-                        "sharded runs derive their conservative lookahead "
-                        "from cluster.latency.cross_dc.floor; set it > 0");
-      const std::uint32_t splits = std::max(1u, cfg.shards_per_dc);
-      if (splits > 1) {
-        // Splitting a DC makes write fan-out legs intra-DC cross-shard
-        // events, so the lookahead must also respect the intra-DC floors
-        // (loopback never crosses shards: src == dst node => same shard).
-        HARMONY_CHECK_MSG(
-            lat.same_rack.floor > 0 && lat.same_dc.floor > 0,
-            "key-range sharding (shards_per_dc > 1) needs positive "
-            "same_rack/same_dc latency floors: intra-DC hops cross shards "
-            "and their floor bounds the conservative lookahead");
-        lookahead = std::min(
-            lookahead, std::min(lat.same_rack.floor, lat.same_dc.floor));
-      }
-      sim.configure_shards(
-          std::vector<std::uint32_t>(cfg.cluster.dc_count, splits), lookahead,
-          cfg.num_shard_threads);
+      HARMONY_CHECK_MSG(
+          lat.same_rack.floor > 0 && lat.same_dc.floor > 0,
+          "key-range sharding needs positive same_rack/same_dc latency "
+          "floors: intra-DC hops cross shards and their floor bounds the "
+          "conservative lookahead");
+      sim.configure_shards(cfg.shards_per_dc,
+                           std::min(lat.same_rack.floor, lat.same_dc.floor),
+                           cfg.num_shard_threads);
     }
     return sim;
   }
@@ -331,17 +314,6 @@ class Runner final : public ClientEnv {
   bool hosts_clients(std::size_t dc) const {
     return cfg_.workload.client_dc < 0 ||
            dc == static_cast<std::size_t>(cfg_.workload.client_dc);
-  }
-
-  /// DC d's shards are [dc_shard_base(d), dc_shard_base(d) + dc_shards(d)):
-  /// its key-range shards, or shard 0 alone in a one-shard run.
-  std::uint32_t dc_shard_base(std::size_t d) const {
-    if (sim_.shard_count() == 1) return 0;
-    return cluster_.shard_map().shard_base(static_cast<net::DcId>(d));
-  }
-  std::uint32_t dc_shards(std::size_t d) const {
-    if (sim_.shard_count() == 1) return 1;
-    return cluster_.shard_map().shards_in_dc(static_cast<net::DcId>(d));
   }
 
   void init_lanes() {
@@ -355,31 +327,18 @@ class Runner final : public ClientEnv {
       lane_[0].ops_budget = cfg_.workload.op_count;
       return;
     }
-    const cluster::ShardMap& map = cluster_.shard_map();
-    // Equal split of the op budget over the shards of client-hosting DCs;
-    // the remainder goes to the lowest shard ids so totals match op_count
-    // exactly. (Per-DC plan: one lane per DC.)
-    std::uint64_t active = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (hosts_clients(map.dc_of_shard(static_cast<std::uint32_t>(s)))) {
-        ++active;
-      }
-    }
-    std::uint64_t handed = 0;
+    // Equal split of the op budget over the shards of the one DC; the
+    // remainder goes to the lowest shard ids so totals match op_count
+    // exactly.
     for (std::size_t s = 0; s < n; ++s) {
       LaneState& lane = lane_[s];
-      lane.dc = map.dc_of_shard(static_cast<std::uint32_t>(s));
-      lane.key_filter = map.shards_in_dc(lane.dc) > 1;
       lane.op_rng = sim_.fork_rng(0x0FAB5EED + 0x9E37 * (s + 1));
       // Clone the already-built distribution instead of rebuilding: build()
       // re-runs the O(record_count) zeta harmonic sums per lane, clone()
       // just copies the finished constants (identical state either way).
       lane.request_dist = request_dist_->clone();
-      if (hosts_clients(lane.dc)) {
-        lane.ops_budget = cfg_.workload.op_count / active +
-                          (handed < cfg_.workload.op_count % active ? 1 : 0);
-        ++handed;
-      }
+      lane.ops_budget = cfg_.workload.op_count / n +
+                        (s < cfg_.workload.op_count % n ? 1 : 0);
     }
   }
 
@@ -413,12 +372,11 @@ class Runner final : public ClientEnv {
     }
   }
 
-  /// One OpenLoopSource per shard of each client-hosting DC (one per DC
-  /// under the per-DC plan and in a one-shard run) in place of the
-  /// closed-loop clients; each gets an equal share of the aggregate arrival
-  /// rate (DC share split over the DC's shards), its own RNG fork, a clone
-  /// of the shared request distribution, and an interleaved insert-key lane
-  /// (see workload/open_loop.h).
+  /// One OpenLoopSource per client-hosting DC in a one-shard run, or one
+  /// per key-range shard of the single DC when sharded, in place of the
+  /// closed-loop clients. Each gets an equal share of the aggregate arrival
+  /// rate, its own RNG fork, a clone of the shared request distribution,
+  /// and an interleaved insert-key lane (see workload/open_loop.h).
   void setup_open_loop() {
     const OpenLoopSpec& ol = cfg_.workload.open_loop;
     HARMONY_CHECK_MSG(cfg_.warmup < ol.duration,
@@ -435,23 +393,20 @@ class Runner final : public ClientEnv {
     // Partition ids name each source's insert lane and RNG fork: the shard
     // when sharded, the DC in a one-shard run (where every source shares
     // shard 0).
-    const bool sharded = sim_.shard_count() > 1;
-    const std::size_t parts = sharded ? sim_.shard_count() : dcs;
-    for (std::size_t d = 0; d < dcs; ++d) {
+    const std::uint32_t shards = sim_.shard_count();
+    const std::size_t parts = shards > 1 ? shards : dcs;
+    for (std::size_t part = 0; part < parts; ++part) {
+      const std::size_t d = shards > 1 ? 0 : part;
       if (!hosts_clients(d)) continue;
-      const std::uint32_t splits = dc_shards(d);
-      for (std::uint32_t k = 0; k < splits; ++k) {
-        const std::uint32_t shard = dc_shard_base(d) + k;
-        const std::size_t part = sharded ? shard : d;
-        sources_.push_back(std::make_unique<OpenLoopSource>(
-            *this, static_cast<net::DcId>(d), cfg_.workload,
-            ol.rate_per_s / static_cast<double>(active) /
-                static_cast<double>(splits),
-            /*insert_lane=*/part, /*insert_stride=*/parts,
-            sim_.fork_rng(0x01E27007 + 0x9E37 * (part + 1)),
-            request_dist_->clone(), users, static_cast<std::uint8_t>(shard)));
-        ++lane_[shard].clients;
-      }
+      const auto shard = static_cast<std::uint32_t>(shards > 1 ? part : 0);
+      sources_.push_back(std::make_unique<OpenLoopSource>(
+          *this, static_cast<net::DcId>(d), cfg_.workload,
+          ol.rate_per_s / static_cast<double>(active) /
+              static_cast<double>(shards),
+          /*insert_lane=*/part, /*insert_stride=*/parts,
+          sim_.fork_rng(0x01E27007 + 0x9E37 * (part + 1)),
+          request_dist_->clone(), users, static_cast<std::uint8_t>(shard)));
+      ++lane_[shard].clients;
     }
     for (auto& s : sources_) {
       sim_.set_setup_shard(s->shard());

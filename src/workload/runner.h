@@ -43,35 +43,33 @@ struct RunConfig {
   bool record_trace = false;
 
   /// Sharded execution (the parallel perf path; see sim/shard.h and
-  /// docs/INVARIANTS.md "Cross-shard determinism"): > 0 partitions the
-  /// simulation into shards_per_dc event shards per DC driven by this many
+  /// docs/INVARIANTS.md "Cross-shard determinism"): > 0 cuts the cluster's
+  /// one DC into shards_per_dc key-range event shards driven by this many
   /// worker threads. Any thread count reproduces the same (time, seq)
   /// merge, and `1` runs it merged-serial on the calling thread. Requires
-  /// cluster.latency.cross_dc.floor > 0 — and, with shards_per_dc > 1, also
-  /// positive same_rack/same_dc floors: the conservative lookahead is the
-  /// minimum over every floor a cross-shard hop can ride.
+  /// cluster.dc_count == 1, shards_per_dc >= 2 and positive same_rack /
+  /// same_dc latency floors: the conservative lookahead is the smaller of
+  /// the two, since every cross-shard hop is intra-DC. A config outside
+  /// that shape throws CheckError at construction.
   ///
   /// Every run keeps its workload state in per-shard lanes (one lane in a
   /// one-shard run), feeds the monitor through Cluster::record_*, and
   /// retunes the policy on fenced timer instants, so sharding changes
   /// neither op timestamps nor the tick grid. What remains different under
-  /// shard_count > 1 (each deterministic across thread counts):
-  ///   * per-read ReadResult::stale stays false (the deferred oracle judges
-  ///     at barriers); staleness counters come from the oracle's whole-run
-  ///     aggregates;
-  ///   * client DC re-routing is rejected (coordinators must stay in the
-  ///     request's shard).
+  /// shard_count > 1 (deterministic across thread counts): per-read
+  /// ReadResult::stale stays false (the deferred oracle judges at
+  /// barriers); staleness counters come from the oracle's whole-run
+  /// aggregates.
   /// 0 (default) = the default one-shard kernel on the calling thread.
   unsigned num_shard_threads = 0;
 
-  /// Key-range shards per DC (sharded runs only; ignored when
-  /// num_shard_threads == 0). 1 (default) keeps the legacy one-shard-per-DC
-  /// layout. With S > 1 every DC's token space splits into S contiguous
-  /// ranges (cluster/shard_map.h): each shard owns the nodes dealt to it,
-  /// the keys hashing into its range, and a full workload lane (clients or
-  /// an open-loop source, RNG fork, key distribution clone, insert lane) —
+  /// Key-range shards S of the single DC (sharded runs only; ignored when
+  /// num_shard_threads == 0). The token space splits into S contiguous
+  /// ranges (TokenRing::range_of): shard s owns nodes s, s + S, ..., the
+  /// keys hashing into range s, and a full workload lane (clients or an
+  /// open-loop source, RNG fork, key distribution clone, insert lane) —
   /// that is how a single-DC topology scales past one worker thread.
-  /// Requires every DC to have >= shards_per_dc nodes.
+  /// Requires 2 <= S <= node_count.
   unsigned shards_per_dc = 1;
 
   /// Scheduled failure injection: kill/revive nodes mid-run (availability

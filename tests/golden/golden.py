@@ -40,8 +40,11 @@ def manifest():
 
 
 def run(build_dir: Path, binary: str, args) -> bytes:
-    proc = subprocess.run([str(build_dir / binary), *args],
-                          stdout=subprocess.PIPE, check=False)
+    path = build_dir.resolve() / binary
+    if not path.is_file():
+        raise RuntimeError(f"{path} is not built")
+    proc = subprocess.run([str(path), *args], stdout=subprocess.PIPE,
+                          check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{binary} {' '.join(args)} exited "
                            f"{proc.returncode}")

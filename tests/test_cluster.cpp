@@ -328,8 +328,8 @@ TEST(Cluster, PlacementSurvivesMembershipChanges) {
 
 // The per-arc placement table must serve, for every key, the textbook NTS
 // walk over the global ring (tests/reference/reference_ring.h) — for each rf
-// split, on the default kernel, one shard per DC and a key-range plan (the
-// table is shared by every shard).
+// split on the default kernel, and for the one-DC shape also cut into two
+// key-range shards (the table is shared by every shard).
 TEST(Cluster, PlacementTableMatchesReferenceWalk) {
   struct Shape {
     std::size_t nodes, dcs;
@@ -339,27 +339,19 @@ TEST(Cluster, PlacementTableMatchesReferenceWalk) {
   const SimDuration lookahead = usec(150);
   for (const Shape& shape :
        {Shape{10, 2, 3, {2, 1}}, Shape{12, 3, 3, {1, 1, 1}},
-        Shape{10, 2, 5, {3, 2}}}) {
+        Shape{10, 2, 5, {3, 2}}, Shape{8, 1, 3, {3}}}) {
     ClusterConfig cfg;
     cfg.node_count = shape.nodes;
     cfg.dc_count = shape.dcs;
     cfg.rf = shape.rf;
     ASSERT_EQ(cfg.rf_per_dc(), shape.split);
-    // Floors that let every kernel below accept the config.
+    // Floors that let the key-range kernel accept the config.
     cfg.latency.same_rack.floor = lookahead;
     cfg.latency.same_dc.floor = lookahead;
-    cfg.latency.cross_dc.base = 2 * kMillisecond;
-    cfg.latency.cross_dc.floor = kMillisecond;
-    std::vector<std::uint32_t> key_range_plan(shape.dcs, 1);
-    key_range_plan[0] = 2;  // DC 0 split in two key-range shards
-    for (int kernel = 0; kernel < 3; ++kernel) {
+    const int kernels = shape.dcs == 1 ? 2 : 1;
+    for (int kernel = 0; kernel < kernels; ++kernel) {
       sim::Simulation sim(40 + kernel);
-      if (kernel == 1) {
-        sim.configure_shards(static_cast<std::uint32_t>(shape.dcs),
-                             kMillisecond, 1);
-      } else if (kernel == 2) {
-        sim.configure_shards(key_range_plan, lookahead, 1);
-      }
+      if (kernel == 1) sim.configure_shards(2, lookahead, 1);
       Cluster c(sim, cfg);
       for (Key k = 0; k < 10'000; ++k) {
         const ReplicaList& served = c.replicas_for(k);
@@ -371,6 +363,33 @@ TEST(Cluster, PlacementTableMatchesReferenceWalk) {
       }
     }
   }
+}
+
+// Sharded, the cluster's one DC is cut into token ranges: a key's home shard
+// is its token's range, one owner per key, and a uniform key stream gives
+// every shard a slice. Unsharded, everything homes on shard 0.
+TEST(Cluster, KeyRangeOwnershipPartitionsTheDc) {
+  ClusterConfig cfg;
+  cfg.node_count = 8;
+  cfg.dc_count = 1;
+  cfg.rf = 3;
+  cfg.latency.same_rack.floor = usec(150);
+  cfg.latency.same_dc.floor = usec(150);
+  sim::Simulation sim(9);
+  sim.configure_shards(4, usec(150), 1);
+  Cluster c(sim, cfg);
+  std::uint64_t per_shard[4] = {0, 0, 0, 0};
+  for (Key k = 0; k < 4000; ++k) {
+    const std::uint32_t s = c.home_shard(k);
+    ASSERT_LT(s, 4u);
+    EXPECT_EQ(s, TokenRing::range_of(TokenRing::token_for(k), 4));
+    ++per_shard[s];
+  }
+  for (const std::uint64_t n : per_shard) EXPECT_GT(n, 500u);
+
+  sim::Simulation unsharded(9);
+  Cluster one(unsharded, cfg);
+  for (Key k = 0; k < 100; ++k) EXPECT_EQ(one.home_shard(k), 0u);
 }
 
 TEST(Cluster, ObserverSeesPropagation) {

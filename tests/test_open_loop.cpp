@@ -106,12 +106,15 @@ TEST(OpenLoop, SeedChangesOutcome) {
 
 // ---- sharded execution ------------------------------------------------------
 
+/// One DC cut into three key-range shards, one open-loop source each.
 RunConfig sharded_open_run(unsigned threads, double rate = 6000) {
   RunConfig cfg = open_run(rate, 29);
   cfg.cluster.node_count = 9;
-  cfg.cluster.dc_count = 3;
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
+  cfg.cluster.dc_count = 1;
+  cfg.cluster.latency.same_rack.floor = usec(150);
+  cfg.cluster.latency.same_dc.floor = usec(150);
   cfg.num_shard_threads = threads;
+  cfg.shards_per_dc = 3;
   return cfg;
 }
 

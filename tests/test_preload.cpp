@@ -87,22 +87,13 @@ TEST(Preload, PlacementAndVersionsOnEveryKernel) {
     expect_preload_placement(sim, three_dc_config());
   }
   {
-    sim::Simulation sim(5);  // one shard per DC
+    sim::Simulation sim(6);  // one DC cut into two key-range shards
     ClusterConfig cfg = three_dc_config();
-    cfg.latency.cross_dc.base = 2 * kMillisecond;
-    cfg.latency.cross_dc.floor = kMillisecond;
-    sim.configure_shards(3, kMillisecond, 1);
-    expect_preload_placement(sim, cfg);
-  }
-  {
-    sim::Simulation sim(6);  // key-range plan: DC 0 split in two
-    ClusterConfig cfg = three_dc_config();
+    cfg.dc_count = 1;
     const SimDuration lookahead = usec(150);
     cfg.latency.same_rack.floor = lookahead;
     cfg.latency.same_dc.floor = lookahead;
-    cfg.latency.cross_dc.base = 2 * kMillisecond;
-    cfg.latency.cross_dc.floor = kMillisecond;
-    sim.configure_shards(std::vector<std::uint32_t>{2, 1, 1}, lookahead, 1);
+    sim.configure_shards(2, lookahead, 1);
     expect_preload_placement(sim, cfg);
   }
 }

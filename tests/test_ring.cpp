@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "cluster/shard_map.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "reference/reference_ring.h"
@@ -212,88 +211,6 @@ TEST(TokenRing, RangeOfOwnsBoundaryTokens) {
       EXPECT_EQ(TokenRing::range_of(t - 1, ranges), r - 1)
           << "ranges " << ranges << " r " << r;
     }
-  }
-}
-
-TEST(ShardMap, SingleShardPlanDegeneratesToPerDcLayout) {
-  const auto topo = net::Topology::balanced(12, 3);
-  ShardMap legacy, planned;
-  legacy.build(topo, {}, 3);                // empty plan: PR 8 layout
-  planned.build(topo, {1, 1, 1}, 3);        // explicit all-1s plan
-  EXPECT_FALSE(legacy.multi_shard_dc());
-  EXPECT_FALSE(planned.multi_shard_dc());
-  for (net::DcId d = 0; d < 3; ++d) {
-    EXPECT_EQ(legacy.shard_base(d), d);
-    EXPECT_EQ(planned.shard_base(d), d);
-    EXPECT_EQ(legacy.shards_in_dc(d), 1u);
-  }
-  for (net::NodeId n = 0; n < 12; ++n) {
-    EXPECT_EQ(legacy.node_shard(n), topo.dc_of(n));
-    EXPECT_EQ(planned.node_shard(n), topo.dc_of(n));
-  }
-  for (Key k = 0; k < 500; ++k) {
-    for (net::DcId d = 0; d < 3; ++d) {
-      EXPECT_EQ(legacy.home_shard(d, k), d);
-      EXPECT_EQ(planned.home_shard(d, k), d);
-    }
-  }
-}
-
-TEST(ShardMap, KeyRangeOwnershipPartitionsTheDc) {
-  const auto topo = net::Topology::balanced(8, 1);
-  ShardMap map;
-  map.build(topo, {4}, 4);
-  EXPECT_TRUE(map.multi_shard_dc());
-  EXPECT_EQ(map.shards_in_dc(0), 4u);
-  // Nodes deal round-robin over the DC's shard range; every shard gets a
-  // coordinator candidate.
-  std::size_t owned = 0;
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(map.dc_of_shard(s), 0);
-    EXPECT_FALSE(map.nodes_of_shard(s).empty());
-    owned += map.nodes_of_shard(s).size();
-  }
-  EXPECT_EQ(owned, 8u);
-  for (net::NodeId n = 0; n < 8; ++n) {
-    EXPECT_EQ(map.node_shard(n), n % 4);
-  }
-  // home_shard is exactly the token-range cut: one owner per key, and every
-  // shard ends up owning a slice of a uniform key stream.
-  std::uint64_t per_shard[4] = {0, 0, 0, 0};
-  for (Key k = 0; k < 4000; ++k) {
-    const std::uint32_t s = map.home_shard(0, k);
-    ASSERT_LT(s, 4u);
-    EXPECT_EQ(s, TokenRing::range_of(TokenRing::token_for(k), 4));
-    ++per_shard[s];
-  }
-  for (const std::uint64_t n : per_shard) EXPECT_GT(n, 500u);
-}
-
-TEST(ShardMap, MixedPlanKeepsDcRangesContiguous) {
-  const auto topo = net::Topology::balanced(12, 3);
-  ShardMap map;
-  map.build(topo, {2, 1, 3}, 6);
-  EXPECT_TRUE(map.multi_shard_dc());
-  EXPECT_EQ(map.shard_base(0), 0u);
-  EXPECT_EQ(map.shard_base(1), 2u);
-  EXPECT_EQ(map.shard_base(2), 3u);
-  const net::DcId expect_dc[6] = {0, 0, 1, 2, 2, 2};
-  for (std::uint32_t s = 0; s < 6; ++s) {
-    EXPECT_EQ(map.dc_of_shard(s), expect_dc[s]) << "shard " << s;
-  }
-  for (Key k = 0; k < 1000; ++k) {
-    // Single-shard DCs keep the whole key space; split DCs stay inside
-    // their contiguous shard range.
-    EXPECT_EQ(map.home_shard(1, k), 2u);
-    const std::uint32_t s0 = map.home_shard(0, k);
-    EXPECT_GE(s0, 0u);
-    EXPECT_LT(s0, 2u);
-    const std::uint32_t s2 = map.home_shard(2, k);
-    EXPECT_GE(s2, 3u);
-    EXPECT_LT(s2, 6u);
-    // The range index is the same cut everywhere; only the base shifts.
-    EXPECT_EQ(s2 - 3u,
-              TokenRing::range_of(TokenRing::token_for(k), 3));
   }
 }
 

@@ -157,15 +157,21 @@ TEST(Runner, RejectsNegativeWarmup) {
 
 // ---- sharded execution (RunConfig::num_shard_threads) ----------------------
 
-RunConfig sharded_run(unsigned threads, std::uint64_t ops = 6000) {
+/// One DC cut into `shards` key-range shards (RunConfig::shards_per_dc) run
+/// by `threads` workers; threads == 0 is the unsharded default kernel.
+RunConfig key_range_run(unsigned threads, unsigned shards,
+                        std::uint64_t ops = 6000) {
   RunConfig cfg = small_run(ops);
-  cfg.cluster.node_count = 9;
-  cfg.cluster.dc_count = 3;
-  // The cross-DC propagation floor doubles as the conservative lookahead.
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
-  cfg.workload.clients_per_dc = 6;
+  cfg.cluster.dc_count = 1;
+  cfg.cluster.node_count = 8;
+  // Intra-DC hops cross shards, so the intra-DC floors carry the
+  // conservative lookahead.
+  cfg.cluster.latency.same_rack.floor = usec(150);
+  cfg.cluster.latency.same_dc.floor = usec(150);
+  cfg.workload.clients_per_dc = 8;
   cfg.num_shard_threads = threads;
-  cfg.seed = 29;
+  cfg.shards_per_dc = shards;
+  cfg.seed = 31;
   return cfg;
 }
 
@@ -184,10 +190,43 @@ void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_DOUBLE_EQ(a.bill.total(), b.bill.total());
 }
 
+TEST(Runner, ShardedRunRejectsShapesOtherThanOneSplitDc) {
+  // Sharded execution means one DC cut into >= 2 key-range shards; any
+  // other shape fails at construction with a message, never mid-run.
+  auto expect_rejected = [](const RunConfig& cfg, const char* why) {
+    try {
+      run_experiment(cfg);
+      ADD_FAILURE() << "accepted: " << why;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  auto two_dcs = key_range_run(2, 2, 1000);
+  two_dcs.cluster.dc_count = 2;
+  expect_rejected(two_dcs, "dc_count must be 1");
+  auto one_shard = key_range_run(2, 1, 1000);
+  expect_rejected(one_shard, "shards_per_dc >= 2");
+
+  // The cluster enforces the same shape on a hand-configured kernel,
+  // before anything is scheduled.
+  sim::Simulation sim(3);
+  sim.configure_shards(2, usec(150), 2);
+  EXPECT_THROW(cluster::Cluster(sim, two_dcs.cluster), CheckError);
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
 TEST(Runner, ShardedRunIsThreadCountInvariant) {
-  const auto serial = run_experiment(sharded_run(1));
-  const auto two = run_experiment(sharded_run(2));
-  const auto four = run_experiment(sharded_run(4));
+  // Three shards over eight nodes: an uneven node deal (3/3/2) and an
+  // uneven op-budget split.
+  auto make = [](unsigned threads) {
+    auto cfg = key_range_run(threads, 3);
+    cfg.seed = 29;
+    return cfg;
+  };
+  const auto serial = run_experiment(make(1));
+  const auto two = run_experiment(make(2));
+  const auto four = run_experiment(make(4));
   EXPECT_GT(serial.reads, 1000u);
   EXPECT_EQ(serial.errors, 0u);
   expect_same_run(serial, two);
@@ -198,13 +237,14 @@ TEST(Runner, ShardedRunIsThreadCountInvariant) {
 
 TEST(Runner, ShardedInsertWorkloadIsThreadCountInvariant) {
   auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 4000);
-    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: per-DC key lanes
+    auto cfg = key_range_run(threads, 3, 4000);
+    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: per-shard key lanes
     cfg.workload.update_proportion = 0.0;
     cfg.workload.insert_proportion = 0.05;
     cfg.workload.op_count = 4000;
     cfg.workload.record_count = 500;
     cfg.workload.clients_per_dc = 6;
+    cfg.seed = 29;
     return cfg;
   };
   const auto serial = run_experiment(make(1));
@@ -214,37 +254,19 @@ TEST(Runner, ShardedInsertWorkloadIsThreadCountInvariant) {
   expect_same_run(serial, four);
 }
 
-TEST(Runner, ShardedSingleDcMatchesUnshardedExactly) {
-  auto make = [](unsigned threads) {
-    auto cfg = small_run(3000);
-    cfg.cluster.dc_count = 1;
-    cfg.cluster.node_count = 6;
-    cfg.cluster.latency.cross_dc.floor = kMillisecond;
-    cfg.num_shard_threads = threads;
-    return cfg;
-  };
-  // One DC = one shard: the full serial machinery (monitor, policy ticks,
-  // per-read staleness) stays on, and the run is byte-identical to the
-  // unsharded default.
-  const auto plain = run_experiment(make(0));
-  const auto sharded = run_experiment(make(4));
-  expect_same_run(plain, sharded);
-  EXPECT_DOUBLE_EQ(plain.stale_fraction, sharded.stale_fraction);
-}
-
 TEST(Runner, ShardedRunRejectsCrossShardSingletons) {
   // The legacy kill/revive list lowers to fenced fault_schedule entries, so
   // a sharded run accepts it and stays thread-count invariant.
   auto with_faults = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 1000);
+    auto cfg = key_range_run(threads, 3, 1000);
     cfg.faults.push_back({100 * kMillisecond, 0, true});
     return cfg;
   };
   expect_same_run(run_experiment(with_faults(1)),
                   run_experiment(with_faults(4)));
 
-  auto no_floor = sharded_run(2, 1000);
-  no_floor.cluster.latency.cross_dc.floor = 0;
+  auto no_floor = key_range_run(2, 3, 1000);
+  no_floor.cluster.latency.same_dc.floor = 0;
   EXPECT_THROW(run_experiment(no_floor), CheckError);
 }
 
@@ -254,7 +276,7 @@ TEST(Runner, ShardedTraceCaptureMatchesSerial) {
   // must be byte-identical to the merged-serial reference for every thread
   // count.
   auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 2000);
+    auto cfg = key_range_run(threads, 3, 2000);
     cfg.record_trace = true;
     return cfg;
   };
@@ -272,27 +294,6 @@ TEST(Runner, ShardedTraceCaptureMatchesSerial) {
     ASSERT_EQ(a.key, b.key) << "trace diverges at record " << i;
     ASSERT_EQ(a.value_size, b.value_size) << "trace diverges at record " << i;
   }
-}
-
-// ---- key-range sharding (RunConfig::shards_per_dc) --------------------------
-
-/// Single-DC run split into `shards` key-range shards: the configuration
-/// PR 8 could not parallelize at all (one DC == one shard == one thread).
-RunConfig key_range_run(unsigned threads, unsigned shards,
-                        std::uint64_t ops = 6000) {
-  RunConfig cfg = small_run(ops);
-  cfg.cluster.dc_count = 1;
-  cfg.cluster.node_count = 8;
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
-  // Intra-DC hops cross shards now, so the intra-DC floors must cover the
-  // lookahead (the runner takes the min over all three).
-  cfg.cluster.latency.same_rack.floor = usec(150);
-  cfg.cluster.latency.same_dc.floor = usec(150);
-  cfg.workload.clients_per_dc = 8;
-  cfg.num_shard_threads = threads;
-  cfg.shards_per_dc = shards;
-  cfg.seed = 31;
-  return cfg;
 }
 
 TEST(Runner, KeyRangeShardedRunIsThreadCountInvariant) {
@@ -353,29 +354,11 @@ TEST(Runner, KeyRangeShardedMonitorFeedsAdaptivePolicy) {
   EXPECT_DOUBLE_EQ(serial.final_state.write_rate, four.final_state.write_rate);
 }
 
-TEST(Runner, ShardedPerDcMonitorPolicyAntiEntropyThreadInvariant) {
-  // The same lifted restrictions on the PR 8 per-DC layout (3 DCs, one
-  // shard each): monitor, fenced Harmony policy ticks, and per-shard
-  // anti-entropy, byte-identical between merged-serial and 4 threads.
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads);
-    cfg.policy = core::harmony_policy(0.2);
-    cfg.policy_tick = 100 * kMillisecond;
-    cfg.cluster.anti_entropy_period = 200 * kMillisecond;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  expect_same_run(serial, four);
-  EXPECT_EQ(serial.policy_switches, four.policy_switches);
-  EXPECT_GT(serial.final_state.read_rate, 0.0);
-  EXPECT_DOUBLE_EQ(serial.final_state.read_rate, four.final_state.read_rate);
-}
-
 TEST(Runner, ShardedFaultScheduleIsThreadCountInvariant) {
   auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 5000);
-    // Kill one node per DC mid-run and revive it; fault instants are fences.
+    auto cfg = key_range_run(threads, 3, 5000);
+    // Kill one node per shard mid-run and revive it (each shard keeps a
+    // second coordinator); fault instants are fences.
     for (net::NodeId n = 0; n < 3; ++n) {
       cfg.fault_schedule.push_back({300 * kMillisecond + n * 50 * kMillisecond,
                                     cluster::FaultOp::kKillNode, n, 0, 1.0});
@@ -393,7 +376,7 @@ TEST(Runner, ZeroPolicyTickNeverRetunes) {
   // policy_tick == 0 means "never retune" on every kernel: no tick is ever
   // booked, so even an adaptive policy keeps its initial levels.
   for (const unsigned threads : {0u, 2u}) {
-    auto cfg = sharded_run(threads, 2000);
+    auto cfg = key_range_run(threads, 3, 2000);
     cfg.policy = core::harmony_policy(0.2);
     cfg.policy_tick = 0;
     const auto r = run_experiment(cfg);
@@ -407,7 +390,7 @@ TEST(Runner, IdleRunStopsPolicyTimerAtItsFirstTick) {
   // first tick; that tick stops the timer instead of ticking to the horizon
   // (25 s here, i.e. 50 ticks). It is the run's only event on both kernels.
   auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads);
+    auto cfg = key_range_run(threads, 3);
     cfg.workload.open_loop.enabled = true;
     cfg.workload.open_loop.rate_per_s = 1e-10;  // no arrival lands
     cfg.workload.open_loop.user_count = 1000;
@@ -458,8 +441,12 @@ class PacedReadEnv final : public ClientEnv {
 
   bool next_op(Op& op) override {
     if (issued_ == reads_) return false;
+    ++issued_;
     op.type = OpType::kRead;
-    op.key = issued_++ % kKeys;
+    // Keys the issuing shard owns (all of them on the default kernel).
+    do {
+      op.key = next_key_++ % kKeys;
+    } while (cluster_.home_shard(op.key) != sim_.current_shard());
     op.value_size = 100;
     return true;
   }
@@ -482,6 +469,7 @@ class PacedReadEnv final : public ClientEnv {
   std::unique_ptr<policy::ConsistencyPolicy> policy_;
   std::uint64_t reads_;
   std::uint64_t issued_ = 0;
+  std::uint64_t next_key_ = 0;
 };
 
 TEST(Client, PacedReadIssueTimeReachesObserverAtOneAndTwoShards) {
@@ -492,17 +480,18 @@ TEST(Client, PacedReadIssueTimeReachesObserverAtOneAndTwoShards) {
     SCOPED_TRACE(sharded ? "two shards" : "default kernel");
     cluster::ClusterConfig cfg;
     cfg.node_count = 8;
-    cfg.dc_count = 2;
+    cfg.dc_count = 1;
     cfg.rf = 3;
     cfg.latency = net::TieredLatencyModel::ec2_two_az();
-    cfg.latency.cross_dc.floor = kMillisecond;
+    cfg.latency.same_rack.floor = usec(150);
+    cfg.latency.same_dc.floor = usec(150);
     sim::Simulation sim(5);
-    if (sharded) sim.configure_shards({1, 1}, kMillisecond, 1);
+    if (sharded) sim.configure_shards(2, usec(150), 1);
     const std::uint64_t reads = 200;
     PacedReadEnv env(sim, cfg, reads);
-    // Homed in DC 1: its shard is 1 when sharded, 0 on the default kernel.
+    // On key-range shard 1 when sharded, shard 0 on the default kernel.
     const std::uint8_t shard = sharded ? 1 : 0;
-    Client client(env, /*home_dc=*/1, /*target_rate_per_s=*/2000.0,
+    Client client(env, /*home_dc=*/0, /*target_rate_per_s=*/2000.0,
                   sim.fork_rng(0xC11E017), false, 8, shard);
     sim.set_setup_shard(shard);
     client.start();

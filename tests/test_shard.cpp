@@ -411,46 +411,6 @@ TEST(ShardSet, EmptyShardNeitherStallsNorPerturbs) {
   EXPECT_EQ(serial, run(4));
 }
 
-TEST(ShardSet, GroupedPlanReproducesSerialMergeAcrossThreadCounts) {
-  // The grouped configure_shards overload — a group (DC) -> shard-count plan,
-  // the substrate of key-range sharding. The kernel is layout-agnostic: it
-  // records the plan for the cluster's ShardMap and runs the total as one
-  // flat shard set, so a {3, 1} plan (4 shards, uneven groups) must produce
-  // the same windowed merge at every thread count, probe traffic crossing
-  // group boundaries and all.
-  constexpr SimDuration kLookahead = 1000;
-  auto run = [&](unsigned threads) {
-    Simulation sim(42);
-    sim.configure_shards({3, 1}, kLookahead, threads, 64);
-    EXPECT_EQ(sim.shard_count(), 4u);
-    EXPECT_EQ(sim.shard_plan(), (std::vector<std::uint32_t>{3, 1}));
-    sim.set_event_dispatcher(EventDomain::kUser, &ShardProbe::dispatch);
-    ShardProbe probe;
-    probe.sim = &sim;
-    probe.shard_count = 4;
-    probe.lookahead = kLookahead;
-    for (std::uint32_t s = 0; s < 4; ++s) {
-      sim.set_setup_shard(s);
-      for (int i = 0; i < 12; ++i) {
-        TypedEvent ev;
-        ev.kind = EventKind::kUserProbe;
-        ev.shard = static_cast<std::uint8_t>(s);
-        ev.target = &probe;
-        ev.u.raw[0] = splitmix(s * 1000 + static_cast<std::uint64_t>(i));
-        ev.u.raw[1] = 40;
-        sim.schedule_event_at(static_cast<SimTime>(1 + (ev.u.raw[0] % 5000)),
-                              ev);
-      }
-    }
-    sim.set_setup_shard(0);
-    sim.run();
-    return std::pair{probe.fingerprint(), sim.events_processed()};
-  };
-  const auto serial = run(1);
-  EXPECT_EQ(serial, run(2));
-  EXPECT_EQ(serial, run(4));
-}
-
 // ------------------------------------------- exact-lookahead boundary sends
 
 /// Probe whose every hop is cross-shard at *exactly* the lookahead delay —

@@ -159,10 +159,12 @@ TEST(Sweep, ShardedCellsClampToSerialUnderParallelGrid) {
   // aggregated output must match both the jobs=1 grid and the unclamped
   // direct run.
   auto cell = small_run(1500);
-  cell.cluster.dc_count = 2;
+  cell.cluster.dc_count = 1;
   cell.cluster.node_count = 6;
-  cell.cluster.latency.cross_dc.floor = kMillisecond;
+  cell.cluster.latency.same_rack.floor = usec(150);
+  cell.cluster.latency.same_dc.floor = usec(150);
   cell.num_shard_threads = 4;
+  cell.shards_per_dc = 3;
   SweepOptions serial_opts;
   serial_opts.seeds = 2;
   serial_opts.jobs = 1;
