@@ -15,6 +15,8 @@
 #include "core/stale_model.h"
 #include "core/static_policy.h"
 #include "ml/kmeans.h"
+#include "net/latency_model.h"
+#include "reference/reference_lognormal.h"
 #include "sim/simulation.h"
 #include "workload/runner.h"
 
@@ -27,6 +29,26 @@ void BM_RngNext(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_RngNext);
+
+/// One latency draw, cycling through the four ec2_two_az tiers: the libm
+/// formula (tests/reference/) against Rng::lognormal_median, which returns
+/// the same integers.
+void BM_LognormalDraw(benchmark::State& state, bool libm) {
+  const auto p = net::TieredLatencyModel::ec2_two_az();
+  const net::LatencyTier tiers[] = {p.loopback, p.same_rack, p.same_dc,
+                                    p.cross_dc};
+  Rng rng(1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const net::LatencyTier& t = tiers[i++ & 3];
+    const auto median = static_cast<double>(t.base);
+    benchmark::DoNotOptimize(
+        libm ? testing::reference_lognormal_median(rng, median, t.sigma)
+             : rng.lognormal_median(median, t.sigma));
+  }
+}
+BENCHMARK_CAPTURE(BM_LognormalDraw, libm, true);
+BENCHMARK_CAPTURE(BM_LognormalDraw, table, false);
 
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(1);

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two google-benchmark JSON reports and fail on regressions.
+"""Compare google-benchmark JSON reports and fail on regressions.
 
 Usage:
     bench/diff_micro.py BASELINE.json CANDIDATE.json [--threshold 0.10]
+    bench/diff_micro.py --baseline-dir DIR CANDIDATE.json [--threshold 0.10]
 
 Both reports should hold several repetitions per benchmark
 (bench/run_micro.sh runs --benchmark_repetitions=5). The per-repetition
@@ -21,24 +22,41 @@ google-benchmark's tools/compare.py does:
 
 Only meaningful for reports produced on the same host: cross-machine
 numbers differ for reasons that have nothing to do with the code. So the
-script first compares the two reports' host context (CPU count, MHz per CPU,
-cache sizes); on a mismatch it prints both contexts and exits 2 without
-comparing a single number. Exit codes: 0 no regression, 1 regression (or a
-tracked benchmark dropped), 2 baseline from another host.
+script first compares the two reports' host context (CPU model, CPU count,
+MHz per CPU, cache sizes); on a mismatch it prints both contexts and exits 2
+without comparing a single number. Exit codes: 0 no regression, 1
+regression (or a tracked benchmark dropped), 2 baseline from another host.
 
-bench/run_micro.sh runs this automatically against the previously committed
-baseline before overwriting it; set HARMONY_BENCH_ALLOW_REGRESSION=1 there to
-accept a known, documented trade (and say why in the PR).
+With --baseline-dir (what bench/run_micro.sh runs), DIR holds one baseline
+per host, named by its host key: the CPU model (the `cpu_model` context
+field run_micro.sh adds), CPUs, MHz and cache sizes, e.g.
+`amd-epyc-4cpu-3295mhz-l1d48k-l1i32k-l2u1024k-l3u32768k.json`. The
+candidate is gated against its own host's file, and that file alone is
+ever written:
+
+  * no file for the host yet: the candidate becomes its first baseline;
+  * no regression: the candidate replaces the host's baseline;
+  * regression: the baseline stays and the exit code is 1, unless
+    HARMONY_BENCH_ALLOW_REGRESSION=1 accepts this same-host trade (say why
+    in the PR), which replaces it;
+  * the file's context differs from the candidate's (a file renamed or
+    copied by hand): exit 2, and the file is never replaced.
 """
 
 import argparse
 import json
+import os
+import re
+import shutil
 import statistics
 import sys
+from pathlib import Path
 
 
 # The parts of google-benchmark's context block that identify the host.
-HOST_KEYS = ("num_cpus", "mhz_per_cpu")
+# cpu_model is not google-benchmark's own: run_micro.sh adds it with
+# --benchmark_context.
+HOST_KEYS = ("cpu_model", "num_cpus", "mhz_per_cpu")
 MIN_REPETITIONS = 3
 
 
@@ -47,6 +65,17 @@ def host_context(report):
     caches = sorted((c.get("type"), c.get("level"), c.get("size"))
                     for c in ctx.get("caches", []))
     return {**{k: ctx.get(k) for k in HOST_KEYS}, "caches": caches}
+
+
+def host_key(host):
+    """Baseline file stem of a host_context(), e.g.
+    amd-epyc-4cpu-3295mhz-l1d48k-l1i32k-l2u1024k-l3u32768k."""
+    model = re.sub(r"[^a-z0-9]+", "-",
+                   str(host["cpu_model"] or "unknown").lower()).strip("-")
+    caches = "-".join(f"l{level}{str(kind)[:1].lower()}{size // 1024}k"
+                      for kind, level, size in host["caches"])
+    return (f"{model}-{host['num_cpus']}cpu-{host['mhz_per_cpu']}mhz-"
+            f"{caches}")
 
 
 def metric(row):
@@ -60,9 +89,12 @@ def metric(row):
     return row.get("time_unit", "ns"), float(row["cpu_time"]), False
 
 
-def load(path):
+def read(path):
     with open(path) as f:
-        report = json.load(f)
+        return json.load(f)
+
+
+def repetitions(report):
     runs = {}
     for row in report.get("benchmarks", []):
         if row.get("run_type") == "aggregate":
@@ -71,7 +103,7 @@ def load(path):
         entry = runs.setdefault(row.get("run_name", row["name"]),
                                 (unit, higher, []))
         entry[2].append(value)
-    return host_context(report), runs
+    return runs
 
 
 def spread(values):
@@ -83,22 +115,18 @@ def spread(values):
     return med, (q3 - q1) / med
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline")
-    ap.add_argument("candidate")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="max tolerated fractional regression (default 0.10)")
-    args = ap.parse_args()
-
-    base_host, base = load(args.baseline)
-    cand_host, cand = load(args.candidate)
+def compare(base_report, cand_report, threshold):
+    """Print the verdict table; returns the exit code (0, 1 or 2)."""
+    base_host = host_context(base_report)
+    cand_host = host_context(cand_report)
     if base_host != cand_host:
         print("diff_micro: the reports come from different hosts; their "
               "numbers are not comparable", file=sys.stderr)
         print(f"  baseline:  {json.dumps(base_host)}", file=sys.stderr)
         print(f"  candidate: {json.dumps(cand_host)}", file=sys.stderr)
         return 2
+    base = repetitions(base_report)
+    cand = repetitions(cand_report)
     shared = sorted(set(base) & set(cand))
     if not shared:
         print("diff_micro: no common benchmarks between reports", file=sys.stderr)
@@ -120,10 +148,10 @@ def main():
         change = (new - old) / old if higher_is_better else (old - new) / old
         flag = ""
         if (min(len(old_values), len(new_values)) < MIN_REPETITIONS or
-                old_iqr > args.threshold):
+                old_iqr > threshold):
             unresolved += 1
             flag = "  (unresolved)"
-        elif change < -args.threshold:
+        elif change < -threshold:
             regressions.append((name, change))
             flag = "  << REGRESSION"
         print(f"{name:<{width}}  {old:>12.4g}  {old_iqr:>8.1%}  {new:>12.4g}  "
@@ -144,17 +172,61 @@ def main():
 
     if unresolved:
         print(f"\ndiff_micro: {unresolved} benchmark(s) unresolved: the "
-              f"baseline's IQR exceeds {args.threshold:.0%} or a side has "
+              f"baseline's IQR exceeds {threshold:.0%} or a side has "
               f"fewer than {MIN_REPETITIONS} repetitions")
     if regressions:
         print(f"\ndiff_micro: {len(regressions)} benchmark(s) regressed more "
-              f"than {args.threshold:.0%}:", file=sys.stderr)
+              f"than {threshold:.0%}:", file=sys.stderr)
         for name, change in regressions:
             print(f"  {name}: {change:+.1%}", file=sys.stderr)
         return 1
     print(f"\ndiff_micro: OK (no resolved benchmark's median regressed more "
-          f"than {args.threshold:.0%})")
+          f"than {threshold:.0%})")
     return 0
+
+
+def gate(baseline_dir, candidate_path, threshold):
+    """Gate a report against its host's baseline in baseline_dir; replace
+    that baseline only as the module docstring says."""
+    cand = read(candidate_path)
+    key = host_key(host_context(cand))
+    baseline = Path(baseline_dir) / f"{key}.json"
+    if not baseline.exists():
+        baseline.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(candidate_path, baseline)
+        print(f"diff_micro: no baseline for host {key} yet; recorded this "
+              f"run as its first: {baseline}")
+        return 0
+    print(f"diff_micro: host {key}, baseline {baseline}")
+    code = compare(read(baseline), cand, threshold)
+    if code == 1 and os.environ.get("HARMONY_BENCH_ALLOW_REGRESSION") == "1":
+        print("diff_micro: WARNING: regression accepted via "
+              "HARMONY_BENCH_ALLOW_REGRESSION=1", file=sys.stderr)
+        code = 0
+    if code == 0:
+        shutil.copyfile(candidate_path, baseline)
+        print(f"diff_micro: wrote {baseline}")
+    else:
+        print(f"diff_micro: kept {baseline}", file=sys.stderr)
+    return code
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("baseline", nargs="?",
+                    help="baseline report (omit with --baseline-dir)")
+    ap.add_argument("candidate")
+    ap.add_argument("--baseline-dir",
+                    help="per-host baselines: gate against, and update, "
+                         "the candidate host's file")
+    ap.add_argument("--threshold", type=float, default=0.10,
+                    help="max tolerated fractional regression (default 0.10)")
+    args = ap.parse_args()
+    if (args.baseline is None) == (args.baseline_dir is None):
+        ap.error("give either BASELINE or --baseline-dir, not both")
+    if args.baseline_dir:
+        return gate(args.baseline_dir, args.candidate, args.threshold)
+    return compare(read(args.baseline), read(args.candidate), args.threshold)
 
 
 if __name__ == "__main__":

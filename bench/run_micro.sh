@@ -1,28 +1,33 @@
 #!/usr/bin/env bash
-# Produce the microbenchmark baseline (BENCH_micro.json).
+# Gate and record this host's microbenchmark baseline,
+# bench/micro_baseline/<host key>.json.
 #
 # Usage: bench/run_micro.sh [build-dir] [extra google-benchmark flags...]
 #
 # Runs every bench_micro benchmark with fixed settings — five repetitions
 # each, interleaved in random order so slow drift of the host spreads over
-# every benchmark instead of biasing one — and writes the JSON report next to
-# this script, so the committed baseline tracks the simulator's throughput
-# trajectory PR over PR. diff_micro.py compares medians against the
-# baseline's quartile spread (google-benchmark's tools/compare.py rule).
+# every benchmark instead of biasing one — into a JSON report stamped with
+# this host's CPU model (<build-dir>/bench_micro_report.json). Then
+# diff_micro.py --baseline-dir gates it against the baseline of the same
+# host key (CPU model, CPUs, MHz, cache sizes), comparing medians against
+# the baseline's quartile spread (google-benchmark's tools/compare.py rule),
+# and writes it over that file only if the gate passes. A host with no file
+# yet records its first. Each host's file tracks the simulator's throughput
+# trajectory PR over PR on that host.
 set -euo pipefail
 
 build_dir="${1:-build}"
 shift || true
 
 bench_dir="$(cd "$(dirname "$0")" && pwd)"
-out="${bench_dir}/BENCH_micro.json"
+out="${build_dir}/bench_micro_report.json"
 
-# Keep the previous baseline around for the regression diff below.
-prev=""
-if [ -f "${out}" ]; then
-  prev="$(mktemp /tmp/bench_micro_prev.XXXXXX.json)"
-  cp "${out}" "${prev}"
-fi
+# The CPU model is part of the host key, and google-benchmark's context
+# block lacks it. Commas and '=' would split the flag's key=value list.
+cpu_model="$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo \
+  2>/dev/null || true)"
+cpu_model="${cpu_model//[,=]/}"
+cpu_model="${cpu_model:-unknown}"
 
 # Older google-benchmark (<=1.7) takes a plain double for min_time, newer
 # versions want a unit suffix; try the modern spelling first.
@@ -35,6 +40,7 @@ fi
   ${min_time_flag} \
   --benchmark_repetitions=5 \
   --benchmark_enable_random_interleaving=true \
+  "--benchmark_context=cpu_model=${cpu_model}" \
   --benchmark_out="${out}" \
   --benchmark_out_format=json \
   "$@"
@@ -42,34 +48,12 @@ fi
 echo "wrote ${out}"
 
 # Regression gate: fail loudly if a tracked benchmark's median lost >10% vs
-# the previous committed baseline (a row whose baseline IQR exceeds 10% is
-# reported as unresolved, not failed). diff_micro.py refuses (exit 2) a
-# baseline whose host context (CPUs, MHz, caches) differs from this run's:
-# numbers from another host say nothing about the code. Accept a known,
-# documented trade — or replace another host's baseline — with
-# HARMONY_BENCH_ALLOW_REGRESSION=1.
-if [ -n "${prev}" ]; then
-  status=0
-  python3 "${bench_dir}/diff_micro.py" "${prev}" "${out}" || status=$?
-  if [ "${status}" -ne 0 ]; then
-    if [ "${status}" -eq 2 ]; then
-      reason="baseline is from another host"
-    else
-      reason="benchmark regression vs previous BENCH_micro.json"
-    fi
-    if [ "${HARMONY_BENCH_ALLOW_REGRESSION:-0}" = "1" ]; then
-      echo "WARNING: ${reason}; accepted via HARMONY_BENCH_ALLOW_REGRESSION=1" >&2
-    else
-      cp "${prev}" "${out}"  # keep the committed baseline intact
-      echo "ERROR: ${reason}" >&2
-      echo "       (baseline restored; rerun with" >&2
-      echo "        HARMONY_BENCH_ALLOW_REGRESSION=1 to accept)" >&2
-      rm -f "${prev}"
-      exit 1
-    fi
-  fi
-  rm -f "${prev}"
-fi
+# this host's baseline (a row whose baseline IQR exceeds 10% is reported as
+# unresolved, not failed); the baseline is then kept. Accept a known,
+# documented same-host trade with HARMONY_BENCH_ALLOW_REGRESSION=1. A file
+# whose context is another host's is refused (exit 2) and never replaced.
+python3 "${bench_dir}/diff_micro.py" --baseline-dir "${bench_dir}/micro_baseline" \
+  "${out}"
 
 # Sweep determinism check: a small multi-seed sweep must produce byte-identical
 # output regardless of --jobs (each cell is an independent single-threaded

@@ -5,12 +5,20 @@ Writes small google-benchmark reports with five repetitions per benchmark
 and checks diff_micro's verdicts: a clean pair passes, a real median
 regression fails, a baseline noisier than the bound is reported as
 "unresolved" without failing, a candidate-only benchmark is shown as "(new)"
-with its median without failing, and a report from another host is refused.
+with its median without failing, and a report from another host (other
+CPU count or CPU model) is refused.
+
+Then the per-host gate (--baseline-dir): the host key names the file, a
+host with no file records its first baseline, a second host never touches
+the first one's file, a same-host regression keeps the baseline unless
+HARMONY_BENCH_ALLOW_REGRESSION=1 accepts it, and a file whose context is
+not the candidate's host is refused and never replaced, override or not.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -19,8 +27,13 @@ from pathlib import Path
 
 DIFF = Path(__file__).resolve().parent / "diff_micro.py"
 
-HOST = {"num_cpus": 4, "mhz_per_cpu": 2100,
-        "caches": [{"type": "Data", "level": 1, "size": 49152}]}
+HOST = {"cpu_model": "AMD EPYC 7763 64-Core Processor", "num_cpus": 4,
+        "mhz_per_cpu": 2100,
+        "caches": [{"type": "Unified", "level": 3, "size": 33554432},
+                   {"type": "Data", "level": 1, "size": 49152}]}
+HOST_KEY = "amd-epyc-7763-64-core-processor-4cpu-2100mhz-l1d48k-l3u32768k"
+OTHER_HOST = {**HOST, "cpu_model": "Intel(R) Xeon(R) CPU @ 2.10GHz"}
+OTHER_KEY = "intel-r-xeon-r-cpu-2-10ghz-4cpu-2100mhz-l1d48k-l3u32768k"
 
 
 def report(rows, host=HOST):
@@ -39,18 +52,71 @@ def report(rows, host=HOST):
     return {"context": host, "benchmarks": benchmarks}
 
 
+def diff(*args, allow_regression=False):
+    env = {k: v for k, v in os.environ.items()
+           if k != "HARMONY_BENCH_ALLOW_REGRESSION"}
+    if allow_regression:
+        env["HARMONY_BENCH_ALLOW_REGRESSION"] = "1"
+    proc = subprocess.run([sys.executable, str(DIFF), *map(str, args)],
+                          capture_output=True, text=True, check=False,
+                          env=env)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
 def run(tmp, base, cand):
     paths = []
     for label, rep in (("base", base), ("cand", cand)):
         p = Path(tmp) / f"{label}.json"
         p.write_text(json.dumps(rep))
-        paths.append(str(p))
-    proc = subprocess.run([sys.executable, str(DIFF), *paths],
-                          capture_output=True, text=True, check=False)
-    return proc.returncode, proc.stdout + proc.stderr
+        paths.append(p)
+    return diff(*paths)
 
 
 STEADY = [100.0, 101.0, 99.0, 100.5, 99.5]
+SLOWER = [80.0, 81.0, 79.0, 80.5, 79.5]
+
+
+def gate_cases(tmp):
+    """(name, ok, output) of each --baseline-dir step, in order: the steps
+    share one baseline directory."""
+    base_dir = Path(tmp) / "baselines"
+    cand = Path(tmp) / "candidate.json"
+    mine = base_dir / f"{HOST_KEY}.json"
+    other = base_dir / f"{OTHER_KEY}.json"
+
+    def gate(rep, allow_regression=False):
+        cand.write_text(json.dumps(rep))
+        return diff("--baseline-dir", base_dir, cand,
+                    allow_regression=allow_regression)
+
+    def rows(path):
+        return json.loads(path.read_text())["benchmarks"][0]["items_per_second"]
+
+    out = []
+    code, text = gate(report({"BM_A": STEADY}))
+    out.append(("unseen host records its first baseline under the key",
+                code == 0 and "no baseline for host" in text and
+                sorted(p.name for p in base_dir.iterdir()) == [mine.name],
+                text))
+    code, text = gate(report({"BM_A": STEADY}, OTHER_HOST))
+    out.append(("a second host gets its own file",
+                code == 0 and other.exists() and rows(mine) == STEADY[0],
+                text))
+    code, text = gate(report({"BM_A": SLOWER}))
+    out.append(("same-host regression keeps the baseline",
+                code == 1 and "REGRESSION" in text and
+                rows(mine) == STEADY[0], text))
+    code, text = gate(report({"BM_A": SLOWER}), allow_regression=True)
+    out.append(("override accepts a same-host regression",
+                code == 0 and rows(mine) == SLOWER[0] and
+                rows(other) == STEADY[0], text))
+    # A file under this host's key that holds the other host's report.
+    mine.write_text(other.read_text())
+    code, text = gate(report({"BM_A": STEADY}), allow_regression=True)
+    out.append(("override never replaces another host's file",
+                code == 2 and "different hosts" in text and
+                json.loads(mine.read_text())["context"] == OTHER_HOST, text))
+    return out
 
 
 def main():
@@ -59,8 +125,8 @@ def main():
         # output must match)
         ("clean pair", {"BM_A": STEADY},
          {"BM_A": [99.0, 98.5, 100.0, 99.2, 98.8]}, HOST, 0, "OK"),
-        ("real regression", {"BM_A": STEADY},
-         {"BM_A": [80.0, 81.0, 79.0, 80.5, 79.5]}, HOST, 1, "REGRESSION"),
+        ("real regression", {"BM_A": STEADY}, {"BM_A": SLOWER}, HOST, 1,
+         "REGRESSION"),
         # IQR of the baseline ~30% of its median: a 20% lower candidate
         # median (and a last repetition 40% down) cannot be told from noise.
         ("noisy baseline", {"BM_A": [70.0, 85.0, 100.0, 115.0, 130.0]},
@@ -71,10 +137,12 @@ def main():
          {"BM_A": STEADY, "BM_B": [15000.0, 14000.0, 16000.0, 15500.0, 14500.0]},
          HOST, 0, r"BM_B +- +- +1\.5e\+04 +-/5 +\(new\)"),
         ("new row beside a regression", {"BM_A": STEADY},
-         {"BM_A": [80.0, 81.0, 79.0, 80.5, 79.5], "BM_B": STEADY},
+         {"BM_A": SLOWER, "BM_B": STEADY},
          HOST, 1, r"BM_B .*\(new\)"),
         ("host mismatch", {"BM_A": STEADY}, {"BM_A": STEADY},
          {**HOST, "num_cpus": 8}, 2, "different hosts"),
+        ("cpu model mismatch", {"BM_A": STEADY}, {"BM_A": STEADY},
+         OTHER_HOST, 2, "different hosts"),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,6 +151,11 @@ def main():
             ok = code == want_code and re.search(want_text, text) is not None
             print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {code} "
                   f"(want {want_code}, {want_text!r})")
+            if not ok:
+                print(text)
+                failures += 1
+        for name, ok, text in gate_cases(tmp):
+            print(f"{'ok  ' if ok else 'FAIL'} gate: {name}")
             if not ok:
                 print(text)
                 failures += 1

@@ -243,8 +243,7 @@ SimDuration Cluster::client_link_delay(Rng& rng, bool cross_dc) {
   // makes the hop a WAN crossing.
   const auto& t =
       cross_dc ? latency_.params().cross_dc : latency_.params().same_dc;
-  return static_cast<SimDuration>(
-      rng.lognormal_median(static_cast<double>(t.base), t.sigma));
+  return rng.lognormal_median(static_cast<double>(t.base), t.sigma);
 }
 
 SimDuration Cluster::link_delay(net::NodeId src, net::NodeId dst, Rng& rng) {

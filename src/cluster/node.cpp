@@ -15,8 +15,8 @@ SimDuration Node::base_cost(ServiceKind kind) {
       SimDuration c = kind == ServiceKind::kRead ? params_.cpu_read
                                                  : params_.cpu_digest;
       if (rng_.chance(params_.disk_read_probability)) {
-        c += static_cast<SimDuration>(rng_.lognormal_median(
-            static_cast<double>(params_.disk_read_median), params_.disk_sigma));
+        c += rng_.lognormal_median(
+            static_cast<double>(params_.disk_read_median), params_.disk_sigma);
         disk_io_ += 1.0;
       }
       return c;
@@ -34,8 +34,8 @@ SimDuration Node::service(ServiceKind kind, SimTime now) {
   HARMONY_CHECK_MSG(alive_, "service() on a dead node");
   SimDuration cost = base_cost(kind);
   if (params_.service_jitter_sigma > 0) {
-    cost = static_cast<SimDuration>(rng_.lognormal_median(
-        static_cast<double>(cost), params_.service_jitter_sigma));
+    cost = rng_.lognormal_median(static_cast<double>(cost),
+                                 params_.service_jitter_sigma);
   }
   if (cost < 1) cost = 1;
   const SimTime start = std::max(now, busy_until_);

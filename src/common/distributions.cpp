@@ -34,7 +34,8 @@ double ZipfianKeys::zeta(std::uint64_t from, std::uint64_t to, double theta,
 }
 
 ZipfianKeys::ZipfianKeys(std::uint64_t n, double theta)
-    : n_(0), theta_(theta), zeta_n_(0), alpha_(0), eta_(0), zeta2theta_(0) {
+    : n_(0), theta_(theta), zeta_n_(0), alpha_(0), eta_(0), zeta2theta_(0),
+      rank1_bound_(1.0 + std::pow(0.5, theta)) {
   HARMONY_CHECK(n > 0);
   HARMONY_CHECK_MSG(theta > 0 && theta < 1,
                     "YCSB zipfian requires theta in (0,1)");
@@ -61,7 +62,7 @@ std::uint64_t ZipfianKeys::next_rank(Rng& rng) {
   const double u = rng.uniform();
   const double uz = u * zeta_n_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   const auto rank = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return rank >= n_ ? n_ - 1 : rank;

@@ -82,6 +82,9 @@ class ZipfianKeys : public KeyDistribution {
   double theta_;
   double zeta_n_;
   double alpha_, eta_, zeta2theta_;
+  /// next_rank's cut on u * zeta_n for rank 1: 1 + 0.5^theta. Not
+  /// zeta2theta_, which is 1 + 1/2^theta, a different double.
+  double rank1_bound_;
 };
 
 /// Zipfian with ranks scattered across the whole key space by a bijective

@@ -77,9 +77,6 @@ class Rng {
   /// Uniform integer in [0, n). n must be > 0. Uses Lemire's method.
   std::uint64_t uniform_u64(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
 
@@ -91,8 +88,11 @@ class Rng {
   double normal(double mu, double sigma) { return mu + sigma * normal(); }
 
   /// Lognormal such that the *median* is `median` and sigma is the log-space
-  /// standard deviation — the natural way to express latency jitter.
-  double lognormal_median(double median, double sigma);
+  /// standard deviation — the natural way to express latency jitter —
+  /// truncated toward zero, as every latency draw uses it. Bit for bit
+  /// `int64(median * exp(sigma * normal()))` from the same two uniforms,
+  /// computed without libm on all but a fraction of a percent of draws.
+  std::int64_t lognormal_median(double median, double sigma);
 
   /// Sample an index from non-negative weights (linear scan; small arrays).
   std::size_t weighted_index(const double* weights, std::size_t n);

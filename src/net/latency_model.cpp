@@ -18,8 +18,8 @@ const LatencyTier& TieredLatencyModel::tier(const Topology& topo, NodeId src,
 SimDuration TieredLatencyModel::sample(const Topology& topo, NodeId src,
                                        NodeId dst, Rng& rng) const {
   const LatencyTier& t = tier(topo, src, dst);
-  const double v = rng.lognormal_median(static_cast<double>(t.base), t.sigma);
-  return std::max(t.floor, static_cast<SimDuration>(v));
+  return std::max(t.floor,
+                  rng.lognormal_median(static_cast<double>(t.base), t.sigma));
 }
 
 TieredLatencyModel::Params TieredLatencyModel::ec2_two_az() {

@@ -57,7 +57,7 @@ TEST(Histogram, PercentileOrdering) {
   LatencyHistogram h;
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {
-    h.record(static_cast<SimDuration>(rng.lognormal_median(2000, 0.6)));
+    h.record(rng.lognormal_median(2000, 0.6));
   }
   EXPECT_LE(h.percentile(10), h.percentile(50));
   EXPECT_LE(h.percentile(50), h.percentile(95));

@@ -10,6 +10,11 @@
 //     judgement (the timeout/unavailable paths);
 //   * histogram schedules — mixed record/record_n/merge streams compared on
 //     count, min, max, mean, and a whole percentile grid;
+//   * lognormal draws — Rng::lognormal_median against the libm formula it
+//     replaces, integer for integer and stream position for stream
+//     position: every latency tier, the node disk and jitter draws, random
+//     (median, sigma) pairs, medians chosen to land libm's value on an
+//     integer, and streams that open with u1 a few ulps below 1;
 //   * slot-pool schedules — acquire/release/lookup churn, including lookups
 //     through stale handles of recycled slots, against a unique-id map;
 //   * preload-base schedules — a replica store with a random copy-on-write
@@ -35,9 +40,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <limits>
 #include <optional>
 #include <string>
@@ -45,13 +52,16 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/node.h"
 #include "cluster/replica_store.h"
 #include "cluster/staleness_oracle.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/slot_pool.h"
+#include "net/latency_model.h"
 #include "reference/reference_event_queue.h"
 #include "reference/reference_histogram.h"
+#include "reference/reference_lognormal.h"
 #include "reference/reference_oracle.h"
 #include "reference/reference_pending_map.h"
 #include "reference/reference_store.h"
@@ -297,6 +307,228 @@ TEST(RequestPathDiff, HistogramSchedulesMatchReference) {
   for (const auto seed : extra_seeds()) run_block(seed, 150);
   std::printf("[diff] histogram schedules: %llu\n",
               (unsigned long long)schedules);
+}
+
+// ------------------------------------------------------- lognormal draw diff
+
+constexpr std::uint64_t kDrawsPerStream = 1'000'000;
+constexpr int kIntegerEdgeCases = 20'000;
+constexpr int kNearOneCases = 4000;
+
+struct DrawParams {
+  double median, sigma;
+};
+
+/// Draws `n` values through Rng::lognormal_median on `rng` and through the
+/// libm reference on a clone, with (median, sigma) = params(i) for draw i.
+/// Every integer must match, and so must the next raw output after every
+/// draw (each side consumed exactly two). Positions whose libm value has no
+/// int64 truncation are stepped over on both sides; returns how many.
+template <typename Params>
+std::uint64_t check_draw_stream(Rng rng, std::uint64_t n, Params params,
+                                const std::string& what) {
+  Rng ref = rng;
+  std::uint64_t skipped = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const DrawParams p = params(i);
+    const double value = reference_lognormal_value(ref, p.median, p.sigma);
+    if (!(value < 0x1.0p63)) {
+      rng.next();
+      rng.next();
+      ++skipped;
+      continue;
+    }
+    const std::int64_t got = rng.lognormal_median(p.median, p.sigma);
+    if (got != static_cast<std::int64_t>(value)) {
+      ADD_FAILURE() << what << ", draw " << i << std::setprecision(17)
+                    << ": median " << p.median << " sigma " << p.sigma
+                    << " gave " << got << ", libm " << value;
+      return skipped;
+    }
+    if (rng.next() != ref.next()) {
+      ADD_FAILURE() << what << ", draw " << i
+                    << ": streams out of step after the draw";
+      return skipped;
+    }
+  }
+  return skipped;
+}
+
+/// Median for which libm's median * factor rounds to exactly `target`, or
+/// 0 if no double within a few ulps of target / factor does.
+double median_hitting(double target, double factor) {
+  double median = target / factor;
+  for (int step = 0; step < 8; ++step) {
+    if (median * factor == target) return median;
+    median = std::nextafter(median, median * factor < target
+                                        ? std::numeric_limits<double>::max()
+                                        : 0.0);
+  }
+  return 0.0;
+}
+
+/// Inverse of y = x ^ (x >> s).
+std::uint64_t unxorshift(std::uint64_t y, int s) {
+  std::uint64_t x = y;
+  for (int i = 0; i < 64 / s + 1; ++i) x = y ^ (x >> s);
+  return x;
+}
+
+/// Multiplicative inverse of an odd a modulo 2^64 (Newton's iteration).
+std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// A seed whose Rng's first next() returns `out`: undoes xoshiro256**'s
+/// output scrambler on state word 1, then the SplitMix64 finalizer that
+/// seeded it (word 1 is hash64(seed + golden gamma)).
+std::uint64_t seed_with_first_output(std::uint64_t out) {
+  const std::uint64_t x = out * inverse_odd(9);
+  std::uint64_t z = ((x >> 7) | (x << 57)) * inverse_odd(5);
+  z = unxorshift(z, 31) * inverse_odd(0x94D049BB133111EBULL);
+  z = unxorshift(z, 27) * inverse_odd(0xBF58476D1CE4E5B9ULL);
+  return unxorshift(z, 30) - 2 * 0x9E3779B97F4A7C15ULL;
+}
+
+void run_lognormal_block(std::uint64_t seed) {
+  Rng master(seed);
+  std::uint64_t salt = 0;
+  auto fixed = [](double median, double sigma) {
+    return [=](std::uint64_t) { return DrawParams{median, sigma}; };
+  };
+  const std::string at = " (seed " + std::to_string(seed) + ")";
+
+  // Every tier of the three presets, as TieredLatencyModel::sample and
+  // Cluster::client_link_delay draw them.
+  using Model = net::TieredLatencyModel;
+  const std::pair<const char*, Model::Params> presets[] = {
+      {"ec2_two_az", Model::ec2_two_az()},
+      {"grid5000_two_sites", Model::grid5000_two_sites()},
+      {"lan", Model::lan()}};
+  for (const auto& [name, p] : presets) {
+    const std::pair<const char*, net::LatencyTier> tiers[] = {
+        {"loopback", p.loopback},
+        {"same_rack", p.same_rack},
+        {"same_dc", p.same_dc},
+        {"cross_dc", p.cross_dc}};
+    for (const auto& [tier, t] : tiers) {
+      check_draw_stream(master.fork(++salt), kDrawsPerStream,
+                        fixed(static_cast<double>(t.base), t.sigma),
+                        std::string(name) + " " + tier + at);
+    }
+  }
+
+  // Node::base_cost's disk draw, and Node::service's jitter over each
+  // kind's base cost (reads and digests add a disk draw 30% of the time).
+  const cluster::NodeParams np;
+  check_draw_stream(
+      master.fork(++salt), kDrawsPerStream,
+      fixed(static_cast<double>(np.disk_read_median), np.disk_sigma),
+      "node disk draw" + at);
+  Rng costs = master.fork(++salt);
+  check_draw_stream(
+      master.fork(++salt), kDrawsPerStream,
+      [&](std::uint64_t) {
+        const SimDuration base[] = {np.cpu_read, np.cpu_digest,
+                                    np.cpu_write + np.commit_log_write,
+                                    np.cpu_coord};
+        const std::uint64_t kind = costs.uniform_u64(4);
+        SimDuration cost = base[kind];
+        if (kind < 2 && costs.chance(np.disk_read_probability)) {
+          cost += costs.lognormal_median(
+              static_cast<double>(np.disk_read_median), np.disk_sigma);
+        }
+        return DrawParams{static_cast<double>(cost), np.service_jitter_sigma};
+      },
+      "node service jitter" + at);
+
+  // Random pairs: median log-uniform over [1, 1e5], sigma over [0, 16].
+  Rng pairs = master.fork(++salt);
+  const std::uint64_t skipped = check_draw_stream(
+      master.fork(++salt), kDrawsPerStream,
+      [&](std::uint64_t) {
+        const double median = std::exp(pairs.uniform(0.0, std::log(1e5)));
+        return DrawParams{median, pairs.uniform(0.0, 16.0)};
+      },
+      "random (median, sigma)" + at);
+  EXPECT_LT(skipped, kDrawsPerStream / 20)
+      << "random pairs: too many draws past int64" << at;
+
+  // Integer edges: pick the median so that libm's product is exactly an
+  // integer k, or one ulp either side of it — where truncation flips
+  // between k - 1 and k. Only the band's fallback returns libm's integer
+  // there.
+  Rng edges = master.fork(++salt);
+  Rng params = master.fork(++salt);
+  int hit = 0;
+  for (int c = 0; c < kIntegerEdgeCases; ++c) {
+    const double sigma =
+        c % 2 == 0 ? params.uniform(0.0, 1.0) : params.uniform(0.0, 16.0);
+    Rng peek = edges;
+    const double factor = reference_lognormal_factor(peek, sigma);
+    const auto k = static_cast<double>(1 + params.uniform_u64(100'000));
+    for (const double target :
+         {std::nextafter(k, 0.0), k, std::nextafter(k, 2 * k)}) {
+      const double median = median_hitting(target, factor);
+      if (median <= 0.0) continue;
+      ++hit;
+      const std::string what = "integer edge " + std::to_string(c) + at;
+      check_draw_stream(edges, 1, fixed(median, sigma), what);
+      Rng ref = edges;
+      ASSERT_EQ(reference_lognormal_median(ref, median, sigma),
+                static_cast<std::int64_t>(target))
+          << what;
+    }
+    if (::testing::Test::HasFailure()) return;
+    edges.next();
+    edges.next();
+  }
+  EXPECT_GT(hit, kIntegerEdgeCases) << "too few integer edges built" << at;
+
+  // u1 a few ulps below 1, where -log(u1) is itself a few ulps and a
+  // relative error in it moves v most: streams seeded to open with
+  // u1 = 1 - j * 2^-53, j <= 4 (a random position lands there once in 2^51
+  // draws), then |cos(2 pi u2)| >= 0.9 and sigma near its cap of 16, and
+  // libm's value put a hair (1e-9 to 3e-8 relative) either side of an
+  // integer.
+  for (int c = 0; c < kNearOneCases; ++c) {
+    const std::uint64_t j = 1 + params.uniform_u64(4);
+    const double u1 = 1.0 - static_cast<double>(j) * 0x1.0p-53;
+    Rng rng;
+    for (;;) {
+      const std::uint64_t out =
+          (((1ULL << 53) - j) << 11) | params.uniform_u64(1 << 11);
+      rng = Rng(seed_with_first_output(out));
+      Rng peek = rng;
+      ASSERT_EQ(peek.uniform(), u1) << "seed construction" << at;
+      if (std::fabs(std::cos(2.0 * M_PI * peek.uniform())) >= 0.9) break;
+    }
+    const double sigma = c % 2 == 0 ? 16.0 : params.uniform(8.0, 16.0);
+    Rng peek = rng;
+    const double factor = reference_lognormal_factor(peek, sigma);
+    const auto n = static_cast<double>(1000 + params.uniform_u64(1'000'000));
+    for (const double offset : {-3e-8, -1e-8, -1e-9, 1e-9, 1e-8, 3e-8}) {
+      check_draw_stream(rng, 1, fixed(n * (1.0 + offset) / factor, sigma),
+                        "u1 = 1 - " + std::to_string(j) + " * 2^-53" + at);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(RequestPathDiff, LognormalDrawMatchesLibmFormula) {
+  std::uint64_t blocks = 0;
+  auto run_block = [&](std::uint64_t seed) {
+    run_lognormal_block(seed);
+    ASSERT_FALSE(::testing::Test::HasFailure())
+        << "lognormal draw diverged at seed " << seed;
+    ++blocks;
+  };
+  run_block(0x10E4A1ULL);
+  for (const auto seed : extra_seeds()) run_block(seed);
+  std::printf("[diff] lognormal draw seeds: %llu\n",
+              (unsigned long long)blocks);
 }
 
 // ------------------------------------------------------------ slot-pool diff

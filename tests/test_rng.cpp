@@ -69,20 +69,6 @@ TEST(Rng, UniformU64CoversAllValues) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(11);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    ASSERT_GE(v, -3);
-    ASSERT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, ExponentialMeanMatches) {
   Rng rng(5);
   RunningStats s;

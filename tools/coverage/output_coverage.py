@@ -8,9 +8,11 @@ Builds the root project and bench/e2e's own CMake project with
 `--coverage -O0 -fprofile-update=atomic` (Debug) under DIR (default
 build-cov), then runs two phases:
 
-  1. outputs: every program in the OUTPUTS table below (the examples, the
-     paper benches, bench_resilience, bench_scale, bench_micro and the
-     bench_e2e workloads). An output that exits non-zero fails the tool.
+  1. outputs: every program in the OUTPUTS table below: the examples and
+     benches of tests/golden/MANIFEST (the paper benches and
+     bench_resilience at smaller flags), then bench_micro and the bench_e2e
+     workloads, which only this tool runs. An output that exits non-zero
+     fails the tool.
   2. tests: the tier-1 ctest suite of the root build, minus the golden
      corpus (label `golden`), which re-runs outputs.
 
@@ -45,11 +47,11 @@ CMAKE_FLAGS = ["-DCMAKE_BUILD_TYPE=Debug",
                "-DCMAKE_CXX_FLAGS=--coverage -O0 -fprofile-update=atomic"]
 JOBS = str(min(4, os.cpu_count() or 1))
 
-EXAMPLES = ["quickstart", "webshop", "social_network", "behavior_modeling",
-            "failover_drill", "provisioning_planner"]
-PAPER_BENCHES = ["ablation", "bismar", "cost_consistency", "energy",
-                 "fig1_stale_model", "freshness", "harmony_ec2",
-                 "harmony_grid5000", "provisioner"]
+MANIFEST = ROOT / "tests" / "golden" / "MANIFEST"
+# A MANIFEST bench that takes --ops or --seeds (the paper benches,
+# bench_resilience) runs once here, at these smaller flags; every other
+# MANIFEST line (the examples, bench_scale --smoke) runs as listed.
+SMALL_BENCH_FLAGS = ("--ops=4000", "--seeds=1", "--csv")
 E2E_WORKLOADS = ["harmony_ec2", "openloop_2m", "write_storm_faults",
                  "keyrange_sharded"]
 
@@ -58,16 +60,27 @@ def e2e(*args):
     return ("e2e", "bench_e2e", *args)
 
 
+def manifest_outputs():
+    """The golden corpus's programs: `<name> <binary> [args...]` lines."""
+    out, sized = [], set()
+    for line in MANIFEST.read_text().splitlines():
+        if not line[:1].islower():
+            continue
+        _, binary, *argv = line.split()
+        if binary.startswith("bench_") and any(
+                a.startswith(("--ops=", "--seeds=")) for a in argv):
+            if binary not in sized:
+                sized.add(binary)
+                out.append(("root", binary, *SMALL_BENCH_FLAGS))
+        else:
+            out.append(("root", binary, *argv))
+    return out
+
+
 # Every output: (build tree, binary, arguments...). "root" is the root
 # project's build, "e2e" bench/e2e's.
 OUTPUTS = [
-    *[("root", f"example_{name}") for name in EXAMPLES],
-    # provisioning_planner's documented flags (see its header comment).
-    ("root", "example_provisioning_planner", "--demand=25000", "--level=2",
-     "--failures=1", "--read_fraction=0.8", "--dataset_gb=24"),
-    *[("root", f"bench_{name}", "--ops=4000", "--seeds=1", "--csv")
-      for name in PAPER_BENCHES + ["resilience"]],
-    ("root", "bench_scale", "--smoke"),
+    *manifest_outputs(),
     ("root", "bench_micro", "--benchmark_min_time=0.001"),
     e2e("--mode=info"),
     *[e2e(f"--workload={w}", f"--mode={mode}", "--smoke")
