@@ -21,7 +21,8 @@
 int main(int argc, char** argv) {
   using namespace harmony;
   // Paper: 10M ops. Default scale: /250 => 40k ops per run (many runs).
-  const auto args = bench::BenchArgs::parse(argc, argv, 40'000);
+  const auto args = bench::BenchArgs::parse(argc, argv, 40'000,
+                                            {"records", "clients"});
 
   auto base = [&] {
     workload::RunConfig cfg;

@@ -12,13 +12,17 @@
 //   --jobs=M     worker threads for the sweep (default 0 = all cores;
 //                output is byte-identical for any value, incl. --jobs=1)
 //   --csv        also dump rows as CSV (for plotting)
-// and prints the paper's table plus a paper-vs-measured footer.
+// plus the flags the bench names itself, and prints the paper's table plus a
+// paper-vs-measured footer. Any other argument, or a value that does not
+// parse in full, exits with code 2 and a message naming it.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.h"
@@ -37,9 +41,15 @@ struct BenchArgs {
   bool csv = false;
   Config config;
 
-  static BenchArgs parse(int argc, char** argv, std::uint64_t default_ops) {
+  /// `extra_flags` names the bench's own flags beyond the six above.
+  static BenchArgs parse(
+      int argc, char** argv, std::uint64_t default_ops,
+      std::initializer_list<std::string_view> extra_flags = {}) {
+    std::vector<std::string_view> flags = {"ops",   "scale", "seed",
+                                           "seeds", "jobs",  "csv"};
+    flags.insert(flags.end(), extra_flags.begin(), extra_flags.end());
     BenchArgs a;
-    a.config = Config::from_args(argc, argv);
+    a.config = Config::from_args(argc, argv, flags);
     const double scale = a.config.get_double("scale", 1.0);
     a.ops = static_cast<std::uint64_t>(
         static_cast<double>(a.config.get_int("ops", static_cast<std::int64_t>(

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const auto args = bench::BenchArgs::parse(argc, argv, 40'000);
+  const auto args = bench::BenchArgs::parse(argc, argv, 40'000,
+                                            {"records", "clients"});
 
   auto base = [&] {
     workload::RunConfig cfg;

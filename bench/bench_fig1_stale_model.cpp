@@ -114,7 +114,7 @@ ClusterPoint cluster_truth(double lambda_w, double lambda_r, int k,
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const auto args = bench::BenchArgs::parse(argc, argv, 0);
+  const auto args = bench::BenchArgs::parse(argc, argv, 0, {"horizon"});
   const double horizon_s =
       args.config.get_double("horizon", 25.0);
 

@@ -18,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace harmony;
   // Paper: 5M ops. Default scale: /100 => 50k ops.
-  const auto args = bench::BenchArgs::parse(argc, argv, 50'000);
+  const auto args = bench::BenchArgs::parse(argc, argv, 50'000,
+                                            {"records", "clients"});
 
   auto base = [&] {
     workload::RunConfig cfg;

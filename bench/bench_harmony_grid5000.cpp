@@ -21,7 +21,8 @@
 int main(int argc, char** argv) {
   using namespace harmony;
   // Paper: 3M ops. Default scale: /60 => 50k ops (~seconds on one core).
-  const auto args = bench::BenchArgs::parse(argc, argv, 50'000);
+  const auto args = bench::BenchArgs::parse(argc, argv, 50'000,
+                                            {"records", "clients"});
 
   auto base = [&] {
     workload::RunConfig cfg;

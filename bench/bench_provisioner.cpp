@@ -17,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const auto args = bench::BenchArgs::parse(argc, argv, 20'000);
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, 20'000,
+      {"dataset_gb", "validate_demand", "sim_node_capacity"});
 
   bench::print_header(
       "§V provisioning — cheapest node count under constraints",

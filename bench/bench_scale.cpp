@@ -108,7 +108,8 @@ std::string count_cell(const workload::SweepStats& s,
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const auto args = bench::BenchArgs::parse(argc, argv, 40'000);
+  const auto args = bench::BenchArgs::parse(argc, argv, 40'000,
+                                            {"smoke", "users", "records"});
 
   ScaleParams p;
   p.smoke = args.config.get_bool("smoke", false);

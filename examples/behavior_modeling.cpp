@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options = Config::from_args(argc, argv, {"seed", "ops"});
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 11));
 
   // ---- offline: model the application from its past trace -----------------

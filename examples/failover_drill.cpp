@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options = Config::from_args(argc, argv, {"ops", "seed"});
 
   workload::RunConfig cfg;
   cfg.label = "failover-drill";

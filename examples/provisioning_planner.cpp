@@ -10,7 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options = Config::from_args(
+      argc, argv,
+      {"demand", "level", "rf", "failures", "read_fraction", "dataset_gb"});
 
   core::ProvisioningRequest req;
   req.demand_ops_per_s = options.get_double("demand", 25'000);

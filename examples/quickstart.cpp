@@ -13,7 +13,8 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options =
+      Config::from_args(argc, argv, {"ops", "seed", "tolerance"});
 
   workload::RunConfig cfg;
   cfg.label = "quickstart";

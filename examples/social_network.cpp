@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options = Config::from_args(argc, argv, {"ops", "seed"});
   const auto ops = static_cast<std::uint64_t>(options.get_int("ops", 30'000));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 3));
 

@@ -44,7 +44,8 @@ harmony::workload::RunConfig shop_config(std::uint64_t ops, std::uint64_t seed) 
 
 int main(int argc, char** argv) {
   using namespace harmony;
-  const Config options = Config::from_args(argc, argv);
+  const Config options =
+      Config::from_args(argc, argv, {"ops", "seed", "seeds", "jobs"});
   const auto ops = static_cast<std::uint64_t>(options.get_int("ops", 30'000));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 7));
 

@@ -25,6 +25,9 @@ int ClusterConfig::local_rf(net::DcId dc) const {
 // ------------------------------------------------------------ construction
 
 namespace {
+/// Every node runs the default NodeParams service model.
+const NodeParams kNodeParams{};
+
 net::Topology build_topology(const ClusterConfig& cfg) {
   return net::Topology::balanced(cfg.node_count, cfg.dc_count);
 }
@@ -126,7 +129,7 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
     // lint: allow(hot-path-alloc): construction-time node array; never runs
     // again after the cluster is built (alloc_guard pins steady state).
     nodes_.push_back(std::make_unique<Node>(
-        static_cast<net::NodeId>(i), cfg_.node,
+        static_cast<net::NodeId>(i), kNodeParams,
         sim.fork_rng(0x1000 + static_cast<std::uint64_t>(i))));
   }
   alive_.assign(cfg_.node_count, 1);

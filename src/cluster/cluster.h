@@ -213,7 +213,6 @@ struct ClusterConfig {
   int rf = 3;
   int vnodes_per_node = 8;
   net::TieredLatencyModel::Params latency{};
-  NodeParams node{};
   /// Chance that a read additionally repairs replicas it did not contact
   /// (Cassandra's global read repair). Contacted stale replicas are always
   /// repaired.
@@ -359,11 +358,6 @@ class Cluster {
   std::uint64_t hints_replayed() const {
     std::uint64_t n = 0;
     for (const auto& s : shards_) n += s->hints.replayed();
-    return n;
-  }
-  std::size_t hints_pending_total() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s->hints.pending_total();
     return n;
   }
   Node& node(net::NodeId id);

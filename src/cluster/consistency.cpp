@@ -61,12 +61,4 @@ ReplicaRequirement resolve_count(int k, int rf) {
   return r;
 }
 
-bool quorum_overlap(const ReplicaRequirement& read_req,
-                    const ReplicaRequirement& write_req, int rf) {
-  // Local/each-quorum variants depend on the DC layout; only the global
-  // counting argument is claimed here (conservative for the others).
-  if (read_req.local_only || write_req.local_only) return false;
-  return read_req.count + write_req.count > rf;
-}
-
 }  // namespace harmony::cluster

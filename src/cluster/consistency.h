@@ -50,9 +50,4 @@ ReplicaRequirement resolve(Level level, int rf, int local_rf);
 /// [1, rf].
 ReplicaRequirement resolve_count(int k, int rf);
 
-/// True when reads at `read_req` and writes at `write_req` are guaranteed to
-/// overlap in at least one replica (R + W > N): no stale read is possible.
-bool quorum_overlap(const ReplicaRequirement& read_req,
-                    const ReplicaRequirement& write_req, int rf);
-
 }  // namespace harmony::cluster

@@ -38,13 +38,6 @@ class HintStore {
     const auto it = hints_.find(target);
     return it == hints_.end() ? 0 : it->second.size();
   }
-  std::size_t pending_total() const {
-    std::size_t n = 0;
-    // lint: allow(determinism-unordered-iter): order-insensitive reduction
-    // (a sum); no iteration order can leak into schedules or output.
-    for (const auto& [_, v] : hints_) n += v.size();
-    return n;
-  }
   std::uint64_t stored() const { return stored_; }
   std::uint64_t replayed() const { return replayed_; }
 

@@ -174,10 +174,4 @@ std::size_t StalenessOracle::history_size(Key key) const {
   return q == nullptr ? 0 : q->size();
 }
 
-void StalenessOracle::reset_counters() {
-  fresh_ = 0;
-  stale_ = 0;
-  age_hist_.reset();
-}
-
 }  // namespace harmony::cluster

@@ -89,8 +89,6 @@ class StalenessOracle {
   std::size_t history_size(Key key) const;
   std::size_t inflight_reads() const { return inflight_count_; }
 
-  void reset_counters();
-
  private:
   struct Commit {
     SimTime commit_time;

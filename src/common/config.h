@@ -1,12 +1,13 @@
 // Minimal --key=value command-line configuration used by bench and example
-// binaries (e.g. --ops=100000 --seed=7 --scale=0.1). Unknown keys are kept so
-// experiment harnesses can layer their own options.
+// binaries (e.g. --ops=100000 --seed=7 --scale=0.1). Each program names the
+// flags it reads. A word that is not one of them, or a value that does not
+// parse in full, ends the program with exit code 2 and a message naming it.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace harmony {
@@ -15,20 +16,25 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse argv; accepts "--key=value" and bare "--flag" (value "1").
-  static Config from_args(int argc, const char* const* argv);
+  /// Parse argv against `flags`, the names the program reads. Accepts
+  /// "--key=value" and bare "--flag" (value "1").
+  static Config from_args(int argc, const char* const* argv,
+                          const std::vector<std::string_view>& flags);
 
-  void set(const std::string& key, const std::string& value);
-  bool has(const std::string& key) const;
-
-  std::string get_string(const std::string& key, const std::string& dflt) const;
+  /// The value of `--key`, or `dflt` when absent. `key` must be one of the
+  /// parsed flags; a value that is not a whole integer, number or boolean
+  /// (1/true/yes/on, 0/false/no/off) exits as above.
   std::int64_t get_int(const std::string& key, std::int64_t dflt) const;
   double get_double(const std::string& key, double dflt) const;
   bool get_bool(const std::string& key, bool dflt) const;
 
-  const std::map<std::string, std::string>& entries() const { return kv_; }
-
  private:
+  /// The raw value of a declared flag, nullptr when it was not given.
+  const std::string* find(const std::string& key) const;
+  [[noreturn]] void fail(const std::string& what) const;
+
+  std::string program_;
+  std::vector<std::string> flags_;
   std::map<std::string, std::string> kv_;
 };
 

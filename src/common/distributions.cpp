@@ -92,9 +92,9 @@ std::unique_ptr<KeyDistribution> KeyDistributionSpec::build(
     case KeyDistributionKind::kUniform:
       return std::make_unique<UniformKeys>(item_count);
     case KeyDistributionKind::kZipfian:
-      return std::make_unique<ZipfianKeys>(item_count, zipf_theta);
+      return std::make_unique<ZipfianKeys>(item_count);
     case KeyDistributionKind::kScrambledZipfian:
-      return std::make_unique<ScrambledZipfianKeys>(item_count, zipf_theta);
+      return std::make_unique<ScrambledZipfianKeys>(item_count);
   }
   HARMONY_CHECK_MSG(false, "unreachable: bad KeyDistributionKind");
   return nullptr;

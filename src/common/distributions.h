@@ -112,9 +112,9 @@ enum class KeyDistributionKind : std::uint8_t {
   kScrambledZipfian,
 };
 
+/// The zipfian kinds use YCSB's theta, ZipfianKeys::kDefaultTheta.
 struct KeyDistributionSpec {
   KeyDistributionKind kind = KeyDistributionKind::kScrambledZipfian;
-  double zipf_theta = ZipfianKeys::kDefaultTheta;
 
   std::unique_ptr<KeyDistribution> build(std::uint64_t item_count) const;
 };

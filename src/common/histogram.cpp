@@ -60,14 +60,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   sum_ += other.sum_;
 }
 
-void LatencyHistogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = kMinSentinel;
-  max_ = 0;
-}
-
 std::string LatencyHistogram::summary() const {
   char buf[160];
   std::snprintf(buf, sizeof buf, "mean=%s p50=%s p95=%s p99=%s max=%s n=%llu",

@@ -49,7 +49,6 @@ class LatencyHistogram {
   SimDuration p99() const { return percentile(99.0); }
 
   void merge(const LatencyHistogram& other);
-  void reset();
 
   /// "mean=1.2ms p50=0.9ms p95=3.0ms p99=6.1ms max=9ms n=1234"
   std::string summary() const;

@@ -69,7 +69,6 @@ class Ewma {
   void observe(SimTime now, double x);
   double value() const { return value_; }
   bool empty() const { return !initialized_; }
-  void reset() { initialized_ = false; value_ = 0; }
 
  private:
   SimDuration half_life_;

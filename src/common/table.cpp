@@ -67,12 +67,6 @@ void TextTable::print(std::ostream& os) const {
   rule();
 }
 
-std::string TextTable::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 std::string TextTable::to_csv() const {
   std::ostringstream os;
   auto emit = [&](const std::vector<std::string>& cells) {

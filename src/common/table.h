@@ -21,7 +21,6 @@ class TextTable {
   static std::string money(double dollars);                    // 1.5 -> "$1.50"
 
   void print(std::ostream& os) const;
-  std::string to_string() const;
   std::string to_csv() const;
 
  private:

@@ -6,13 +6,19 @@
 
 namespace harmony::core {
 
+namespace {
+/// Weak-mode write acks of both baselines.
+constexpr int kWriteAcks = 1;
+/// Conflict rationing goes strong above this P(update conflict).
+constexpr double kConflictThreshold = 0.05;
+/// The read/write-ratio policy goes strong above this write share.
+constexpr double kWriteShareThreshold = 0.3;
+}  // namespace
+
 // ----------------------------------------------------------- Kraska-style
 
-ConflictRationingPolicy::ConflictRationingPolicy(ConflictRationingOptions options,
-                                                 int rf)
-    : opt_(options), rf_(rf) {
+ConflictRationingPolicy::ConflictRationingPolicy(int rf) : rf_(rf) {
   HARMONY_CHECK(rf >= 1);
-  HARMONY_CHECK(opt_.conflict_threshold >= 0 && opt_.conflict_threshold <= 1);
 }
 
 cluster::ReplicaRequirement ConflictRationingPolicy::read_requirement() const {
@@ -22,36 +28,32 @@ cluster::ReplicaRequirement ConflictRationingPolicy::read_requirement() const {
 cluster::ReplicaRequirement ConflictRationingPolicy::write_requirement() const {
   // Strong mode writes at quorum so R+W>N holds (serializability surrogate);
   // weak mode = session-ish weak consistency, one ack.
-  return cluster::resolve_count(strong_ ? cluster::quorum_of(rf_) : opt_.write_acks,
+  return cluster::resolve_count(strong_ ? cluster::quorum_of(rf_) : kWriteAcks,
                                 rf_);
 }
 
 void ConflictRationingPolicy::tick(const monitor::SystemState& state) {
-  double window_s = to_seconds(opt_.window);
-  if (opt_.window <= 0) window_s = state.window_us() / 1e6;
+  const double window_s = state.window_us() / 1e6;
   const double n = state.write_rate * window_s;  // expected updates per window
   // P(>= 2 Poisson arrivals in the window) — an update conflict.
   p_conflict_ = n > 0 ? 1.0 - std::exp(-n) * (1.0 + n) : 0.0;
-  const bool want_strong = p_conflict_ > opt_.conflict_threshold;
+  const bool want_strong = p_conflict_ > kConflictThreshold;
   if (want_strong != strong_) {
     strong_ = want_strong;
     ++switches_;
   }
 }
 
-policy::PolicyFactory conflict_rationing_policy(ConflictRationingOptions o) {
-  return [o](const policy::PolicyInit& init) {
-    return std::make_unique<ConflictRationingPolicy>(o, init.rf);
+policy::PolicyFactory conflict_rationing_policy() {
+  return [](const policy::PolicyInit& init) {
+    return std::make_unique<ConflictRationingPolicy>(init.rf);
   };
 }
 
 // ----------------------------------------------------------- Wang-style
 
-ReadWriteRatioPolicy::ReadWriteRatioPolicy(ReadWriteRatioOptions options, int rf)
-    : opt_(options), rf_(rf) {
+ReadWriteRatioPolicy::ReadWriteRatioPolicy(int rf) : rf_(rf) {
   HARMONY_CHECK(rf >= 1);
-  HARMONY_CHECK(opt_.write_share_threshold >= 0 &&
-                opt_.write_share_threshold <= 1);
 }
 
 cluster::ReplicaRequirement ReadWriteRatioPolicy::read_requirement() const {
@@ -59,22 +61,22 @@ cluster::ReplicaRequirement ReadWriteRatioPolicy::read_requirement() const {
 }
 
 cluster::ReplicaRequirement ReadWriteRatioPolicy::write_requirement() const {
-  return cluster::resolve_count(opt_.write_acks, rf_);
+  return cluster::resolve_count(kWriteAcks, rf_);
 }
 
 void ReadWriteRatioPolicy::tick(const monitor::SystemState& state) {
   const double total = state.read_rate + state.write_rate;
   const double write_share = total > 0 ? state.write_rate / total : 0.0;
-  const bool want_strong = write_share > opt_.write_share_threshold;
+  const bool want_strong = write_share > kWriteShareThreshold;
   if (want_strong != strong_) {
     strong_ = want_strong;
     ++switches_;
   }
 }
 
-policy::PolicyFactory rw_ratio_policy(ReadWriteRatioOptions o) {
-  return [o](const policy::PolicyInit& init) {
-    return std::make_unique<ReadWriteRatioPolicy>(o, init.rf);
+policy::PolicyFactory rw_ratio_policy() {
+  return [](const policy::PolicyInit& init) {
+    return std::make_unique<ReadWriteRatioPolicy>(init.rf);
   };
 }
 

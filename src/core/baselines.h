@@ -18,22 +18,15 @@
 
 namespace harmony::core {
 
-struct ConflictRationingOptions {
-  /// Switch to strong consistency when P(update conflict) exceeds this.
-  double conflict_threshold = 0.05;
-  /// Conflict window: two updates within this span of one another (and before
-  /// propagation finishes) are treated as conflicting. When 0, the monitored
-  /// propagation window Tp is used.
-  SimDuration window = 0;
-  int write_acks = 1;
-};
-
 /// Kraska-style consistency rationing. With Poisson updates at rate λw, the
 /// probability that an update collides with another inside the window w is
-/// P(conflict) = 1 − e^(−λw·w)·(1 + λw·w) (two or more arrivals in w).
+/// P(conflict) = 1 − e^(−λw·w)·(1 + λw·w) (two or more arrivals in w). The
+/// window is the monitored propagation window Tp: two updates inside it (and
+/// before propagation finishes) conflict. Above a 5% conflict probability
+/// the policy reads and writes at quorum; below it, at ONE.
 class ConflictRationingPolicy final : public policy::ConsistencyPolicy {
  public:
-  ConflictRationingPolicy(ConflictRationingOptions options, int rf);
+  explicit ConflictRationingPolicy(int rf);
 
   cluster::ReplicaRequirement read_requirement() const override;
   cluster::ReplicaRequirement write_requirement() const override;
@@ -45,23 +38,18 @@ class ConflictRationingPolicy final : public policy::ConsistencyPolicy {
   double last_conflict_probability() const { return p_conflict_; }
 
  private:
-  ConflictRationingOptions opt_;
   int rf_;
   bool strong_ = false;
   double p_conflict_ = 0;
   std::uint64_t switches_ = 0;
 };
 
-struct ReadWriteRatioOptions {
-  /// Strong consistency when write_rate / (read_rate + write_rate) exceeds
-  /// this static threshold (frequent writes => more inconsistency windows).
-  double write_share_threshold = 0.3;
-  int write_acks = 1;
-};
-
+/// Wang-style static threshold: reads at ALL when write_rate / (read_rate +
+/// write_rate) exceeds 30% (frequent writes => more inconsistency windows),
+/// else at ONE. Writes always wait for one ack.
 class ReadWriteRatioPolicy final : public policy::ConsistencyPolicy {
  public:
-  ReadWriteRatioPolicy(ReadWriteRatioOptions options, int rf);
+  explicit ReadWriteRatioPolicy(int rf);
 
   cluster::ReplicaRequirement read_requirement() const override;
   cluster::ReplicaRequirement write_requirement() const override;
@@ -72,13 +60,12 @@ class ReadWriteRatioPolicy final : public policy::ConsistencyPolicy {
   bool strong() const { return strong_; }
 
  private:
-  ReadWriteRatioOptions opt_;
   int rf_;
   bool strong_ = false;
   std::uint64_t switches_ = 0;
 };
 
-policy::PolicyFactory conflict_rationing_policy(ConflictRationingOptions o = {});
-policy::PolicyFactory rw_ratio_policy(ReadWriteRatioOptions o = {});
+policy::PolicyFactory conflict_rationing_policy();
+policy::PolicyFactory rw_ratio_policy();
 
 }  // namespace harmony::core

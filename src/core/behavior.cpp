@@ -9,6 +9,12 @@
 
 namespace harmony::core {
 
+namespace {
+/// The silhouette search over application-state counts.
+constexpr int kMinStates = 2;
+constexpr int kMaxStates = 6;
+}  // namespace
+
 // ------------------------------------------------------------ StateProfile
 
 StateProfile StateProfile::from_features(const ml::FeatureVector& raw) {
@@ -102,10 +108,7 @@ std::size_t ApplicationModel::classify(
 // ------------------------------------------------------------ BehaviorModeler
 
 BehaviorModeler::BehaviorModeler(BehaviorModelOptions options)
-    : opt_(std::move(options)) {
-  HARMONY_CHECK(opt_.k_min >= 2);
-  HARMONY_CHECK(opt_.k_max >= opt_.k_min);
-}
+    : opt_(std::move(options)) {}
 
 void BehaviorModeler::add_rule(ConsistencyRule rule) {
   custom_rules_.push_back(std::move(rule));
@@ -138,10 +141,10 @@ ApplicationModel BehaviorModeler::fit(const workload::Trace& trace) const {
   const ml::FeatureMatrix normalized = model.normalizer_.transform(raw);
 
   const int k_max = std::min<int>(
-      opt_.k_max, static_cast<int>(timeline.windows.size()) - 1);
+      kMaxStates, static_cast<int>(timeline.windows.size()) - 1);
   const ml::KSelection selection =
-      ml::select_k(normalized, opt_.k_min, std::max(opt_.k_min, k_max),
-                   opt_.kmeans);
+      ml::select_k(normalized, kMinStates, std::max(kMinStates, k_max),
+                   ml::KMeansOptions{});
   model.silhouette_ = selection.best_score;
   model.classifier_ =
       ml::NearestCentroidClassifier(selection.best_result.centroids);

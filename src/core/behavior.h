@@ -80,11 +80,10 @@ class ApplicationModel {
   double silhouette_ = 0;
 };
 
+/// The modeler picks between 2 and 6 states by silhouette score, fitting
+/// k-means with its default seed.
 struct BehaviorModelOptions {
   ml::TimelineOptions timeline{};
-  int k_min = 2;
-  int k_max = 6;
-  ml::KMeansOptions kmeans{};
 };
 
 class BehaviorModeler {

@@ -7,11 +7,26 @@
 
 namespace harmony::core {
 
-BismarController::BismarController(BismarOptions options, int rf, int local_rf)
-    : opt_(options), rf_(rf), local_rf_(local_rf) {
+namespace {
+/// Writes wait for one ack; Bismar tunes the read side.
+constexpr int kWriteAcks = 1;
+/// Fraction of the monitored local replica RTT treated as read-path sampling
+/// delay in the stale estimator (see StaleModelParams). Bismar is a cost
+/// optimizer, so it uses the sharper (less conservative) estimate.
+constexpr double kReadOffsetFactor = 0.75;
+/// Value size in the analytic cross-DC bytes estimate. Header and digest
+/// sizes are the cluster's own (cluster::kMessageOverheadBytes,
+/// cluster::kDigestBytes).
+constexpr double kValueBytes = 1024;
+/// Read share used for the network estimate when the monitor has no rates
+/// yet.
+constexpr double kDefaultReadFraction = 0.5;
+}  // namespace
+
+BismarController::BismarController(int rf, int local_rf)
+    : rf_(rf), local_rf_(local_rf) {
   HARMONY_CHECK(rf >= 1);
   HARMONY_CHECK(local_rf >= 0 && local_rf <= rf);
-  HARMONY_CHECK(opt_.write_acks >= 1 && opt_.write_acks <= rf);
 }
 
 cluster::ReplicaRequirement BismarController::read_requirement() const {
@@ -19,7 +34,7 @@ cluster::ReplicaRequirement BismarController::read_requirement() const {
 }
 
 cluster::ReplicaRequirement BismarController::write_requirement() const {
-  return cluster::resolve_count(opt_.write_acks, rf_);
+  return cluster::resolve_count(kWriteAcks, rf_);
 }
 
 void BismarController::tick(const monitor::SystemState& state) {
@@ -27,12 +42,12 @@ void BismarController::tick(const monitor::SystemState& state) {
   StaleModelParams params;
   params.lambda_w = state.write_rate;
   params.prop_delays_us = state.prop_delays_us;
-  params.write_acks = opt_.write_acks;
-  params.contention = opt_.contention < 0
-                          ? std::clamp(state.key_collision, 0.0, 1.0)
-                          : opt_.contention;
+  params.write_acks = kWriteAcks;
+  // Only writes to keys a read may target contend: the monitor's measured
+  // key-collision index.
+  params.contention = std::clamp(state.key_collision, 0.0, 1.0);
   params.read_offset_us =
-      std::max(0.0, opt_.read_offset_factor * state.replica_rtt_local_us);
+      std::max(0.0, kReadOffsetFactor * state.replica_rtt_local_us);
   while (params.prop_delays_us.size() < static_cast<std::size_t>(rf_) &&
          !params.prop_delays_us.empty()) {
     params.prop_delays_us.push_back(params.prop_delays_us.back());
@@ -43,7 +58,7 @@ void BismarController::tick(const monitor::SystemState& state) {
   const double total_rate = state.read_rate + state.write_rate;
   const double read_fraction = total_rate > 0
                                    ? state.read_rate / total_rate
-                                   : opt_.default_read_fraction;
+                                   : kDefaultReadFraction;
 
   std::vector<cost::LevelEstimate> levels;
   levels.reserve(static_cast<std::size_t>(rf_));
@@ -59,12 +74,12 @@ void BismarController::tick(const monitor::SystemState& state) {
                              ? state.est_write_latency_by_k_us[idx]
                              : 0.0;
     e.cross_dc_bytes_per_op = cost::expected_cross_dc_bytes_per_op(
-        read_fraction, k, rf_, local_rf_, opt_.value_bytes,
+        read_fraction, k, rf_, local_rf_, kValueBytes,
         cluster::kMessageOverheadBytes, cluster::kDigestBytes);
     levels.push_back(e);
   }
 
-  const cost::ConsistencyCostEfficiency metric(opt_.weights, opt_.alpha);
+  const cost::ConsistencyCostEfficiency metric;
   ranking_ = metric.evaluate(levels);
   std::size_t best = 0;
   for (std::size_t i = 1; i < ranking_.size(); ++i) {
@@ -73,20 +88,14 @@ void BismarController::tick(const monitor::SystemState& state) {
   const int target = ranking_[best].replicas;
 
   if (target != k_) {
-    // Cooldown never blocks the first change (there is nothing to flap from).
-    if (switches_ > 0 && opt_.cooldown > 0 &&
-        state.now - last_switch_ < opt_.cooldown) {
-      return;
-    }
     k_ = target;
-    last_switch_ = state.now;
     ++switches_;
   }
 }
 
-policy::PolicyFactory bismar_policy(BismarOptions options) {
-  return [options](const policy::PolicyInit& init) {
-    return std::make_unique<BismarController>(options, init.rf, init.local_rf);
+policy::PolicyFactory bismar_policy() {
+  return [](const policy::PolicyInit& init) {
+    return std::make_unique<BismarController>(init.rf, init.local_rf);
   };
 }
 

@@ -7,12 +7,16 @@
 
 namespace harmony::core {
 
+namespace {
+/// Writes wait for one ack; the policy tunes the read side only.
+constexpr int kWriteAcks = 1;
+}  // namespace
+
 FreshnessSlaPolicy::FreshnessSlaPolicy(FreshnessSlaOptions options, int rf)
     : opt_(options), rf_(rf) {
   HARMONY_CHECK(rf >= 1);
   HARMONY_CHECK(opt_.deadline >= 0);
   HARMONY_CHECK(opt_.epsilon >= 0 && opt_.epsilon <= 1);
-  HARMONY_CHECK(opt_.write_acks >= 1 && opt_.write_acks <= rf);
 }
 
 cluster::ReplicaRequirement FreshnessSlaPolicy::read_requirement() const {
@@ -20,17 +24,17 @@ cluster::ReplicaRequirement FreshnessSlaPolicy::read_requirement() const {
 }
 
 cluster::ReplicaRequirement FreshnessSlaPolicy::write_requirement() const {
-  return cluster::resolve_count(opt_.write_acks, rf_);
+  return cluster::resolve_count(kWriteAcks, rf_);
 }
 
 void FreshnessSlaPolicy::tick(const monitor::SystemState& state) {
   StaleModelParams params;
   params.lambda_w = state.write_rate;
   params.prop_delays_us = state.prop_delays_us;
-  params.write_acks = opt_.write_acks;
-  params.contention = opt_.contention < 0
-                          ? std::clamp(state.key_collision, 0.0, 1.0)
-                          : opt_.contention;
+  params.write_acks = kWriteAcks;
+  // Only writes to keys a read may target contend: the monitor's measured
+  // key-collision index.
+  params.contention = std::clamp(state.key_collision, 0.0, 1.0);
   while (params.prop_delays_us.size() < static_cast<std::size_t>(rf_) &&
          !params.prop_delays_us.empty()) {
     params.prop_delays_us.push_back(params.prop_delays_us.back());

@@ -22,8 +22,6 @@ struct FreshnessSlaOptions {
   SimDuration deadline = 50 * kMillisecond;
   /// Tolerated probability of violating the deadline.
   double epsilon = 0.01;
-  int write_acks = 1;
-  double contention = -1.0;  ///< as in HarmonyOptions (negative = auto)
 };
 
 class FreshnessSlaPolicy final : public policy::ConsistencyPolicy {

@@ -7,10 +7,13 @@
 
 namespace harmony::core {
 
+namespace {
+constexpr int kWriteAcks = 1;
+}  // namespace
+
 HarmonyController::HarmonyController(HarmonyOptions options, int rf)
     : opt_(options), rf_(rf) {
   HARMONY_CHECK(opt_.tolerance >= 0 && opt_.tolerance <= 1);
-  HARMONY_CHECK(opt_.write_acks >= 1 && opt_.write_acks <= rf);
   HARMONY_CHECK(opt_.contention <= 1);
   HARMONY_CHECK(rf >= 1);
 }
@@ -20,7 +23,7 @@ cluster::ReplicaRequirement HarmonyController::read_requirement() const {
 }
 
 cluster::ReplicaRequirement HarmonyController::write_requirement() const {
-  return cluster::resolve_count(opt_.write_acks, rf_);
+  return cluster::resolve_count(kWriteAcks, rf_);
 }
 
 void HarmonyController::tick(const monitor::SystemState& state) {
@@ -29,12 +32,10 @@ void HarmonyController::tick(const monitor::SystemState& state) {
   StaleModelParams params;
   params.lambda_w = state.write_rate;
   params.prop_delays_us = state.prop_delays_us;
-  params.write_acks = opt_.write_acks;
+  params.write_acks = kWriteAcks;
   params.contention = opt_.contention < 0
                           ? std::clamp(state.key_collision, 0.0, 1.0)
                           : opt_.contention;
-  params.read_offset_us =
-      std::max(0.0, opt_.read_offset_factor * state.replica_rtt_local_us);
   // The monitor may briefly report fewer order statistics than rf (writes
   // still propagating at attach time); pad with the worst observed delay so
   // the model sees the full replica count.
@@ -54,9 +55,6 @@ void HarmonyController::tick(const monitor::SystemState& state) {
                                         : model.min_replicas_for(opt_.tolerance);
   }
 
-  if (opt_.max_step > 0) {
-    target = std::clamp(target, k_ - opt_.max_step, k_ + opt_.max_step);
-  }
   target = std::clamp(target, 1, rf_);
 
   if (target != k_) {

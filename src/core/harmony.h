@@ -9,9 +9,12 @@
 //
 // Every tick, the controller rebuilds the Fig. 1 estimator from the
 // monitoring snapshot (write rate + propagation-delay profile) and sets the
-// read replica count to StaleReadModel::min_replicas_for(tolerance).
-// Optional hysteresis (cooldown + step limit) keeps it from flapping between
-// adjacent levels on noisy windows.
+// read replica count to StaleReadModel::min_replicas_for(tolerance). An
+// optional cooldown keeps it from flapping between adjacent levels on noisy
+// windows. Writes wait for one ack: Harmony tunes the read side, and the
+// paper's runs keep eventual writes. The estimator takes no read-path
+// offset: the paper's conservative reading of Fig. 1 can only overestimate
+// staleness and therefore never violates the tolerance.
 #pragma once
 
 #include <cstdint>
@@ -26,24 +29,14 @@ struct HarmonyOptions {
   /// Application-tolerated stale-read rate (e.g. 0.2 and 0.4 in the paper's
   /// Grid'5000 runs, 0.4 and 0.6 on EC2).
   double tolerance = 0.2;
-  /// Acks writes wait for (Harmony tunes the read side; the paper's runs
-  /// keep eventual writes).
-  int write_acks = 1;
   /// Minimum simulated time between level changes (0 = retune every tick).
   SimDuration cooldown = 0;
-  /// Cap on per-tick level movement (levels per change); 0 = unbounded.
-  int max_step = 0;
   /// Write-rate share assumed to contend with reads. Negative (default)
   /// means *auto*: use the monitor's measured key-collision index, so only
   /// writes landing on keys a read may target count. 1.0 reproduces the
   /// paper's coarse system-wide approximation (every write contends);
   /// bench_ablation compares the two.
   double contention = -1.0;
-  /// Read-path sampling correction (see StaleModelParams::read_offset_us),
-  /// as a fraction of the monitored local replica RTT. Harmony defaults to 0:
-  /// the paper's conservative reading of Fig. 1, which can only overestimate
-  /// staleness and therefore never violates the tolerance.
-  double read_offset_factor = 0.0;
 };
 
 class HarmonyController final : public policy::ConsistencyPolicy {
@@ -62,7 +55,6 @@ class HarmonyController final : public policy::ConsistencyPolicy {
   double estimate_at_one() const { return est_one_; }
   /// Latest estimated stale-read probability at the chosen level.
   double estimate_at_current() const { return est_current_; }
-  const HarmonyOptions& options() const { return opt_; }
 
  private:
   HarmonyOptions opt_;

@@ -4,7 +4,6 @@ namespace harmony::cost {
 
 PriceBook PriceBook::ec2_2012() {
   PriceBook p;
-  p.name = "ec2-2012-us-east-1";
   p.instance_per_hour = 0.26;  // m1.large on-demand
   p.storage_gb_month = 0.10;   // EBS standard volume
   p.io_per_million = 0.10;     // EBS I/O requests
@@ -16,7 +15,6 @@ PriceBook PriceBook::ec2_2012() {
 
 PriceBook PriceBook::grid5000() {
   PriceBook p;
-  p.name = "grid5000";
   p.instance_per_hour = 0.0;
   p.storage_gb_month = 0.0;
   p.io_per_million = 0.0;

@@ -7,13 +7,9 @@
 // study turns.
 #pragma once
 
-#include <string>
-
 namespace harmony::cost {
 
 struct PriceBook {
-  std::string name = "custom";
-
   double instance_per_hour = 0.26;      ///< $ per VM-hour (m1.large, 2012)
   double storage_gb_month = 0.10;       ///< $ per GB-month (EBS standard)
   double io_per_million = 0.10;         ///< $ per 1M I/O requests (EBS)

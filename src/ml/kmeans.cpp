@@ -9,6 +9,12 @@ namespace harmony::ml {
 
 namespace {
 
+constexpr int kMaxIterations = 100;
+/// Independent k-means++ inits per fit; the best inertia wins.
+constexpr int kRestarts = 4;
+/// Relative inertia improvement needed to keep iterating.
+constexpr double kTolerance = 1e-6;
+
 int nearest(const FeatureVector& v, const FeatureMatrix& centroids,
             double* dist_out = nullptr) {
   int best = 0;
@@ -54,14 +60,13 @@ FeatureMatrix kmeanspp_init(const FeatureMatrix& x, int k, Rng& rng) {
   return centroids;
 }
 
-KMeansResult lloyd(const FeatureMatrix& x, FeatureMatrix centroids,
-                   const KMeansOptions& opt) {
+KMeansResult lloyd(const FeatureMatrix& x, FeatureMatrix centroids) {
   const std::size_t dims = x.front().size();
   KMeansResult r;
   r.centroids = std::move(centroids);
   r.labels.assign(x.size(), 0);
   double prev_inertia = std::numeric_limits<double>::max();
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     r.iterations = iter + 1;
     // Assignment step.
     double inertia = 0;
@@ -85,7 +90,7 @@ KMeansResult lloyd(const FeatureMatrix& x, FeatureMatrix centroids,
         r.centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
       }
     }
-    if (prev_inertia - inertia <= opt.tolerance * std::max(prev_inertia, 1.0)) {
+    if (prev_inertia - inertia <= kTolerance * std::max(prev_inertia, 1.0)) {
       break;
     }
     prev_inertia = inertia;
@@ -102,13 +107,11 @@ KMeansResult kmeans(const FeatureMatrix& x, const KMeansOptions& options) {
   HARMONY_CHECK(options.k >= 1);
   HARMONY_CHECK_MSG(static_cast<std::size_t>(options.k) <= x.size(),
                     "k exceeds sample count");
-  HARMONY_CHECK(options.restarts >= 1);
   Rng rng(options.seed);
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::max();
-  for (int r = 0; r < options.restarts; ++r) {
-    KMeansResult candidate =
-        lloyd(x, kmeanspp_init(x, options.k, rng), options);
+  for (int r = 0; r < kRestarts; ++r) {
+    KMeansResult candidate = lloyd(x, kmeanspp_init(x, options.k, rng));
     if (candidate.inertia < best.inertia) best = std::move(candidate);
   }
   return best;

@@ -13,9 +13,6 @@ namespace harmony::ml {
 
 struct KMeansOptions {
   int k = 3;
-  int max_iterations = 100;
-  int restarts = 4;        ///< independent k-means++ inits; best inertia wins
-  double tolerance = 1e-6; ///< relative inertia improvement to keep iterating
   std::uint64_t seed = 42;
 };
 

@@ -6,25 +6,22 @@
 
 namespace harmony::ml {
 
-const std::vector<std::string>& timeline_feature_names() {
-  static const std::vector<std::string> kNames = {
-      "read_rate", "write_rate", "write_share",
-      "key_entropy", "burstiness", "mean_value_size"};
-  return kNames;
-}
+namespace {
+
+/// Windows with fewer ops than this are dropped.
+constexpr std::size_t kMinOpsPerWindow = 5;
+/// Entropy is computed over key hash buckets to stay O(1) per record.
+constexpr std::size_t kEntropyBuckets = 256;
 
 FeatureVector window_features(const std::vector<AccessRecord>& records,
-                              SimDuration window_length,
-                              std::size_t entropy_buckets) {
-  HARMONY_CHECK(window_length > 0);
-  HARMONY_CHECK(entropy_buckets > 0);
+                              SimDuration window_length) {
   FeatureVector f(kTimelineFeatureCount, 0.0);
   if (records.empty()) return f;
 
   const double span_s = to_seconds(window_length);
   std::uint64_t reads = 0, writes = 0;
   double size_sum = 0;
-  std::vector<std::uint64_t> buckets(entropy_buckets, 0);
+  std::vector<std::uint64_t> buckets(kEntropyBuckets, 0);
   RunningStats gaps;
   SimTime prev = records.front().time;
   for (const auto& r : records) {
@@ -34,7 +31,7 @@ FeatureVector window_features(const std::vector<AccessRecord>& records,
       ++reads;
     }
     size_sum += r.value_size;
-    ++buckets[harmony::mix64(r.key) % entropy_buckets];
+    ++buckets[harmony::mix64(r.key) % kEntropyBuckets];
     if (r.time > prev) {
       gaps.add(static_cast<double>(r.time - prev));
       prev = r.time;
@@ -50,6 +47,8 @@ FeatureVector window_features(const std::vector<AccessRecord>& records,
   return f;
 }
 
+}  // namespace
+
 Timeline build_timeline(const std::vector<AccessRecord>& records,
                         const TimelineOptions& opt) {
   HARMONY_CHECK(opt.window > 0);
@@ -60,12 +59,12 @@ Timeline build_timeline(const std::vector<AccessRecord>& records,
   SimTime window_start =
       records.front().time - (records.front().time % opt.window);
   auto flush = [&] {
-    if (bucket.size() >= opt.min_ops_per_window) {
+    if (bucket.size() >= kMinOpsPerWindow) {
       TimelineWindow w;
       w.start = window_start;
       w.length = opt.window;
       w.ops = bucket.size();
-      w.features = window_features(bucket, opt.window, opt.entropy_buckets);
+      w.features = window_features(bucket, opt.window);
       timeline.windows.push_back(std::move(w));
     }
     bucket.clear();

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/time_types.h"
@@ -28,9 +27,6 @@ struct AccessRecord {
 
 inline constexpr std::size_t kTimelineFeatureCount = 6;
 
-/// Names for reports/tables, index-aligned with the feature vector.
-const std::vector<std::string>& timeline_feature_names();
-
 struct TimelineWindow {
   SimTime start = 0;
   SimDuration length = 0;
@@ -46,22 +42,12 @@ struct Timeline {
 
 struct TimelineOptions {
   SimDuration window = 10 * kSecond;
-  /// Windows with fewer ops than this are dropped (idle periods would
-  /// otherwise produce all-zero noise states).
-  std::size_t min_ops_per_window = 5;
-  /// Entropy is computed over key hash buckets to stay O(1) per record.
-  std::size_t entropy_buckets = 256;
 };
 
 /// Slice the record stream (must be time-sorted) into windows and compute the
-/// metric vector of each.
+/// metric vector of each. Windows with fewer than 5 ops are dropped (idle
+/// periods would otherwise produce all-zero noise states).
 Timeline build_timeline(const std::vector<AccessRecord>& records,
                         const TimelineOptions& options);
-
-/// Compute the feature vector of one window directly (used by the runtime
-/// classifier on the live stream).
-FeatureVector window_features(const std::vector<AccessRecord>& window_records,
-                              SimDuration window_length,
-                              std::size_t entropy_buckets);
 
 }  // namespace harmony::ml

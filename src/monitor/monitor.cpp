@@ -11,18 +11,13 @@ Monitor::Monitor(MonitorConfig cfg)
     : cfg_(cfg),
       read_rate_(cfg.rate_window),
       write_rate_(cfg.rate_window),
-      read_latency_(cfg.ewma_half_life),
-      write_latency_(cfg.ewma_half_life),
-      rtt_local_(cfg.ewma_half_life),
-      rtt_remote_(cfg.ewma_half_life),
-      t_first_(cfg.ewma_half_life) {
+      rtt_local_(cfg.ewma_half_life) {
   local_samples_.reserve(cfg_.rtt_reservoir);
   remote_samples_.reserve(cfg_.rtt_reservoir);
 }
 
 void Monitor::attach(cluster::Cluster& c, net::DcId client_home_dc) {
   c.set_observer(this);
-  cluster_ = &c;
   rf_ = c.config().rf;
   local_rf_ = c.config().local_rf(client_home_dc);
   prop_delay_.assign(static_cast<std::size_t>(rf_), Ewma(cfg_.ewma_half_life));
@@ -52,24 +47,20 @@ void Monitor::record_write_issued(SimTime now, std::uint64_t key,
   win_last_arrival_ = std::max(win_last_arrival_, now);
 }
 
-void Monitor::record_read_complete(SimTime now, SimDuration latency) {
-  read_latency_.observe(now, static_cast<double>(latency));
+void Monitor::record_read_complete(SimTime now, SimDuration /*latency*/) {
   last_event_ = std::max(last_event_, now);
 }
 
-void Monitor::record_write_complete(SimTime now, SimDuration latency) {
-  write_latency_.observe(now, static_cast<double>(latency));
+void Monitor::record_write_complete(SimTime now, SimDuration /*latency*/) {
   last_event_ = std::max(last_event_, now);
 }
 
 void Monitor::on_write_propagated(cluster::Key /*key*/, SimTime write_start,
                                   const cluster::DelayList& replica_delays) {
   if (replica_delays.empty()) return;
-  ++writes_observed_;
   cluster::DelayList sorted = replica_delays;
   std::sort(sorted.begin(), sorted.end());
   const SimTime now = write_start + sorted.back();
-  t_first_.observe(now, static_cast<double>(sorted.front()));
   // Writes that lost a replica mid-flight report fewer delays; align those
   // samples to the lowest order statistics (the ones they actually measure).
   for (std::size_t i = 0; i < sorted.size() && i < prop_delay_.size(); ++i) {
@@ -80,8 +71,7 @@ void Monitor::on_write_propagated(cluster::Key /*key*/, SimTime write_start,
 
 void Monitor::on_replica_read_rtt(net::NodeId /*replica*/, SimDuration rtt,
                                   bool cross_dc) {
-  auto& ewma = cross_dc ? rtt_remote_ : rtt_local_;
-  ewma.observe(last_event_, static_cast<double>(rtt));
+  if (!cross_dc) rtt_local_.observe(last_event_, static_cast<double>(rtt));
   // Reservoir sampling (algorithm R) so the bootstrap sees the distribution,
   // not just the mean.
   auto& samples = cross_dc ? remote_samples_ : local_samples_;
@@ -100,9 +90,6 @@ SystemState Monitor::snapshot(SimTime now) {
   s.now = now;
   s.read_rate = read_rate_.rate(now);
   s.write_rate = write_rate_.rate(now);
-  s.rf = rf_;
-  s.local_rf = local_rf_;
-  s.t_first_us = t_first_.empty() ? 0.0 : t_first_.value();
   s.prop_delays_us.reserve(prop_delay_.size());
   for (const auto& e : prop_delay_) {
     if (!e.empty()) s.prop_delays_us.push_back(e.value());
@@ -111,9 +98,6 @@ SystemState Monitor::snapshot(SimTime now) {
   // needs a sorted profile.
   std::sort(s.prop_delays_us.begin(), s.prop_delays_us.end());
   s.replica_rtt_local_us = rtt_local_.empty() ? 0.0 : rtt_local_.value();
-  s.replica_rtt_remote_us = rtt_remote_.empty() ? 0.0 : rtt_remote_.value();
-  s.read_latency_us = read_latency_.empty() ? 0.0 : read_latency_.value();
-  s.write_latency_us = write_latency_.empty() ? 0.0 : write_latency_.value();
 
   // Per-level latency estimates for Bismar's relative-cost model.
   s.est_read_latency_by_k_us.resize(static_cast<std::size_t>(rf_));
@@ -162,27 +146,6 @@ SystemState Monitor::snapshot(SimTime now) {
   win_value_bytes_ = 0;
   win_gaps_.reset();
 
-  // Degraded-mode rates: counter deltas since the previous snapshot. Zero
-  // everywhere while the resilience knobs are off, so healthy-path policies
-  // see exactly what they saw before.
-  if (cluster_ != nullptr) {
-    const double span_s = to_seconds(now - last_snapshot_time_);
-    const std::uint64_t timeouts = cluster_->timeouts();
-    const std::uint64_t retries = cluster_->retries();
-    const std::uint64_t hedges = cluster_->hedges_fired();
-    const std::uint64_t sheds = cluster_->sheds();
-    if (span_s > 0) {
-      s.timeout_rate = static_cast<double>(timeouts - last_timeouts_) / span_s;
-      s.retry_rate = static_cast<double>(retries - last_retries_) / span_s;
-      s.hedge_rate = static_cast<double>(hedges - last_hedges_) / span_s;
-      s.shed_rate = static_cast<double>(sheds - last_sheds_) / span_s;
-    }
-    last_timeouts_ = timeouts;
-    last_retries_ = retries;
-    last_hedges_ = hedges;
-    last_sheds_ = sheds;
-    last_snapshot_time_ = now;
-  }
   return s;
 }
 
@@ -198,9 +161,8 @@ double Monitor::estimate_read_latency_us(int k, Rng& rng) const {
     return samples[rng.uniform_u64(samples.size())];
   };
   const double local_fb = rtt_local_.empty() ? 500.0 : rtt_local_.value();
-  const double remote_fb = rtt_remote_.empty()
-                               ? std::max(local_fb * 10.0, 2000.0)
-                               : rtt_remote_.value();
+  // A remote contact has no samples only before any cross-DC RTT arrived.
+  const double remote_fb = std::max(local_fb * 10.0, 2000.0);
   constexpr int kBootstrap = 48;
   double total = 0;
   for (int b = 0; b < kBootstrap; ++b) {

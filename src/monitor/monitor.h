@@ -25,21 +25,14 @@ struct SystemState {
   SimTime now = 0;
   double read_rate = 0;   ///< client reads/s (windowed)
   double write_rate = 0;  ///< client writes/s (windowed)
-  int rf = 1;
-  int local_rf = 1;
 
-  /// Mean time until the first replica has applied a write (Fig. 1's T), µs.
-  double t_first_us = 0;
   /// Mean apply delay per replica order statistic (sorted ascending, size rf;
-  /// index 0 ≈ T, last ≈ Tp), µs. Empty until a write has fully propagated.
+  /// index 0 ≈ Fig. 1's T, last ≈ Tp), µs. Empty until a write has fully
+  /// propagated.
   std::vector<double> prop_delays_us;
 
-  /// Replica read responsiveness (coordinator send -> response), µs.
+  /// Local replica read responsiveness (coordinator send -> response), µs.
   double replica_rtt_local_us = 0;
-  double replica_rtt_remote_us = 0;
-  /// Client-observed completed-read latency mean, µs.
-  double read_latency_us = 0;
-  double write_latency_us = 0;
 
   /// Estimated client read/write latency when waiting for k replicas;
   /// index k-1 holds the estimate for k in [1, rf]. Bismar's cost inputs.
@@ -60,15 +53,6 @@ struct SystemState {
   /// stale-read estimator multiplies λw by. 1.0 would be a single hot key;
   /// ~1/n a uniform workload.
   double key_collision = 0;
-
-  /// Degraded-mode signals, events/s over the window since the previous
-  /// snapshot: how much of the coordinator's work is failure handling.
-  /// Policies can read these to detect fault regimes (a timeout/shed spike)
-  /// without touching simulator internals a real deployment could not see.
-  double timeout_rate = 0;
-  double retry_rate = 0;
-  double hedge_rate = 0;
-  double shed_rate = 0;
 
   /// Total propagation window Tp in µs (convenience accessor).
   double window_us() const {
@@ -114,30 +98,16 @@ class Monitor : public cluster::ClusterObserver {
   /// Used by Bismar's relative-cost model.
   double estimate_read_latency_us(int k, Rng& rng) const;
 
-  std::uint64_t writes_observed() const { return writes_observed_; }
-
  private:
   MonitorConfig cfg_;
   int rf_ = 1;
   int local_rf_ = 1;
-  /// Attached cluster: read-only counter source for the degraded-mode rates
-  /// (the counters are observable coordinator metrics, not oracle state).
-  const cluster::Cluster* cluster_ = nullptr;
-  SimTime last_snapshot_time_ = 0;
-  std::uint64_t last_timeouts_ = 0;
-  std::uint64_t last_retries_ = 0;
-  std::uint64_t last_hedges_ = 0;
-  std::uint64_t last_sheds_ = 0;
-
   WindowedRate read_rate_;
   WindowedRate write_rate_;
-  Ewma read_latency_;
-  Ewma write_latency_;
   Ewma rtt_local_;
-  Ewma rtt_remote_;
-  Ewma t_first_;
   std::vector<Ewma> prop_delay_;  // per sorted replica index
-  std::uint64_t writes_observed_ = 0;
+  /// Latest completion or propagation instant: the timestamp RTT samples
+  /// are weighed at.
   SimTime last_event_ = 0;
 
   // Fixed-size RTT reservoirs for bootstrap latency estimation.

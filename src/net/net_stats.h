@@ -34,9 +34,6 @@ struct NetStats {
   std::uint64_t cross_dc_bytes() const {
     return bytes[static_cast<std::size_t>(LinkClass::kCrossDc)];
   }
-  std::uint64_t intra_dc_bytes() const {
-    return total_bytes() - cross_dc_bytes();
-  }
 
   void merge(const NetStats& other) {
     for (std::size_t i = 0; i < 4; ++i) {

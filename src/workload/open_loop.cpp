@@ -12,6 +12,16 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// kDiurnal: lambda(t) swings this fraction around the rate (< 1 keeps it
+/// positive).
+constexpr double kDiurnalAmplitude = 0.5;
+/// kFlashCrowd: the plateau's multiple of the base rate.
+constexpr double kFlashMultiplier = 8.0;
+/// Chance that an arrival targets its user's own profile key.
+constexpr double kUserAffinity = 0.5;
+/// SLA threshold on end-to-end latency from *intended* arrival time.
+constexpr SimDuration kSlaLatency = 100 * kMillisecond;
+
 /// Salt separating a user's profile-key hash from the rank scramble inside
 /// ScrambledZipfianKeys (both use mix64 over small integers).
 constexpr std::uint64_t kProfileSalt = 0x6A09E667F3BCC909ULL;
@@ -69,13 +79,13 @@ double OpenLoopSource::lambda_at(SimTime t) const {
       const double phase = 2.0 * kPi *
                            static_cast<double>(t % ol.diurnal_period) /
                            static_cast<double>(ol.diurnal_period);
-      r *= 1.0 + ol.diurnal_amplitude * std::sin(phase);
+      r *= 1.0 + kDiurnalAmplitude * std::sin(phase);
       break;
     }
     case RateCurve::kFlashCrowd: {
-      // Linear ramp reaching rate*flash_multiplier at flash_at, plateau for
+      // Linear ramp reaching rate*kFlashMultiplier at flash_at, plateau for
       // flash_hold, then a symmetric linear decay back to the base rate.
-      const double peak = ol.flash_multiplier;
+      const double peak = kFlashMultiplier;
       const SimTime ramp_start = ol.flash_at - ol.flash_ramp;
       const SimTime peak_end = ol.flash_at + ol.flash_hold;
       const SimTime decay_end = peak_end + ol.flash_ramp;
@@ -153,7 +163,7 @@ void OpenLoopSource::draw_op(Op& op) {
     return;
   }
   // Attribute the arrival to a user (heavy-tailed activity): hot users hit
-  // their own profile row with probability user_affinity, otherwise the
+  // their own profile row with probability kUserAffinity, otherwise the
   // workload's request distribution supplies the key. Key-range sharded
   // sources rejection-sample until the draw lands in their own range (the
   // whole draw repeats so the accept stream stays i.i.d.); unsharded the
@@ -164,7 +174,7 @@ void OpenLoopSource::draw_op(Op& op) {
                       "key ownership rejection sampling did not converge "
                       "(degenerate key distribution vs shard ranges)");
     const std::uint64_t user = users_.next(rng_);
-    if (rng_.chance(spec_->open_loop.user_affinity)) {
+    if (rng_.chance(kUserAffinity)) {
       op.key = mix64(user + kProfileSalt) % spec_->record_count;
     } else {
       op.key = keys_->next(rng_);
@@ -261,7 +271,7 @@ void OpenLoopSource::finish_op(bool ok, bool shed, SimTime intended) {
   if (measuring_) {
     ++sla_total_;
     if (ok &&
-        env_->simulation().now() - intended <= spec_->open_loop.sla_latency) {
+        env_->simulation().now() - intended <= kSlaLatency) {
       ++sla_ok_;
     }
   }

@@ -51,8 +51,8 @@ struct OpenLoopResult {
   std::uint64_t shed_queue_full = 0;  ///< dropped: client FIFO at capacity
   std::uint64_t queued_at_end = 0;    ///< still waiting when the run was cut
   std::uint64_t in_flight_at_end = 0; ///< still in the cluster at the cut
-  /// SLA attainment over the measured window: ok completions within
-  /// sla_latency of *intended* arrival, over completions + queue sheds.
+  /// SLA attainment over the measured window: ok completions within 100 ms
+  /// of *intended* arrival, over completions + queue sheds.
   std::uint64_t sla_ok = 0;
   std::uint64_t sla_total = 0;
   double sla_attainment = 0;

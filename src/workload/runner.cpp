@@ -6,11 +6,15 @@
 #include <vector>
 
 #include "common/check.h"
+#include "cost/energy.h"
 #include "workload/client.h"
 
 namespace harmony::workload {
 
 namespace {
+
+/// Every run's nodes draw power by cost::PowerModel's default linear model.
+const cost::PowerModel kPowerModel{};
 
 /// Owns every entity of one experiment and implements the client callbacks.
 class Runner final : public ClientEnv {
@@ -498,7 +502,7 @@ class Runner final : public ClientEnv {
     r.usage.cross_dc_gb =
         static_cast<double>(cluster_.net_stats().cross_dc_bytes()) / 1e9;
     r.usage.egress_gb = 0.0;  // clients are in-region
-    r.energy_kwh = cfg_.power.energy_kwh(
+    r.energy_kwh = kPowerModel.energy_kwh(
         cfg_.cluster.node_count, end > 0 ? end : 1, cluster_.total_busy_time(),
         static_cast<double>(cluster_.net_stats().total_bytes()));
     r.usage.energy_kwh = r.energy_kwh;

@@ -12,7 +12,6 @@
 #include "cluster/cluster.h"
 #include "common/histogram.h"
 #include "cost/billing.h"
-#include "cost/energy.h"
 #include "monitor/monitor.h"
 #include "workload/open_loop.h"
 #include "workload/policy.h"
@@ -36,7 +35,6 @@ struct RunConfig {
   SimDuration warmup = 2 * kSecond;
   std::uint64_t seed = 1;
   cost::PriceBook price_book = cost::PriceBook::ec2_2012();
-  cost::PowerModel power{};
   /// Record every issued operation into RunResult::trace — the "past access
   /// trace" input of the behavior-modeling pipeline (§III-C). Costs memory
   /// proportional to op_count; off by default.

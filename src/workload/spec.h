@@ -32,8 +32,8 @@ enum class ArrivalProcess : std::uint8_t {
 /// Time-varying arrival-rate envelope lambda(t).
 enum class RateCurve : std::uint8_t {
   kConstant,    ///< lambda(t) = rate
-  kDiurnal,     ///< rate * (1 + amplitude * sin(2*pi*t/period))
-  kFlashCrowd,  ///< rate, ramping to rate*peak at flash_at and back down
+  kDiurnal,     ///< rate * (1 + 0.5 * sin(2*pi*t/period))
+  kFlashCrowd,  ///< rate, ramping to rate*8 at flash_at and back down
 };
 
 std::string to_string(ArrivalProcess p);
@@ -46,7 +46,8 @@ std::string to_string(RateCurve c);
 /// is measured from the intended arrival time — the coordinated-omission fix.
 /// Overload is explicit instead of an implicit closed-loop slowdown: arrivals
 /// beyond `max_in_flight_per_dc` wait in a bounded FIFO (queueing delay is
-/// recorded) and are shed once `queue_capacity_per_dc` is full.
+/// recorded) and are shed once `queue_capacity_per_dc` is full. SLA
+/// attainment counts ok completions within 100 ms of intended arrival.
 struct OpenLoopSpec {
   bool enabled = false;
 
@@ -61,16 +62,14 @@ struct OpenLoopSpec {
   /// before the run is cut off and the remainder ledgered.
   SimDuration drain_grace = 5 * kSecond;
 
-  // kDiurnal parameters.
+  // kDiurnal parameter: lambda swings ±50% around rate over one period.
   SimDuration diurnal_period = 60 * kSecond;  ///< one simulated "day"
-  double diurnal_amplitude = 0.5;             ///< in [0, 1)
 
   // kFlashCrowd parameters: lambda ramps linearly over `flash_ramp` to
-  // rate*flash_multiplier at flash_at, holds for `flash_hold`, decays back.
+  // rate*8 at flash_at, holds for `flash_hold`, decays back.
   SimTime flash_at = 10 * kSecond;
   SimDuration flash_ramp = 2 * kSecond;
   SimDuration flash_hold = 5 * kSecond;
-  double flash_multiplier = 8.0;
 
   /// kSelfSimilar: Pareto tail index of the inter-arrival gaps, in (1, 2].
   /// Lower = burstier (infinite variance for alpha < 2, mean kept = 1/rate).
@@ -78,26 +77,20 @@ struct OpenLoopSpec {
 
   /// Simulated user population. Each arrival is attributed to a user drawn
   /// scrambled-Zipfian(user_zipf_theta) over [0, user_count): a heavy-tailed
-  /// few users generate most traffic. With probability `user_affinity` the
-  /// operation targets the user's own profile key (hot users => hot keys);
-  /// otherwise the key comes from the workload's request distribution.
+  /// few users generate most traffic. Half the operations target the user's
+  /// own profile key (hot users => hot keys); the other half take their key
+  /// from the workload's request distribution.
   std::uint64_t user_count = 1'000'000;
   double user_zipf_theta = 0.99;
-  double user_affinity = 0.5;
 
   /// Explicit overload bounds (bounded memory; no implicit backpressure).
   std::uint32_t max_in_flight_per_dc = 8192;
   std::uint32_t queue_capacity_per_dc = 16384;
 
-  /// SLA threshold on end-to-end latency from *intended* arrival time.
-  SimDuration sla_latency = 100 * kMillisecond;
-
   void validate() const;
 };
 
 struct WorkloadSpec {
-  std::string name = "custom";
-
   std::uint64_t record_count = 100'000;
   std::uint32_t value_size = 1024;  ///< YCSB default record (10 x 100B fields)
   std::uint64_t op_count = 100'000;
@@ -129,17 +122,6 @@ struct WorkloadSpec {
   /// How many times a client re-issues an admission-shed operation (honoring
   /// the coordinator's retry-after plus a small jitter) before giving up.
   int shed_retry_limit = 8;
-
-  /// Fraction of writes among all operations (updates + inserts + rmw's
-  /// write half counts as write for rate purposes).
-  double write_fraction() const {
-    return update_proportion + insert_proportion + rmw_proportion;
-  }
-
-  /// Dataset size in GB (record_count x value_size), pre-replication.
-  double dataset_gb() const {
-    return static_cast<double>(record_count) * value_size / 1e9;
-  }
 
   void validate() const;
 

@@ -46,7 +46,6 @@ std::vector<TracePhase> webshop_day_phases() {
   phases[1].ops_per_second = 4000;
   phases[1].read_fraction = 0.55;
   phases[1].dist.kind = KeyDistributionKind::kZipfian;
-  phases[1].dist.zipf_theta = 0.99;
 
   phases[2].label = "reporting";
   phases[2].duration = 90 * kSecond;

@@ -12,13 +12,12 @@ monitor::SystemState state(double read_rate, double write_rate,
   monitor::SystemState s;
   s.read_rate = read_rate;
   s.write_rate = write_rate;
-  s.rf = 5;
   s.prop_delays_us = {window_us / 10, window_us / 2, window_us};
   return s;
 }
 
 TEST(ConflictRationing, QuietSystemStaysWeak) {
-  ConflictRationingPolicy p(ConflictRationingOptions{}, 5);
+  ConflictRationingPolicy p(5);
   p.tick(state(1000, 0.1));
   EXPECT_FALSE(p.strong());
   EXPECT_EQ(p.read_requirement().count, 1);
@@ -26,7 +25,7 @@ TEST(ConflictRationing, QuietSystemStaysWeak) {
 }
 
 TEST(ConflictRationing, BusyWritesGoStrong) {
-  ConflictRationingPolicy p(ConflictRationingOptions{}, 5);
+  ConflictRationingPolicy p(5);
   p.tick(state(1000, 5000));  // 5000 writes/s over a 10ms window: conflicts
   EXPECT_TRUE(p.strong());
   EXPECT_EQ(p.read_requirement().count, 3);   // quorum of 5
@@ -36,15 +35,13 @@ TEST(ConflictRationing, BusyWritesGoStrong) {
 
 TEST(ConflictRationing, PoissonConflictFormula) {
   // n = lambda * w; P(>=2 arrivals) = 1 - e^-n (1 + n).
-  ConflictRationingOptions opt;
-  opt.window = 100 * kMillisecond;
-  ConflictRationingPolicy p(opt, 3);
-  p.tick(state(0, 10.0, 0));  // n = 1.0
+  ConflictRationingPolicy p(3);
+  p.tick(state(0, 10.0, 100'000));  // 100 ms window: n = 1.0
   EXPECT_NEAR(p.last_conflict_probability(), 1.0 - std::exp(-1.0) * 2.0, 1e-9);
 }
 
 TEST(ConflictRationing, SwitchCounting) {
-  ConflictRationingPolicy p(ConflictRationingOptions{}, 5);
+  ConflictRationingPolicy p(5);
   p.tick(state(1000, 5000));
   p.tick(state(1000, 5000));  // no change
   p.tick(state(1000, 0.1));
@@ -52,42 +49,38 @@ TEST(ConflictRationing, SwitchCounting) {
 }
 
 TEST(RwRatio, ReadMostlyStaysEventual) {
-  ReadWriteRatioPolicy p(ReadWriteRatioOptions{}, 5);
+  ReadWriteRatioPolicy p(5);
   p.tick(state(950, 50));
   EXPECT_FALSE(p.strong());
   EXPECT_EQ(p.read_requirement().count, 1);
 }
 
 TEST(RwRatio, WriteHeavyGoesStrong) {
-  ReadWriteRatioPolicy p(ReadWriteRatioOptions{}, 5);
+  ReadWriteRatioPolicy p(5);
   p.tick(state(500, 500));
   EXPECT_TRUE(p.strong());
   EXPECT_EQ(p.read_requirement().count, 5);
 }
 
 TEST(RwRatio, StaticThresholdIsTheKnob) {
-  ReadWriteRatioOptions strict;
-  strict.write_share_threshold = 0.05;
-  ReadWriteRatioPolicy a(strict, 5);
-  a.tick(state(900, 100));
-  EXPECT_TRUE(a.strong());
+  // The one static threshold: strong above a 30% write share, weak below.
+  ReadWriteRatioPolicy below(5);
+  below.tick(state(710, 290));
+  EXPECT_FALSE(below.strong());
 
-  ReadWriteRatioOptions lax;
-  lax.write_share_threshold = 0.9;
-  ReadWriteRatioPolicy b(lax, 5);
-  b.tick(state(100, 900));
-  EXPECT_FALSE(b.strong());
+  ReadWriteRatioPolicy above(5);
+  above.tick(state(690, 310));
+  EXPECT_TRUE(above.strong());
 }
 
 TEST(RwRatio, ZeroTrafficIsWeak) {
-  ReadWriteRatioPolicy p(ReadWriteRatioOptions{}, 5);
+  ReadWriteRatioPolicy p(5);
   p.tick(state(0, 0));
   EXPECT_FALSE(p.strong());
 }
 
 TEST(Factories, ProduceWorkingPolicies) {
   policy::PolicyInit init;
-  init.rf = 5;
   init.local_rf = 3;
   auto a = conflict_rationing_policy()(init);
   auto b = rw_ratio_policy()(init);

@@ -94,7 +94,6 @@ TEST_F(BehaviorModelFixture, ClassifiesPhaseSignatures) {
 
 TEST_F(BehaviorModelFixture, RuntimePolicySwitchesStates) {
   policy::PolicyInit init;
-  init.rf = 5;
   init.local_rf = 3;
   BehaviorAdaptivePolicy policy(model_, init);
 
@@ -105,7 +104,6 @@ TEST_F(BehaviorModelFixture, RuntimePolicySwitchesStates) {
   browse.key_entropy = 7.0;
   browse.burstiness = 1.0;
   browse.mean_value_size = 1024;
-  browse.rf = 5;
   policy.tick(browse);
   const auto browse_state = policy.current_state();
 
@@ -116,7 +114,6 @@ TEST_F(BehaviorModelFixture, RuntimePolicySwitchesStates) {
   sale.key_entropy = 4.0;
   sale.burstiness = 1.0;
   sale.mean_value_size = 1024;
-  sale.rf = 5;
   policy.tick(sale);
   EXPECT_NE(policy.current_state(), browse_state);
   EXPECT_GE(policy.switches(), 1u);

@@ -8,15 +8,12 @@
 namespace harmony::core {
 namespace {
 
-monitor::SystemState state_with(double write_rate, std::vector<double> delays,
-                                int local_rf = 3) {
+monitor::SystemState state_with(double write_rate, std::vector<double> delays) {
   monitor::SystemState s;
   s.now = 10 * kSecond;
   s.read_rate = 1000;
   s.write_rate = write_rate;
-  s.rf = static_cast<int>(delays.size());
   s.key_collision = 1.0;  // unit tests model a single contended key
-  s.local_rf = local_rf;
   s.prop_delays_us = delays;
   // Latency estimates: local levels cheap, WAN levels expensive.
   s.est_read_latency_by_k_us = {600, 800, 1000, 9000, 11000};
@@ -25,18 +22,18 @@ monitor::SystemState state_with(double write_rate, std::vector<double> delays,
 }
 
 TEST(BismarController, StartsAtOne) {
-  BismarController b(BismarOptions{}, 5, 3);
+  BismarController b(5, 3);
   EXPECT_EQ(b.current_replicas(), 1);
 }
 
 TEST(BismarController, PicksCheapLevelWhenFresh) {
-  BismarController b(BismarOptions{}, 5, 3);
+  BismarController b(5, 3);
   b.tick(state_with(0.2, {300, 700, 1100, 9000, 11000}));
   EXPECT_EQ(b.current_replicas(), 1);  // nothing is stale; cheap wins
 }
 
 TEST(BismarController, AbandonsOneWhenVeryStale) {
-  BismarController b(BismarOptions{}, 5, 3);
+  BismarController b(5, 3);
   b.tick(state_with(5000, {300, 700, 1100, 9000, 11000}));
   EXPECT_GT(b.current_replicas(), 1);
   const auto& ranking = b.last_ranking();
@@ -48,7 +45,7 @@ TEST(BismarController, AbandonsOneWhenVeryStale) {
 }
 
 TEST(BismarController, EfficiencyTableShapes) {
-  BismarController b(BismarOptions{}, 5, 3);
+  BismarController b(5, 3);
   b.tick(state_with(800, {300, 700, 1100, 9000, 11000}));
   const auto& ranking = b.last_ranking();
   ASSERT_EQ(ranking.size(), 5u);
@@ -59,22 +56,8 @@ TEST(BismarController, EfficiencyTableShapes) {
   }
 }
 
-TEST(BismarController, CooldownHoldsChoice) {
-  BismarOptions opt;
-  opt.cooldown = 10 * kSecond;
-  BismarController b(opt, 5, 3);
-  auto hot = state_with(5000, {300, 700, 1100, 9000, 11000});
-  hot.now = kSecond;
-  b.tick(hot);
-  const int level = b.current_replicas();
-  auto calm = state_with(0.1, {300, 700, 1100, 9000, 11000});
-  calm.now = 2 * kSecond;
-  b.tick(calm);
-  EXPECT_EQ(b.current_replicas(), level);
-}
-
 TEST(BismarController, HoldsWithoutObservations) {
-  BismarController b(BismarOptions{}, 5, 3);
+  BismarController b(5, 3);
   monitor::SystemState empty;
   b.tick(empty);
   EXPECT_EQ(b.current_replicas(), 1);

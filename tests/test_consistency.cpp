@@ -79,18 +79,6 @@ TEST(Consistency, ResolveCountClamps) {
   EXPECT_EQ(resolve_count(9, 3).count, 3);
 }
 
-TEST(Consistency, QuorumOverlapRule) {
-  const int rf = 5;
-  // R=3, W=3 overlap; R=1, W=1 do not.
-  EXPECT_TRUE(quorum_overlap(resolve_count(3, rf), resolve_count(3, rf), rf));
-  EXPECT_FALSE(quorum_overlap(resolve_count(1, rf), resolve_count(1, rf), rf));
-  EXPECT_TRUE(quorum_overlap(resolve_count(5, rf), resolve_count(1, rf), rf));
-  EXPECT_FALSE(quorum_overlap(resolve_count(2, rf), resolve_count(3, rf), rf));
-  // Local variants are conservatively not claimed.
-  auto local = resolve(Level::kLocalQuorum, 5, 3);
-  EXPECT_FALSE(quorum_overlap(local, resolve_count(5, rf), rf));
-}
-
 TEST(Consistency, GlobalLevelsOrderedByStrength) {
   const auto& levels = global_levels();
   ASSERT_EQ(levels.size(), 5u);

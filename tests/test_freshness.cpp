@@ -12,7 +12,6 @@ monitor::SystemState state_with(double write_rate) {
   s.now = 10 * kSecond;
   s.read_rate = 1000;
   s.write_rate = write_rate;
-  s.rf = 5;
   s.key_collision = 1.0;  // unit tests model a single contended key
   s.prop_delays_us = {300, 700, 1100, 9000, 11000};
   return s;

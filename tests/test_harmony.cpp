@@ -14,7 +14,6 @@ monitor::SystemState state_with(double write_rate,
   s.now = 10 * kSecond;
   s.read_rate = 1000;
   s.write_rate = write_rate;
-  s.rf = static_cast<int>(delays.size());
   s.key_collision = 1.0;  // unit tests model a single contended key
   s.prop_delays_us = std::move(delays);
   return s;
@@ -91,24 +90,6 @@ TEST(HarmonyController, CooldownBlocksFlapping) {
   EXPECT_EQ(h.current_replicas(), 1);
 }
 
-TEST(HarmonyController, MaxStepLimitsJumps) {
-  HarmonyOptions opt;
-  opt.tolerance = 0.001;
-  opt.max_step = 1;
-  HarmonyController h(opt, 5);
-  h.tick(state_with(5000, {300, 700, 1100, 9000, 11000}));
-  EXPECT_EQ(h.current_replicas(), 2);  // would jump higher unconstrained
-  h.tick(state_with(5000, {300, 700, 1100, 9000, 11000}));
-  EXPECT_EQ(h.current_replicas(), 3);
-}
-
-TEST(HarmonyController, WriteAcksRespected) {
-  HarmonyOptions opt;
-  opt.write_acks = 2;
-  HarmonyController h(opt, 5);
-  EXPECT_EQ(h.write_requirement().count, 2);
-}
-
 TEST(HarmonyController, NameCarriesTolerance) {
   HarmonyOptions opt;
   opt.tolerance = 0.4;
@@ -120,9 +101,6 @@ TEST(HarmonyController, RejectsBadOptions) {
   HarmonyOptions opt;
   opt.tolerance = 1.5;
   EXPECT_THROW(HarmonyController(opt, 5), CheckError);
-  HarmonyOptions opt2;
-  opt2.write_acks = 9;
-  EXPECT_THROW(HarmonyController(opt2, 5), CheckError);
 }
 
 // End-to-end: Harmony must keep measured staleness at or below tolerance

@@ -116,14 +116,6 @@ TEST(Histogram, NegativeClampsToZeroBucket) {
   EXPECT_EQ(h.percentile(100), 0);
 }
 
-TEST(Histogram, ResetClears) {
-  LatencyHistogram h;
-  h.record(123);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0);
-}
-
 TEST(Histogram, PercentileZeroIsExactMin) {
   // Regression: percentile(0) used to return the first non-empty bucket's
   // *upper bound*, which overshoots min() once values leave the exact range.

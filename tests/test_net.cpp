@@ -146,7 +146,6 @@ TEST(NetStats, ClassifyAndAccount) {
   EXPECT_EQ(stats.total_messages(), 3u);
   EXPECT_EQ(stats.total_bytes(), 1110u);
   EXPECT_EQ(stats.cross_dc_bytes(), 1000u);
-  EXPECT_EQ(stats.intra_dc_bytes(), 110u);
 }
 
 TEST(NetStats, MergeAndReset) {

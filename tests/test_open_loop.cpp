@@ -197,11 +197,10 @@ TEST(OpenLoop, FlashCrowdRaisesOfferedLoad) {
   flash.workload.open_loop.flash_at = 1500 * kMillisecond;
   flash.workload.open_loop.flash_ramp = 300 * kMillisecond;
   flash.workload.open_loop.flash_hold = kSecond;
-  flash.workload.open_loop.flash_multiplier = 6.0;
   const auto a = run_experiment(base);
   const auto b = run_experiment(flash);
-  // The flash window injects ~(mult-1)*rate*hold extra arrivals on top of
-  // the base process.
+  // The flash window injects ~7*rate*hold extra arrivals (an 8x plateau) on
+  // top of the base process.
   EXPECT_GT(static_cast<double>(b.open_loop.arrivals),
             1.4 * static_cast<double>(a.open_loop.arrivals));
 }

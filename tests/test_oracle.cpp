@@ -256,18 +256,5 @@ TEST(Oracle, OutOfOrderEndsKeepHorizonAtOldestLiveRead) {
   EXPECT_EQ(o.inflight_reads(), 0u);
 }
 
-TEST(Oracle, ResetCounters) {
-  StalenessOracle o;
-  o.record_commit(1, {10, 1}, 20);
-  o.judge(1, {10, 1}, 30);
-  o.reset_counters();
-  EXPECT_EQ(o.judged_reads(), 0u);
-  EXPECT_EQ(o.staleness_age().count(), 0u);
-  // History survives: only counters reset.
-  o.record_commit(1, {50, 2}, 60);
-  const auto j = o.judge(1, {10, 1}, 100);
-  EXPECT_TRUE(j.stale);
-}
-
 }  // namespace
 }  // namespace harmony::cluster

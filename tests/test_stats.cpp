@@ -94,8 +94,6 @@ TEST(Ewma, EmptyFlag) {
   EXPECT_TRUE(e.empty());
   e.observe(0, 5.0);
   EXPECT_FALSE(e.empty());
-  e.reset();
-  EXPECT_TRUE(e.empty());
 }
 
 TEST(Entropy, UniformIsLogN) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string_view>
+#include <vector>
+
 #include "common/check.h"
 #include "common/config.h"
 #include "common/table.h"
@@ -12,7 +16,9 @@ TEST(TextTable, RendersAlignedGrid) {
   TextTable t({"policy", "stale"});
   t.add_row({"ONE", "61%"});
   t.add_row({"harmony(20%)", "3.5%"});
-  const std::string s = t.to_string();
+  std::ostringstream os;
+  os << t;
+  const std::string s = os.str();
   EXPECT_NE(s.find("| policy "), std::string::npos);
   EXPECT_NE(s.find("harmony(20%)"), std::string::npos);
   // Three horizontal rules: top, under header, bottom.
@@ -45,30 +51,60 @@ TEST(TextTable, Formatters) {
 }
 
 TEST(Config, ParsesKeyValueAndFlags) {
-  const char* argv[] = {"prog", "--ops=5000", "--scale=0.5", "--verbose",
-                        "positional"};
-  const Config c = Config::from_args(5, argv);
+  const char* argv[] = {"prog", "--ops=5000", "--scale=0.5", "--verbose"};
+  const Config c = Config::from_args(4, argv, {"ops", "scale", "verbose"});
   EXPECT_EQ(c.get_int("ops", 0), 5000);
   EXPECT_DOUBLE_EQ(c.get_double("scale", 1.0), 0.5);
   EXPECT_TRUE(c.get_bool("verbose", false));
-  EXPECT_FALSE(c.has("positional"));
 }
 
 TEST(Config, DefaultsWhenMissing) {
-  const Config c;
+  const char* argv[] = {"prog"};
+  const Config c = Config::from_args(1, argv, {"nope", "off"});
   EXPECT_EQ(c.get_int("nope", 7), 7);
-  EXPECT_EQ(c.get_string("nope", "d"), "d");
-  EXPECT_FALSE(c.get_bool("nope", false));
+  EXPECT_DOUBLE_EQ(c.get_double("nope", 2.5), 2.5);
+  EXPECT_FALSE(c.get_bool("off", false));
 }
 
 TEST(Config, BoolSpellings) {
-  Config c;
-  c.set("a", "true");
-  c.set("b", "yes");
-  c.set("c", "0");
+  const char* argv[] = {"prog", "--a=true", "--b=yes", "--c=0", "--d=off"};
+  const Config c = Config::from_args(5, argv, {"a", "b", "c", "d"});
   EXPECT_TRUE(c.get_bool("a", false));
   EXPECT_TRUE(c.get_bool("b", false));
   EXPECT_FALSE(c.get_bool("c", true));
+  EXPECT_FALSE(c.get_bool("d", true));
+}
+
+// A program names the flags it reads; anything else is an error.
+TEST(Config, UnknownFlagExitsNamingIt) {
+  const char* argv[] = {"prog", "--seeds=2", "--sedes=3"};
+  const std::vector<std::string_view> flags = {"seed", "seeds"};
+  EXPECT_EXIT(Config::from_args(3, argv, flags), ::testing::ExitedWithCode(2),
+              "unknown flag --sedes");
+}
+
+TEST(Config, NonFlagWordExits) {
+  const char* argv[] = {"prog", "positional"};
+  const std::vector<std::string_view> flags = {"ops"};
+  EXPECT_EXIT(Config::from_args(2, argv, flags), ::testing::ExitedWithCode(2),
+              "unexpected argument 'positional'");
+}
+
+TEST(Config, ValueThatDoesNotParseInFullExits) {
+  const char* argv[] = {"prog", "--ops=abc", "--scale=0.5x", "--csv=maybe"};
+  const Config c = Config::from_args(4, argv, {"ops", "scale", "csv"});
+  EXPECT_EXIT(c.get_int("ops", 1), ::testing::ExitedWithCode(2),
+              "--ops expects an integer, got 'abc'");
+  EXPECT_EXIT(c.get_double("scale", 1), ::testing::ExitedWithCode(2),
+              "--scale expects a number, got '0.5x'");
+  EXPECT_EXIT(c.get_bool("csv", false), ::testing::ExitedWithCode(2),
+              "--csv expects a boolean, got 'maybe'");
+}
+
+TEST(Config, ReadingAnUndeclaredFlagIsAProgramError) {
+  const char* argv[] = {"prog"};
+  const Config c = Config::from_args(1, argv, {"ops"});
+  EXPECT_THROW(c.get_int("seed", 1), CheckError);
 }
 
 TEST(TimeTypes, Conversions) {

@@ -89,7 +89,6 @@ TEST(Timeline, SparseWindowsDropped) {
   }
   TimelineOptions opt;
   opt.window = 10 * kSecond;
-  opt.min_ops_per_window = 5;
   const auto t = build_timeline(records, opt);
   ASSERT_EQ(t.windows.size(), 1u);
   EXPECT_EQ(t.windows[0].ops, 100u);
@@ -119,11 +118,6 @@ TEST(Timeline, MatrixShape) {
   const auto t = build_timeline(records, {});
   const auto m = t.matrix();
   EXPECT_EQ(m.size(), t.windows.size());
-}
-
-TEST(Timeline, FeatureNamesAligned) {
-  EXPECT_EQ(timeline_feature_names().size(), kTimelineFeatureCount);
-  EXPECT_EQ(timeline_feature_names()[3], "key_entropy");
 }
 
 }  // namespace

@@ -31,11 +31,10 @@ The justification is mandatory; a bare allow() is itself a finding, and an
 allow that stops matching anything is reported as unused-allow so stale
 suppressions cannot linger.
 
-Engines: with python libclang bindings available (`--engine clang`), rules
-run on the real AST of every TU in compile_commands.json; everywhere else a
-token-level engine (comments/strings stripped, identifier-exact matching)
-produces the same diagnostics — CI pins `--engine token` so results never
-depend on host packages. Exit status: 0 clean, 1 findings, 2 usage error.
+The rules run on tokens (comments/strings stripped, identifier-exact
+matching) with the standard library alone (Python >= 3.11 for tomllib), so
+results never depend on host packages. Exit status: 0 clean, 1 findings,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -44,60 +43,14 @@ import argparse
 import json
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 # --------------------------------------------------------------------- TOML
 
 def load_manifest(path: Path) -> dict:
-    try:
-        import tomllib  # Python >= 3.11
-        with open(path, "rb") as f:
-            return tomllib.load(f)
-    except ModuleNotFoundError:
-        return _mini_toml(path.read_text())
-
-
-def _mini_toml(text: str) -> dict:
-    """Tiny TOML subset parser (tables, arrays-of-tables, str/int/bool/list
-    values) so the linter still runs on pythons without tomllib."""
-    root: dict = {}
-    table = root
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = re.match(r"^\[\[([A-Za-z0-9_.-]+)\]\]$", line)
-        if m:
-            parent = root
-            parts = m.group(1).split(".")
-            for p in parts[:-1]:
-                parent = parent.setdefault(p, {})
-            table = {}
-            parent.setdefault(parts[-1], []).append(table)
-            continue
-        m = re.match(r"^\[([A-Za-z0-9_.-]+)\]$", line)
-        if m:
-            table = root
-            for p in m.group(1).split("."):
-                table = table.setdefault(p, {})
-            continue
-        m = re.match(r"^([A-Za-z0-9_-]+)\s*=\s*(.+?)\s*(?:#.*)?$", line)
-        if m:
-            table[m.group(1)] = _mini_toml_value(m.group(2))
-    return root
-
-
-def _mini_toml_value(v: str):
-    v = v.strip()
-    if v.startswith("["):
-        inner = v.strip()[1:-1]
-        items = [x.strip() for x in inner.split(",") if x.strip()]
-        return [_mini_toml_value(x) for x in items]
-    if v.startswith('"') or v.startswith("'"):
-        return v[1:-1]
-    if v in ("true", "false"):
-        return v == "true"
-    return int(v)
+    with open(path, "rb") as f:
+        return tomllib.load(f)
 
 
 # ----------------------------------------------------------- source scanning
@@ -228,7 +181,7 @@ def _strip(text: str):
     return "".join(out), comments
 
 
-# ------------------------------------------------------------- token engine
+# ------------------------------------------------------------------ rules
 
 NODE_CONTAINERS = ("unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset")
@@ -518,58 +471,9 @@ class TokenEngine:
                         f"missing is_trivially_copyable assert for {event}")
 
 
-# ------------------------------------------------------------- clang engine
-
-def try_clang_engine(args):
-    """Best-effort libclang AST engine. Returns a cindex Index or None when
-    bindings are unavailable (the common case in CI, which pins --engine
-    token for reproducibility)."""
-    try:
-        from clang import cindex  # type: ignore
-        return cindex
-    except Exception:
-        return None
-
-
-def clang_lint_file(cindex, engine: TokenEngine, sf: SourceFile,
-                    compile_args: list[str], manifest: dict, kind: str):
-    """AST-level passes for one TU; diagnostics feed the shared reporter so
-    suppressions/unused-allow behave identically across engines."""
-    from clang.cindex import CursorKind  # type: ignore
-    index = cindex.Index.create()
-    tu = index.parse(str(sf.path), args=compile_args)
-    det = manifest.get("determinism", {})
-    banned = set(det.get("banned_calls", [])) | set(
-        det.get("banned_identifiers", []))
-
-    def visit(cur):
-        if cur.location.file and cur.location.file.name != str(sf.path):
-            return
-        if kind == "determinism":
-            if cur.kind == CursorKind.CALL_EXPR and cur.spelling in banned:
-                engine.report(sf, cur.location.line, "determinism-entropy",
-                              f"call to '{cur.spelling}' (AST)")
-            if cur.kind == CursorKind.CXX_FOR_RANGE_STMT:
-                for child in cur.get_children():
-                    if "unordered_" in (child.type.spelling or ""):
-                        engine.report(sf, cur.location.line,
-                                      "determinism-unordered-iter",
-                                      f"range-for over "
-                                      f"'{child.type.spelling}' (AST)")
-                        break
-        elif kind == "noalloc":
-            if cur.kind == CursorKind.CXX_NEW_EXPR:
-                engine.report(sf, cur.location.line, "hot-path-alloc",
-                              "heap 'new' on the hot path (AST)")
-        for child in cur.get_children():
-            visit(child)
-
-    visit(tu.cursor)
-
-
 # --------------------------------------------------------------------- main
 
-def gather(root: Path, manifest: dict, compile_db: dict[str, list[str]],
+def gather(root: Path, manifest: dict, compile_db: set[str],
            only: set[Path]):
     """Resolve manifest scopes to concrete SourceFile lists."""
     det_paths = manifest.get("determinism", {}).get("paths", [])
@@ -613,10 +517,7 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=Path("."))
     ap.add_argument("--compile-commands", type=Path, default=None,
                     help="compile_commands.json; extends the determinism "
-                    "file set with every matching TU and feeds flags to the "
-                    "clang engine")
-    ap.add_argument("--engine", choices=("auto", "token", "clang"),
-                    default="auto")
+                    "file set with every matching TU")
     ap.add_argument("files", nargs="*", type=Path,
                     help="restrict linting to these files (fixture "
                     "self-tests); default: everything in manifest scope")
@@ -629,18 +530,15 @@ def main(argv=None) -> int:
     manifest = load_manifest(args.manifest)
     root = args.root
 
-    compile_db: dict[str, list[str]] = {}
+    compile_db: set[str] = set()
     if args.compile_commands:
         if not args.compile_commands.exists():
             print("harmony_lint: compile_commands.json not found: "
                   f"{args.compile_commands} (configure with "
                   "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)", file=sys.stderr)
             return 2
-        for entry in json.loads(args.compile_commands.read_text()):
-            cmd = entry.get("command")
-            argv_list = cmd.split() if cmd else entry.get("arguments", [])
-            compile_db[entry["file"]] = [
-                a for a in argv_list if a.startswith(("-I", "-D", "-std"))]
+        compile_db = {entry["file"] for entry in
+                      json.loads(args.compile_commands.read_text())}
 
     only = {p.resolve() for p in args.files}
     det_files, na_files, na_scoped, tl_file = gather(
@@ -655,29 +553,11 @@ def main(argv=None) -> int:
         return cache[key]
 
     engine = TokenEngine(manifest, root)
-    cindex = try_clang_engine(args) if args.engine in ("auto", "clang") \
-        else None
-    if args.engine == "clang" and cindex is None:
-        print("harmony_lint: --engine clang requested but python libclang "
-              "bindings are unavailable", file=sys.stderr)
-        return 2
-
-    det_sfs = [load(p) for p in det_files]
-    engine.check_determinism(det_sfs)
+    engine.check_determinism([load(p) for p in det_files])
     engine.check_noalloc([load(p) for p in na_files],
                          [(load(p), fns) for p, fns in na_scoped])
     if tl_file is not None:
         engine.check_typed_lane(load(tl_file))
-
-    if cindex is not None:
-        for sf in det_sfs:
-            flags = compile_db.get(str(sf.path), ["-std=c++20"])
-            try:
-                clang_lint_file(cindex, engine, sf, flags, manifest,
-                                "determinism")
-            except Exception as e:  # robust fallback: token results stand
-                print(f"harmony_lint: clang engine skipped {sf.rel}: {e}",
-                      file=sys.stderr)
 
     # Meta-rules: every allow carries a justification and still matches.
     for sf in cache.values():
@@ -693,8 +573,8 @@ def main(argv=None) -> int:
                     f"allow({', '.join(sorted(a.rules))}) no longer "
                     "suppresses anything; delete it"))
 
-    # Clang AST findings can duplicate token findings at the same site; report
-    # each (file, line, rule) once.
+    # Two findings of one rule on one line read as one: report each
+    # (file, line, rule) once.
     seen = set()
     diags = []
     for d in sorted(engine.diags, key=lambda d: (str(d.path), d.line, d.rule)):
@@ -706,9 +586,8 @@ def main(argv=None) -> int:
     for d in diags:
         print(d.render(root))
     scanned = len(cache)
-    mode = "clang+token" if cindex is not None else "token"
     print(f"harmony_lint: {len(diags)} finding(s) in {scanned} file(s) "
-          f"scanned (engine={mode})", file=sys.stderr)
+          "scanned", file=sys.stderr)
     return 1 if diags else 0
 
 

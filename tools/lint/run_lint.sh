@@ -4,8 +4,8 @@
 #   tools/lint/run_lint.sh [build-dir]     (default build dir: ./build)
 #
 #   1. ensure compile_commands.json exists (configures the build dir if not),
-#   2. harmony_lint over tools/lint/invariants.toml (token engine, the same
-#      engine CI pins so results never depend on host packages),
+#   2. harmony_lint over tools/lint/invariants.toml (standard-library Python
+#      only, so results never depend on host packages),
 #   3. the linter's fixture self-test (ctest label `lint` runs the same),
 #   4. clang-tidy with the repo's curated .clang-tidy config — skipped with a
 #      note when clang-tidy is not installed (CI always runs it).
@@ -25,8 +25,7 @@ echo "== harmony_lint (invariants.toml)" >&2
 python3 "$ROOT/tools/lint/harmony_lint.py" \
   --manifest "$ROOT/tools/lint/invariants.toml" \
   --root "$ROOT" \
-  --compile-commands "$BUILD/compile_commands.json" \
-  --engine token
+  --compile-commands "$BUILD/compile_commands.json"
 
 echo "== linter fixture self-test" >&2
 python3 "$ROOT/tools/lint/test_lint.py"

@@ -29,7 +29,7 @@ MARK_RE = re.compile(r"EXPECT-LINT(\+1)?:\s*([a-z0-9\-]+)")
 def run_lint(manifest: Path):
     proc = subprocess.run(
         [sys.executable, str(LINT), "--manifest", str(manifest),
-         "--root", str(ROOT), "--engine", "token"],
+         "--root", str(ROOT)],
         capture_output=True, text=True)
     diags = set()
     for line in proc.stdout.splitlines():
