@@ -3,11 +3,13 @@
 // simulated operations per real second a bench binary can push.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <functional>
 #include <iterator>
 #include <limits>
 
 #include "cluster/cluster.h"
+#include "cluster/staleness_oracle.h"
 #include "cluster/token_ring.h"
 #include "common/distributions.h"
 #include "common/histogram.h"
@@ -208,6 +210,46 @@ void BM_TypedLane(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_TypedLane)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_OracleCommitJudge(benchmark::State& state) {
+  // The staleness oracle under the request path's call pattern, through its
+  // public API: per iteration one commit, then the oldest of 64 in-flight
+  // reads is judged and ended and a new read begins, so each read stays open
+  // across the next 64 commits. Keys are zipfian over range(0) keys, all
+  // written once before timing, so the key table has its final size.
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::size_t kWindow = 64;
+  cluster::StalenessOracle oracle;
+  Rng rng(1);
+  ZipfianKeys zipf(n);
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  for (cluster::Key k = 0; k < n; ++k) oracle.record_commit(k, {0, ++seq}, 0);
+  struct Read {
+    SimTime start;
+    cluster::Key key;
+  };
+  std::array<Read, kWindow> window{};
+  for (Read& r : window) {
+    oracle.begin_read(++now);
+    r = {now, zipf.next(rng)};
+  }
+  std::size_t oldest = 0;
+  for (auto _ : state) {
+    ++now;
+    // Timestamps lag the commit instant by 0-3 µs, as concurrent writes do.
+    oracle.record_commit(zipf.next(rng),
+                         {now - static_cast<SimTime>(seq & 3), ++seq}, now);
+    Read& r = window[oldest];
+    benchmark::DoNotOptimize(oracle.judge(r.key, {r.start - 8, 0}, r.start));
+    oracle.end_read(r.start);
+    oracle.begin_read(now);
+    r = {now, zipf.next(rng)};
+    oldest = (oldest + 1) % kWindow;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OracleCommitJudge)->Arg(1000)->Arg(100'000);
 
 void BM_StaleModelEval(benchmark::State& state) {
   core::StaleModelParams params;

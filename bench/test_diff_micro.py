@@ -13,6 +13,11 @@ host with no file records its first baseline, a second host never touches
 the first one's file, a same-host regression keeps the baseline unless
 HARMONY_BENCH_ALLOW_REGRESSION=1 accepts it, and a file whose context is
 not the candidate's host is refused and never replaced, override or not.
+
+Last, run_micro.sh --parent, on two stub bench_micro programs: the rounds
+alternate which side runs first, both sides get the extra flags, both
+reports are written with one row per round, a slower change fails, and
+bench/micro_baseline/ is left as it was.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 DIFF = Path(__file__).resolve().parent / "diff_micro.py"
+RUN_MICRO = Path(__file__).resolve().parent / "run_micro.sh"
+BASELINE_DIR = Path(__file__).resolve().parent / "micro_baseline"
 
 HOST = {"cpu_model": "AMD EPYC 7763 64-Core Processor", "num_cpus": 4,
         "mhz_per_cpu": 2100,
@@ -119,6 +126,72 @@ def gate_cases(tmp):
     return out
 
 
+STUB = """#!{python}
+import json, sys
+args = sys.argv[1:]
+if "--benchmark_list_tests" in args:
+    sys.exit(0)
+with open({log!r}, "a") as f:
+    f.write({side!r} + (" filtered" if "--benchmark_filter=BM_A" in args
+                        else "") + "\\n")
+out = next(a.split("=", 1)[1] for a in args
+           if a.startswith("--benchmark_out="))
+with open(out, "w") as f:
+    json.dump({{"context": {host!r}, "benchmarks": [{{
+        "name": "BM_A", "run_name": "BM_A", "run_type": "iteration",
+        "repetitions": 1, "repetition_index": 0, "cpu_time": 1e9 / {ips},
+        "time_unit": "ns", "items_per_second": {ips}}}]}}, f)
+"""
+
+
+def parent_cases(tmp):
+    """(name, ok, output) of run_micro.sh --parent on stub binaries."""
+    def baseline_state():
+        return sorted((p.name, p.stat().st_mtime_ns)
+                      for p in BASELINE_DIR.glob("*"))
+
+    out = []
+    before = baseline_state()
+    for label, change_ips, want_code in (("equal", 100.0, 0),
+                                         ("slower", 80.0, 1)):
+        root = Path(tmp) / f"parent-mode-{label}"
+        log = root / "order.log"
+        dirs = {}
+        for side, ips in (("parent", 100.0), ("change", change_ips)):
+            d = root / side
+            d.mkdir(parents=True)
+            stub = d / "bench_micro"
+            stub.write_text(STUB.format(python=sys.executable, log=str(log),
+                                        side=side, host=HOST, ips=ips))
+            stub.chmod(0o755)
+            dirs[side] = d
+        proc = subprocess.run(
+            ["bash", str(RUN_MICRO), "--parent", str(dirs["parent"]),
+             str(dirs["change"]), "--benchmark_filter=BM_A"],
+            capture_output=True, text=True, check=False)
+        text = proc.stdout + proc.stderr
+        if want_code == 0:
+            order = log.read_text().split("\n")[:-1]
+            want = []
+            for r in range(5):
+                pair = ["parent", "change"] if r % 2 == 0 else ["change",
+                                                                "parent"]
+                want += [f"{side} filtered" for side in pair]
+            reports = [json.loads((dirs["change"] / f"bench_micro_{side}.json")
+                                  .read_text()) for side in ("parent", "change")]
+            out.append(("--parent alternates the sides and passes the flags",
+                        order == want, text + "\n".join(order)))
+            out.append(("--parent writes both reports, one row per round",
+                        all(len(r["benchmarks"]) == 5 for r in reports) and
+                        proc.returncode == 0 and "OK" in text, text))
+        else:
+            out.append(("--parent fails a slower change",
+                        proc.returncode == 1 and "REGRESSION" in text, text))
+    out.append(("--parent never touches bench/micro_baseline/",
+                baseline_state() == before, ""))
+    return out
+
+
 def main():
     cases = [
         # (name, baseline rows, candidate rows, host, exit code, regex the
@@ -154,7 +227,7 @@ def main():
             if not ok:
                 print(text)
                 failures += 1
-        for name, ok, text in gate_cases(tmp):
+        for name, ok, text in gate_cases(tmp) + parent_cases(tmp):
             print(f"{'ok  ' if ok else 'FAIL'} gate: {name}")
             if not ok:
                 print(text)

@@ -1,50 +1,62 @@
 #include "cluster/staleness_oracle.h"
 
-#include "common/rng.h"
-
 namespace harmony::cluster {
 
 namespace {
-constexpr std::size_t kInitialWindows = 64;   // power of two
+constexpr std::size_t kInitialWindows = 64;  // power of two
+constexpr std::size_t kInitialLog = 64;      // power of two
 }  // namespace
 
-// ------------------------------------------------------------- commit rings
-
-void StalenessOracle::CommitRing::grow(SpillPool& pool) {
-  const std::uint32_t new_cap = cap() * 2;
-  auto next = pool.take(cap_class(new_cap));
-  // lint: allow(hot-path-alloc): ring growth is warm-up-only; steady state
-  // recycles rings through the spill pool (alloc_guard-pinned).
-  if (!next) next = std::make_unique<Commit[]>(new_cap);
-  for (std::uint32_t i = 0; i < size_; ++i) next[i] = (*this)[i];
-  if (heap_) pool.put(cap_class(cap()), std::move(heap_));
-  heap_ = std::move(next);
-  head_ = 0;
-  mask_ = new_cap - 1;
-}
-
-void StalenessOracle::fold(CommitRing& q, SimTime h) {
-  // Every read still in flight started at or after the horizon, so a
-  // judgement can only distinguish commits after it; fold everything at or
-  // before the horizon into one entry carrying the max version seen so far.
-  while (q.size() >= 2 && q[1].commit_time <= h) {
-    if (q[0].version.newer_than(q[1].version)) q[1].version = q[0].version;
-    q.pop_front();
-  }
-}
-
-// ------------------------------------------------------------ oracle proper
+// ---------------------------------------------------------------- commit log
 
 void StalenessOracle::record_commit(Key key, const Version& version,
                                     SimTime commit_time) {
   if (trace_ != nullptr) trace_->on_commit(key, version, commit_time);
-  CommitRing& q = history_for(key);
+  const SimTime h = horizon(commit_time);
+  fold_through(h);
+  KeyState& s = *table_.insert(key).first;
+  if (commit_time <= h) {
+    // No in-flight read predates this commit, so it folds on arrival (as
+    // appending it and folding again would).
+    if (version.newer_than(s.folded)) s.folded = version;
+    return;
+  }
   // Commits arrive in commit-time order by construction (simulation time is
-  // monotone), so push_back keeps the ring sorted.
-  q.push_back({commit_time, version}, spill_pool_);
-  fold(q, horizon(commit_time));
-  q.maybe_release_spill(spill_pool_);
+  // monotone), so appending keeps the log sorted.
+  if (log_end_ - log_begin_ == log_.size()) grow_log();
+  log_[log_end_ & log_mask_] = {commit_time, version, key, s.newest};
+  s.newest = log_end_++;
 }
+
+void StalenessOracle::fold_through(SimTime h) {
+  // Every read still in flight started at or after the horizon, so a
+  // judgement can only distinguish commits after it; fold everything at or
+  // before the horizon into its key's max version. The log is sorted by
+  // commit time, so those commits are its front.
+  folded_through_ = std::max(folded_through_, h);
+  while (log_begin_ != log_end_) {
+    const LogEntry& c = log_[log_begin_ & log_mask_];
+    if (c.commit_time > h) break;
+    KeyState& s = *table_.find(c.key);  // inserted when c was appended
+    if (c.version.newer_than(s.folded)) s.folded = c.version;
+    ++log_begin_;
+  }
+}
+
+void StalenessOracle::grow_log() {
+  // Positions are absolute, so each live entry keeps its position and only
+  // its slot moves under the wider mask. Growth is warm-up-only: the log
+  // keeps its high-water capacity (alloc_guard-pinned).
+  std::vector<LogEntry> next(log_.empty() ? kInitialLog : log_.size() * 2);
+  const LogPos next_mask = next.size() - 1;
+  for (LogPos p = log_begin_; p != log_end_; ++p) {
+    next[p & next_mask] = log_[p & log_mask_];
+  }
+  log_.swap(next);
+  log_mask_ = next_mask;
+}
+
+// ------------------------------------------------------------- read windows
 
 void StalenessOracle::begin_read(SimTime read_start) {
   if (trace_ != nullptr) trace_->on_begin_read(read_start);
@@ -139,22 +151,28 @@ void StalenessOracle::end_read(SimTime read_start) {
 StalenessOracle::Judgement StalenessOracle::judge(Key key,
                                                   const Version& returned,
                                                   SimTime read_start) {
+  HARMONY_CHECK_MSG(read_start >= folded_through_,
+                    "judge() of a read that starts before the fold horizon "
+                    "(never registered with begin_read)");
   Judgement j;
-  const CommitRing* q = find_history(key);
-  if (q == nullptr) {
+  const KeyState* s = table_.find(key);
+  if (s == nullptr) {
     ++fresh_;  // nothing ever committed: any answer is fresh
     if (trace_ != nullptr) trace_->on_judge(key, returned, read_start, j);
     return j;
   }
-  // Latest version committed strictly before the read started. Versions are
-  // not guaranteed monotone in commit order (two concurrent writes may commit
-  // out of timestamp order), so scan for the max.
-  Version latest = kNoVersion;
-  const std::size_t n = q->size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Commit& c = (*q)[i];
-    if (c.commit_time > read_start) break;  // ring is sorted by commit_time
-    if (c.version.newer_than(latest)) latest = c.version;
+  // Latest version committed at or before the read start: every folded
+  // commit qualifies (it is at or before the fold horizon), and the chain
+  // holds the rest. Versions are not guaranteed monotone in commit order
+  // (two concurrent writes may commit out of timestamp order), so scan for
+  // the max.
+  Version latest = s->folded;
+  for (LogPos p = s->newest; p >= log_begin_;) {
+    const LogEntry& c = log_[p & log_mask_];
+    if (c.commit_time <= read_start && c.version.newer_than(latest)) {
+      latest = c.version;
+    }
+    p = c.prev;
   }
   if (latest.newer_than(returned)) {
     j.stale = true;
@@ -170,8 +188,13 @@ StalenessOracle::Judgement StalenessOracle::judge(Key key,
 }
 
 std::size_t StalenessOracle::history_size(Key key) const {
-  const CommitRing* q = find_history(key);
-  return q == nullptr ? 0 : q->size();
+  const KeyState* s = table_.find(key);
+  if (s == nullptr) return 0;
+  std::size_t n = s->folded == kNoVersion ? 0 : 1;
+  for (LogPos p = s->newest; p >= log_begin_; p = log_[p & log_mask_].prev) {
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace harmony::cluster

@@ -7,14 +7,14 @@
 //
 // Layout: entries are {key, value} with an all-ones key sentinel marking
 // empty slots, so a slot costs no separate `used` flag — with a 24-byte
-// value (ReplicaStore's VersionedValue) an entry packs to 32 bytes, two per
-// cache line on the probe path. The sentinel key itself is still a legal
-// key: it lives in a dedicated side slot instead of the table.
+// value (ReplicaStore's VersionedValue, StalenessOracle's per-key state) an
+// entry packs to 32 bytes, two per cache line on the probe path. The
+// sentinel key itself is still a legal key: it lives in a dedicated side
+// slot instead of the table.
 //
-// Growth rehashes by *moving* values, so move-only values (StalenessOracle's
-// CommitRing) work; values must be default-constructible and cheap to
-// default-construct (empty slots hold one). There is no bulk reserve: tables
-// only grow by doubling as keys arrive (a preloaded dataset lives in
+// Values are small plain structs, copied on growth; they must be cheap to
+// default-construct (empty slots hold one). There is no bulk reserve:
+// tables only grow by doubling as keys arrive (a preloaded dataset lives in
 // ReplicaStore's bitmap base, not here).
 #pragma once
 
@@ -79,6 +79,9 @@ class FlatTable {
     return const_cast<FlatTable*>(this)->find(key);
   }
 
+  /// Bytes per table slot (key plus value), for layout static_asserts.
+  static constexpr std::size_t entry_bytes() { return sizeof(Entry); }
+
   /// Keys present (never decreases: keys are never erased).
   std::size_t size() const { return used_ + (has_sentinel_ ? 1 : 0); }
   bool empty() const { return size() == 0; }
@@ -105,12 +108,11 @@ class FlatTable {
     old.swap(table_);
     table_.resize(old.empty() ? initial_capacity_ : old.size() * 2);
     const std::size_t mask = table_.size() - 1;
-    for (Entry& e : old) {
+    for (const Entry& e : old) {
       if (e.key == kEmptyKey) continue;
       std::size_t i = static_cast<std::size_t>(hash64(e.key)) & mask;
       while (table_[i].key != kEmptyKey) i = (i + 1) & mask;
-      table_[i].key = e.key;
-      table_[i].value = std::move(e.value);
+      table_[i] = e;
     }
   }
 

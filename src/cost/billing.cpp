@@ -9,8 +9,7 @@ Bill BillCalculator::compute(const ResourceUsage& usage) const {
   b.instances = usage.node_hours * book_.instance_per_hour;
   b.storage = usage.storage_gb_hours / kHoursPerMonth * book_.storage_gb_month +
               static_cast<double>(usage.io_requests) / 1e6 * book_.io_per_million;
-  b.network = usage.cross_dc_gb * book_.net_cross_dc_gb +
-              usage.egress_gb * book_.net_egress_gb;
+  b.network = usage.cross_dc_gb * book_.net_cross_dc_gb;
   b.energy = usage.energy_kwh * book_.energy_kwh;
   return b;
 }

@@ -16,7 +16,6 @@ struct ResourceUsage {
   double storage_gb_hours = 0;  ///< stored GB × hours (integrated)
   std::uint64_t io_requests = 0;  ///< replica-level storage operations
   double cross_dc_gb = 0;       ///< bytes crossing DC boundaries
-  double egress_gb = 0;         ///< bytes to clients outside the region
   double energy_kwh = 0;        ///< from the power model (may be 0)
 };
 

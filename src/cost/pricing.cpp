@@ -8,7 +8,6 @@ PriceBook PriceBook::ec2_2012() {
   p.storage_gb_month = 0.10;   // EBS standard volume
   p.io_per_million = 0.10;     // EBS I/O requests
   p.net_cross_dc_gb = 0.01;    // inter-AZ transfer
-  p.net_egress_gb = 0.12;      // internet egress, first tier
   p.energy_kwh = 0.0;
   return p;
 }
@@ -19,7 +18,6 @@ PriceBook PriceBook::grid5000() {
   p.storage_gb_month = 0.0;
   p.io_per_million = 0.0;
   p.net_cross_dc_gb = 0.0;
-  p.net_egress_gb = 0.0;
   p.energy_kwh = 0.12;  // French industrial tariff, ~2012
   return p;
 }

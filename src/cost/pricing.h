@@ -14,7 +14,6 @@ struct PriceBook {
   double storage_gb_month = 0.10;       ///< $ per GB-month (EBS standard)
   double io_per_million = 0.10;         ///< $ per 1M I/O requests (EBS)
   double net_cross_dc_gb = 0.01;        ///< $ per GB between AZs/DCs
-  double net_egress_gb = 0.12;          ///< $ per GB to the internet
   double energy_kwh = 0.0;              ///< $ per kWh (0: power not billed)
 
   /// Amazon EC2 on-demand, us-east-1, 2012 (the paper's platform).

@@ -501,7 +501,6 @@ class Runner final : public ClientEnv {
     r.usage.io_requests = static_cast<std::uint64_t>(cluster_.disk_io());
     r.usage.cross_dc_gb =
         static_cast<double>(cluster_.net_stats().cross_dc_bytes()) / 1e9;
-    r.usage.egress_gb = 0.0;  // clients are in-region
     r.energy_kwh = kPowerModel.energy_kwh(
         cfg_.cluster.node_count, end > 0 ? end : 1, cluster_.total_busy_time(),
         static_cast<double>(cluster_.net_stats().total_bytes()));

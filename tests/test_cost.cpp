@@ -14,12 +14,11 @@ TEST(Billing, ThreePartDecomposition) {
   u.storage_gb_hours = 730.0;  // 1 GB-month = 0.10
   u.io_requests = 10'000'000;  // 10 * 0.10 = 1.0
   u.cross_dc_gb = 50;          // 0.5
-  u.egress_gb = 10;            // 1.2
   const auto bill = BillCalculator(PriceBook::ec2_2012()).compute(u);
   EXPECT_NEAR(bill.instances, 26.0, 1e-9);
   EXPECT_NEAR(bill.storage, 0.10 + 1.0, 1e-9);
-  EXPECT_NEAR(bill.network, 0.5 + 1.2, 1e-9);
-  EXPECT_NEAR(bill.total(), 26.0 + 1.1 + 1.7, 1e-9);
+  EXPECT_NEAR(bill.network, 0.5, 1e-9);
+  EXPECT_NEAR(bill.total(), 26.0 + 1.1 + 0.5, 1e-9);
 }
 
 TEST(Billing, Grid5000BillsOnlyEnergy) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+
+#include "common/check.h"
+#include "reference/reference_oracle.h"
+
 namespace harmony::cluster {
 namespace {
 
@@ -35,9 +41,11 @@ TEST(Oracle, WriteCommittedAfterReadStartDoesNotCount) {
   StalenessOracle o;
   const Version v1{50, 1}, v2{80, 2};
   o.record_commit(1, v1, 60);
+  o.begin_read(100);
   o.record_commit(1, v2, 150);  // commits after the read started
   const auto j = o.judge(1, v1, 100);
   EXPECT_FALSE(j.stale);
+  o.end_read(100);
 }
 
 TEST(Oracle, ReturningNewerThanCommittedIsFresh) {
@@ -254,6 +262,113 @@ TEST(Oracle, OutOfOrderEndsKeepHorizonAtOldestLiveRead) {
   EXPECT_EQ(o.history_size(1), 3u);
   o.end_read(30);
   EXPECT_EQ(o.inflight_reads(), 0u);
+}
+
+TEST(Oracle, LogGrowsAndWrapsUnderAnOpenRead) {
+  // One read stays open while 240 commits land on 4 keys, so the shared log
+  // outgrows its first capacity after its front has already advanced past
+  // the first slots (it grows while wrapped). Short reads opened and judged
+  // along the way must match the naive reference throughout.
+  StalenessOracle o;
+  harmony::testing::ReferenceOracle ref;
+  constexpr std::uint64_t kKeys = 4;
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  auto commit = [&](Key key, SimTime ts) {
+    const Version v{ts, ++seq};
+    o.record_commit(key, v, now);
+    ref.record_commit(key, v, now);
+  };
+  auto check = [&](Key key, const Version& returned, SimTime start) {
+    const auto pj = o.judge(key, returned, start);
+    const auto rj = ref.judge(key, returned, start);
+    EXPECT_EQ(pj.stale, rj.stale) << "key " << key << " start " << start;
+    EXPECT_EQ(pj.age, rj.age) << "key " << key << " start " << start;
+  };
+
+  o.begin_read(10);  // an earlier read keeps the first commits in the log
+  ref.begin_read(10);
+  for (now = 11; now <= 40; ++now) commit(now % kKeys, now - 3);
+  o.begin_read(50);  // the read held open below
+  ref.begin_read(50);
+  o.end_read(10);
+  ref.end_read(10);
+
+  std::deque<SimTime> open;  // short reads, judged a few commits later
+  for (int i = 0; i < 240; ++i) {
+    now = 51 + i;
+    // Timestamps lag the commit instant by up to 5 µs, so some commits land
+    // out of timestamp order.
+    commit(static_cast<Key>(i * 7 % kKeys), now - (i * 3 % 6));
+    if (i % 5 == 0) {
+      o.begin_read(now);
+      ref.begin_read(now);
+      open.push_back(now);
+    }
+    if (open.size() > 3) {
+      const SimTime start = open.front();
+      open.pop_front();
+      for (Key k = 0; k < kKeys; ++k) {
+        check(k, Version{start - 4, 0}, start);
+        check(k, Version{start - 1, seq}, start);
+      }
+      o.end_read(start);
+      ref.end_read(start);
+    }
+  }
+  // The held read sees only the commits made before it started.
+  for (Key k = 0; k < kKeys; ++k) {
+    for (SimTime ts = 30; ts <= 45; ++ts) check(k, Version{ts, 0}, 50);
+  }
+  std::size_t retained = 0;
+  for (Key k = 0; k < kKeys; ++k) retained += o.history_size(k);
+  EXPECT_EQ(retained, kKeys + 240);  // a folded max per key + the log
+
+  for (const SimTime start : open) {
+    o.end_read(start);
+    ref.end_read(start);
+  }
+  o.end_read(50);
+  ref.end_read(50);
+  EXPECT_EQ(o.fresh_reads(), ref.fresh_reads());
+  EXPECT_EQ(o.stale_reads(), ref.stale_reads());
+  EXPECT_EQ(o.inflight_reads(), 0u);
+  // With no read in flight, one more commit folds every key back down.
+  now += 1;
+  commit(0, now);
+  for (Key k = 0; k < kKeys; ++k) EXPECT_EQ(o.history_size(k), 1u);
+}
+
+TEST(Oracle, CommitOnOneKeyFoldsAnotherKeysHistory) {
+  // Folding is global: once the horizon passes a key's commits, any commit
+  // (here on key 2) folds them, not only the key's own next commit.
+  StalenessOracle o;
+  o.begin_read(10);
+  o.record_commit(1, {20, 1}, 20);
+  o.record_commit(1, {30, 2}, 30);
+  o.record_commit(1, {40, 3}, 40);
+  EXPECT_EQ(o.history_size(1), 3u);
+  o.end_read(10);
+  o.record_commit(2, {50, 4}, 50);
+  EXPECT_EQ(o.history_size(1), 1u);
+  EXPECT_EQ(o.history_size(2), 1u);
+  // The folded max still judges a read that starts after it.
+  o.begin_read(60);
+  EXPECT_FALSE(o.judge(1, {40, 3}, 60).stale);
+  const auto j = o.judge(1, {30, 2}, 60);
+  EXPECT_TRUE(j.stale);
+  EXPECT_EQ(j.age, 10);
+  o.end_read(60);
+}
+
+TEST(Oracle, JudgingAnUnregisteredReadBeforeTheFoldHorizonThrows) {
+  // With no read in flight, the commit at 100 folds on arrival. A read that
+  // claims to have started at 50 was never registered: the folded max may
+  // hold commits it never saw, so judge() refuses it.
+  StalenessOracle o;
+  o.record_commit(1, {90, 1}, 100);
+  EXPECT_THROW(o.judge(1, kNoVersion, 50), harmony::CheckError);
+  EXPECT_TRUE(o.judge(1, kNoVersion, 100).stale);  // at the horizon: fine
 }
 
 }  // namespace

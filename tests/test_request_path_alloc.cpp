@@ -1,9 +1,9 @@
 // Steady-state zero-allocation assertion for the full cluster request path.
 //
 // After warm-up (event-queue slab, pending-request slot pools, oracle key
-// table, replica-store tables all grown — a store's table is allocated and
-// grown by the warm-up writes that copy preloaded keys out of its bitmap
-// base, not by the preload), a closed loop of client reads and
+// table and commit log, replica-store tables all grown — a store's table is
+// allocated and grown by the warm-up writes that copy preloaded keys out of
+// its bitmap base, not by the preload), a closed loop of client reads and
 // writes — schedule, route, replica service, commit, staleness judgement,
 // completion — must touch the heap exactly zero times, at CL=ONE and at
 // CL=QUORUM. This is the contract that lets the sweep runner push millions of
@@ -69,9 +69,9 @@ void run_steady_state(int level) {
   d.req = resolve_count(level, 3);
 
   // Warm-up at *heavier* concurrency than the measured phase: every slab,
-  // table, ring, and spill-buffer pool grows to a high-water mark the
+  // table, ring, and the oracle's commit log grows to a high-water mark the
   // measurement stays below (more in-flight reads hold the staleness horizon
-  // open longer, so warm-up spill pressure strictly dominates).
+  // open longer, so the warm-up log is strictly the longer one).
   constexpr int kWarmInflight = 64;
   constexpr int kInflight = 32;
   for (int i = 0; i < kWarmInflight; ++i) d.issue();

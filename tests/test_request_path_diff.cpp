@@ -1,13 +1,14 @@
 // Randomized differential harness for the allocation-free request path.
 //
-// The optimized hot lanes (SlotPool pending requests, ring-buffered
-// StalenessOracle, inline LatencyHistogram) are replayed against naive
+// The optimized hot lanes (SlotPool pending requests, the StalenessOracle's
+// shared commit log, inline LatencyHistogram) are replayed against naive
 // reference twins (tests/reference/) over thousands of seeded schedules:
 //
 //   * oracle schedules — interleavings of commits (including write storms and
 //     out-of-timestamp-order versions), reads beginning exactly at fold
 //     boundaries, reads sharing a start time, reads ending with and without a
-//     judgement (the timeout/unavailable paths);
+//     judgement (the timeout/unavailable paths), and reads held open across
+//     enough commits to grow the commit log past its first capacity;
 //   * histogram schedules — mixed record/record_n/merge streams compared on
 //     count, min, max, mean, and a whole percentile grid;
 //   * lognormal draws — Rng::lognormal_median against the libm formula it
@@ -124,8 +125,13 @@ std::uint64_t run_oracle_schedule(std::uint64_t seed) {
   Rng rng(seed);
   cluster::StalenessOracle prod;
   ReferenceOracle ref;
-  const std::uint64_t keys = 1 + rng.uniform_u64(6);
+  // A quarter of the schedules spread over up to 64 keys and hold their
+  // first read open across more commits than the oracle log's first
+  // capacity (64), so the shared log grows, and wraps once it drains.
+  const bool wide = rng.chance(0.25);
+  const std::uint64_t keys = 1 + rng.uniform_u64(wide ? 64 : 6);
   const int ops = 40 + static_cast<int>(rng.uniform_u64(260));
+  std::uint64_t hold_commits = wide ? 65 + rng.uniform_u64(200) : 0;
   SimTime now = 0;
   std::uint64_t seq = 0;
   std::uint64_t fp = kFnvOffset;
@@ -135,6 +141,8 @@ std::uint64_t run_oracle_schedule(std::uint64_t seed) {
     cluster::Key key;
   };
   std::vector<InFlight> reads;
+  bool hold_next = wide;
+  std::optional<InFlight> held;  // the first read of a wide schedule
   std::vector<std::vector<cluster::Version>> committed(keys);
 
   auto commit_one = [&](cluster::Key key) {
@@ -145,6 +153,10 @@ std::uint64_t run_oracle_schedule(std::uint64_t seed) {
     prod.record_commit(key, v, now);
     ref.record_commit(key, v, now);
     committed[key].push_back(v);
+    if (held && --hold_commits == 0) {
+      reads.push_back(*held);  // released: it may now end like any other
+      held.reset();
+    }
   };
 
   auto finish_read = [&](std::size_t pick, bool judge) {
@@ -172,7 +184,7 @@ std::uint64_t run_oracle_schedule(std::uint64_t seed) {
     ref.end_read(r.start);
   };
 
-  for (int op = 0; op < ops; ++op) {
+  for (int op = 0; op < ops || held; ++op) {
     // Advancing by 0 keeps commits and read starts landing on the same
     // instant (fold boundaries, shared starts) a routine occurrence.
     now += static_cast<SimTime>(rng.uniform_u64(3));
@@ -189,7 +201,13 @@ std::uint64_t run_oracle_schedule(std::uint64_t seed) {
       for (int i = 0; i < n; ++i) {
         prod.begin_read(now);
         ref.begin_read(now);
-        reads.push_back({now, rng.uniform_u64(keys)});
+        const InFlight r{now, rng.uniform_u64(keys)};
+        if (hold_next) {
+          held = r;
+          hold_next = false;
+        } else {
+          reads.push_back(r);
+        }
       }
     } else {
       // End a random in-flight read; 25% end without judging, as the
