@@ -20,10 +20,14 @@
 # With --parent DIR, DIR holds the parent commit's bench_micro, built from
 # the same bench source. The two binaries run in five alternating rounds of
 # one repetition each (the order flips every round, so host drift lands on
-# both sides alike) with the same flags, into
-# <build-dir>/bench_micro_parent.json and <build-dir>/bench_micro_change.json,
-# and diff_micro.py PARENT.json CHANGE.json compares them. This mode never
-# reads or writes bench/micro_baseline/.
+# both sides alike) with the same flags, at a 1 s minimum time per row,
+# into <build-dir>/bench_micro_parent.json and
+# <build-dir>/bench_micro_change.json, and diff_micro.py PARENT.json
+# CHANGE.json compares them. Each round pins both binaries to the same
+# single CPU with taskset when it is installed, except for
+# BM_KeyRangeShardedThroughput, the one row that spawns worker threads,
+# which runs in its own unpinned pass. This mode never reads or writes
+# bench/micro_baseline/.
 set -euo pipefail
 
 parent_dir=""
@@ -46,10 +50,11 @@ cpu_model="${cpu_model:-unknown}"
 
 # Older google-benchmark (<=1.7) takes a plain double for min_time, newer
 # versions want a unit suffix; try the modern spelling first.
-min_time_flag="--benchmark_min_time=0.25s"
-if ! "${build_dir}/bench_micro" --benchmark_list_tests ${min_time_flag} >/dev/null 2>&1; then
-  min_time_flag="--benchmark_min_time=0.25"
+unit="s"
+if ! "${build_dir}/bench_micro" --benchmark_list_tests --benchmark_min_time=0.25s >/dev/null 2>&1; then
+  unit=""
 fi
+min_time_flag="--benchmark_min_time=0.25${unit}"
 
 if [[ -n "${parent_dir}" ]]; then
   rounds=5
@@ -57,11 +62,42 @@ if [[ -n "${parent_dir}" ]]; then
   change_out="${build_dir}/bench_micro_change.json"
   round_dir="$(mktemp -d)"
   trap 'rm -rf "${round_dir}"' EXIT
+  # Single-threaded rows run pinned to this shell's last allowed CPU, so
+  # both sides share one core's caches and frequency; the threaded row
+  # runs unpinned. Each pass's filter names exactly the rows the given flags
+  # select (a later --benchmark_filter overrides an earlier one).
+  pin=()
+  cpus="$(taskset -pc $$ 2>/dev/null | sed 's/.*: *//')" || true
+  if [[ -n "${cpus}" ]]; then
+    pin=(taskset -c "${cpus##*[,-]}")
+    echo "pinning single-threaded rows to CPU ${cpus##*[,-]}"
+  fi
+  pinned_rows=""
+  threaded_rows=""
+  while read -r row; do
+    row="$(sed 's/[][\.^$*+?(){}|]/\\&/g' <<<"${row}")"
+    if [[ "${row}" == BM_KeyRangeShardedThroughput/* ]]; then
+      threaded_rows+="${threaded_rows:+|}${row}"
+    else
+      pinned_rows+="${pinned_rows:+|}${row}"
+    fi
+  done < <("${build_dir}/bench_micro" --benchmark_list_tests "$@")
   run_side() {  # side binary round
-    "$2" ${min_time_flag} --benchmark_repetitions=1 \
-      "--benchmark_context=cpu_model=${cpu_model}" \
-      --benchmark_out="${round_dir}/$1-$3.json" \
-      --benchmark_out_format=json "${@:4}" >/dev/null
+    local side="$1" bin="$2" round="$3"
+    shift 3
+    local common=(--benchmark_min_time=1${unit} --benchmark_repetitions=1
+                  "--benchmark_context=cpu_model=${cpu_model}"
+                  --benchmark_out_format=json "$@")
+    if [[ -n "${pinned_rows}" ]]; then
+      "${pin[@]}" "${bin}" "${common[@]}" \
+        --benchmark_out="${round_dir}/${side}-${round}-pinned.json" \
+        "--benchmark_filter=^(${pinned_rows})\$" >/dev/null
+    fi
+    if [[ -n "${threaded_rows}" ]]; then
+      "${bin}" "${common[@]}" \
+        --benchmark_out="${round_dir}/${side}-${round}-threaded.json" \
+        "--benchmark_filter=^(${threaded_rows})\$" >/dev/null
+    fi
   }
   for ((r = 0; r < rounds; ++r)); do
     echo "round $((r + 1))/${rounds}"

@@ -15,9 +15,11 @@ HARMONY_BENCH_ALLOW_REGRESSION=1 accepts it, and a file whose context is
 not the candidate's host is refused and never replaced, override or not.
 
 Last, run_micro.sh --parent, on two stub bench_micro programs: the rounds
-alternate which side runs first, both sides get the extra flags, both
-reports are written with one row per round, a slower change fails, and
-bench/micro_baseline/ is left as it was.
+alternate which side runs first, both sides get the extra flags and a 1 s
+minimum time, single-threaded rows run pinned to one CPU (when taskset is
+installed) while BM_KeyRangeShardedThroughput runs in its own unpinned
+pass, both reports are written with one row per round, a slower change
+fails, and bench/micro_baseline/ is left as it was.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -127,21 +130,33 @@ def gate_cases(tmp):
 
 
 STUB = """#!{python}
-import json, sys
+import json, os, re, sys
 args = sys.argv[1:]
+rows = {rows!r}
 if "--benchmark_list_tests" in args:
+    print("\\n".join(r for r in rows
+                     if all(re.search(a.split("=", 1)[1], r) for a in args
+                            if a.startswith("--benchmark_filter="))))
     sys.exit(0)
+last = lambda flag: ([a.split("=", 1)[1] for a in args
+                      if a.startswith(flag + "=")] or ["-"])[-1]
+run = [r for r in rows if last("--benchmark_filter") == "-" or
+       re.search(last("--benchmark_filter"), r)]
 with open({log!r}, "a") as f:
-    f.write({side!r} + (" filtered" if "--benchmark_filter=BM_A" in args
-                        else "") + "\\n")
-out = next(a.split("=", 1)[1] for a in args
-           if a.startswith("--benchmark_out="))
+    f.write(" ".join([{side!r},
+                      "filtered" if "--benchmark_filter=BM_A$" in args else "-",
+                      last("--benchmark_filter"),
+                      last("--benchmark_min_time"),
+                      "cpus=%d" % len(os.sched_getaffinity(0))]) + "\\n")
+out = last("--benchmark_out")
 with open(out, "w") as f:
     json.dump({{"context": {host!r}, "benchmarks": [{{
-        "name": "BM_A", "run_name": "BM_A", "run_type": "iteration",
+        "name": r, "run_name": r, "run_type": "iteration",
         "repetitions": 1, "repetition_index": 0, "cpu_time": 1e9 / {ips},
-        "time_unit": "ns", "items_per_second": {ips}}}]}}, f)
+        "time_unit": "ns", "items_per_second": {ips}}} for r in run]}}, f)
 """
+
+THREADED = "BM_KeyRangeShardedThroughput/4/real_time"
 
 
 def parent_cases(tmp):
@@ -150,10 +165,7 @@ def parent_cases(tmp):
         return sorted((p.name, p.stat().st_mtime_ns)
                       for p in BASELINE_DIR.glob("*"))
 
-    out = []
-    before = baseline_state()
-    for label, change_ips, want_code in (("equal", 100.0, 0),
-                                         ("slower", 80.0, 1)):
+    def run_pair(label, rows, change_ips, flags):
         root = Path(tmp) / f"parent-mode-{label}"
         log = root / "order.log"
         dirs = {}
@@ -162,31 +174,60 @@ def parent_cases(tmp):
             d.mkdir(parents=True)
             stub = d / "bench_micro"
             stub.write_text(STUB.format(python=sys.executable, log=str(log),
-                                        side=side, host=HOST, ips=ips))
+                                        side=side, host=HOST, ips=ips,
+                                        rows=rows))
             stub.chmod(0o755)
             dirs[side] = d
         proc = subprocess.run(
             ["bash", str(RUN_MICRO), "--parent", str(dirs["parent"]),
-             str(dirs["change"]), "--benchmark_filter=BM_A"],
+             str(dirs["change"]), *flags],
             capture_output=True, text=True, check=False)
-        text = proc.stdout + proc.stderr
-        if want_code == 0:
-            order = log.read_text().split("\n")[:-1]
-            want = []
-            for r in range(5):
-                pair = ["parent", "change"] if r % 2 == 0 else ["change",
-                                                                "parent"]
-                want += [f"{side} filtered" for side in pair]
-            reports = [json.loads((dirs["change"] / f"bench_micro_{side}.json")
-                                  .read_text()) for side in ("parent", "change")]
-            out.append(("--parent alternates the sides and passes the flags",
-                        order == want, text + "\n".join(order)))
-            out.append(("--parent writes both reports, one row per round",
-                        all(len(r["benchmarks"]) == 5 for r in reports) and
-                        proc.returncode == 0 and "OK" in text, text))
-        else:
-            out.append(("--parent fails a slower change",
-                        proc.returncode == 1 and "REGRESSION" in text, text))
+        order = log.read_text().split("\n")[:-1] if log.exists() else []
+        paths = [dirs["change"] / f"bench_micro_{side}.json"
+                 for side in ("parent", "change")]
+        reports = [json.loads(p.read_text()) for p in paths if p.exists()]
+        return proc, proc.stdout + proc.stderr, order, reports
+
+    def sides(r):
+        return ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+
+    # With taskset the single-threaded pass runs on one CPU; without it (or
+    # on a one-CPU host) both passes see this process's CPUs.
+    pinned_cpus = 1 if shutil.which("taskset") else len(os.sched_getaffinity(0))
+    free = f"cpus={len(os.sched_getaffinity(0))}"
+    pinned = f"cpus={pinned_cpus}"
+
+    out = []
+    before = baseline_state()
+    # BM_A/2 and BM_AB share BM_A's prefix: each pass keeps exactly the
+    # rows the given filter selects.
+    proc, text, order, reports = run_pair("equal",
+                                          ["BM_A", "BM_A/2", "BM_AB", "BM_B"],
+                                          100.0, ["--benchmark_filter=BM_A$"])
+    want = [f"{side} filtered ^(BM_A)$ 1s {pinned}"
+            for r in range(5) for side in sides(r)]
+    out.append(("--parent alternates the sides and passes the flags, pinned "
+                "at 1 s", order == want, text + "\n".join(order)))
+    out.append(("--parent writes both reports, one row per round",
+                all(len(r["benchmarks"]) == 5 and
+                    {b["name"] for b in r["benchmarks"]} == {"BM_A"}
+                    for r in reports) and
+                len(reports) == 2 and proc.returncode == 0 and "OK" in text,
+                text))
+    proc, text, order, reports = run_pair("slower", ["BM_A"], 80.0, [])
+    out.append(("--parent fails a slower change",
+                proc.returncode == 1 and "REGRESSION" in text, text))
+    proc, text, order, reports = run_pair("threaded", ["BM_A", THREADED],
+                                          100.0, [])
+    want = [line for r in range(5) for side in sides(r) for line in (
+        f"{side} - ^(BM_A)$ 1s {pinned}",
+        f"{side} - ^(BM_KeyRangeShardedThroughput/4/real_time)$ 1s {free}")]
+    out.append(("--parent runs the threaded row in its own unpinned pass",
+                order == want and proc.returncode == 0 and
+                all(sorted({b["name"] for b in r["benchmarks"]}) ==
+                    ["BM_A", THREADED] and len(r["benchmarks"]) == 10
+                    for r in reports) and len(reports) == 2,
+                text + "\n".join(order)))
     out.append(("--parent never touches bench/micro_baseline/",
                 baseline_state() == before, ""))
     return out

@@ -93,6 +93,15 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
                           cfg_.latency.same_dc.floor >= sim.lookahead(),
                       "key-range sharding makes intra-DC hops cross-shard: "
                       "same_rack/same_dc floors must cover the lookahead");
+    // Sharded traffic is client reads and writes on a healthy cluster; the
+    // settings that reach past it are serial-only.
+    const ResilienceConfig& rc = cfg_.resilience;
+    HARMONY_CHECK_MSG(cfg_.anti_entropy_period == 0,
+                      "anti_entropy_period > 0 is serial-only");
+    HARMONY_CHECK_MSG(!rc.hedge_reads, "hedge_reads is serial-only");
+    HARMONY_CHECK_MSG(rc.read_retries == 0, "read_retries > 0 is serial-only");
+    HARMONY_CHECK_MSG(rc.admission_rate == 0,
+                      "admission_rate > 0 is serial-only");
   }
   shards_.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
@@ -140,23 +149,8 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   latency_mult_.assign(cfg_.node_count, 1.0);
   if (cfg_.resilience.admission_rate > 0) {
     // Buckets start full so a run's leading edge is not spuriously shed.
-    // Sharded: one bucket per shard carrying 1/S of the DC's rate and burst,
-    // so shards admit independently (no cross-shard bucket mutation) while
-    // the aggregate matches the configuration.
-    admission_.resize(deferred_ ? shard_count : cfg_.dc_count);
-    const double split = deferred_ ? static_cast<double>(shard_count) : 1.0;
-    for (std::size_t b = 0; b < admission_.size(); ++b) {
-      admission_[b].rate = cfg_.resilience.admission_rate / split;
-      admission_[b].burst = cfg_.resilience.admission_burst / split;
-      admission_[b].tokens = admission_[b].burst;
-    }
-  }
-  if (deferred_ && cfg_.anti_entropy_period > 0) {
-    // Sharded anti-entropy rides fenced instants: the sweep mutates stores
-    // and dirty sets across shards, so every sweep runs merged-serial. Armed
-    // here for the first period; the sweep re-arms itself while the
-    // simulation still has pending events.
-    arm_anti_entropy_fence(cfg_.anti_entropy_period);
+    admission_.assign(cfg_.dc_count,
+                      TokenBucket{cfg_.resilience.admission_burst, 0});
   }
 }
 
@@ -215,29 +209,25 @@ int Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
   if (deferred_) {
     // A node's coordinator state (service queue, busy time) is owned by
     // exactly one shard, so the pick stays inside the executing shard's
-    // nodes: s, s + S, s + 2S, ...
+    // nodes: s, s + S, s + 2S, ... A sharded run never kills a node, so the
+    // pick is one uniform draw over all of them (the draw pick_from makes).
     const std::uint32_t s = sim_->current_shard();
     const auto stride = static_cast<std::uint32_t>(shards_.size());
     const auto owned =
         (static_cast<std::uint32_t>(topo_.node_count()) - s + stride - 1) /
         stride;
-    const int sc = pick_from(
-        std::views::iota(std::uint32_t{0}, owned) |
-        std::views::transform([s, stride](std::uint32_t i) -> net::NodeId {
-          return s + i * stride;
-        }));
-    HARMONY_CHECK_MSG(sc >= 0,
-                      "sharded execution requires an alive coordinator in the "
-                      "request's shard");
-    return sc;
+    return static_cast<int>(s + rng.uniform_u64(owned) * stride);
   }
   const int c = pick_from(topo_.nodes_in_dc(dc));
   if (c >= 0) return c;
-  // Whole-DC outage: fall back to any alive node (sharded runs failed above
-  // instead — like the DC blackout faults that cause this, the fallback is
-  // serial-only). -1 when every node is dead.
+  // Whole-DC outage: fall back to any alive node. -1 when every node is
+  // dead.
   return pick_from(std::views::iota(
       net::NodeId{0}, static_cast<net::NodeId>(topo_.node_count())));
+}
+
+void Cluster::require_serial(const char* msg) const {
+  HARMONY_CHECK_MSG(!deferred_, msg);
 }
 
 SimDuration Cluster::client_link_delay(Rng& rng, bool cross_dc) {
@@ -350,7 +340,7 @@ void Cluster::start_write(WriteHandle h) {
           wait <= cfg_.resilience.admission_max_delay) {
         // Pre-pay the token (the bucket goes negative, queueing followers
         // behind this request) and re-enter once it is covered.
-        admission_bucket(w.client_dc).tokens -= 1.0;
+        admission_[w.client_dc].tokens -= 1.0;
         w.admitted = true;
         TypedEvent ev = cluster_event(EventKind::kStartWrite, this);
         ev.shard = static_cast<std::uint8_t>(st.id);
@@ -410,24 +400,24 @@ void Cluster::start_write(WriteHandle h) {
   w.alive_targets = alive_total;
 
   if (cfg_.anti_entropy_period > 0) {
-    // Dirty marking stays shard-local; the sweep (lazily scheduled when
-    // unsharded, fence-armed at construction when sharded) walks every
-    // shard's set and deduplicates keys dirtied from several DCs.
-    st.dirty_keys.insert(w.key);
-    if (!deferred_ && !anti_entropy_scheduled_) {
+    // Serial-only (see ClusterConfig::anti_entropy_period): the sweep is
+    // scheduled lazily, while dirty keys exist.
+    dirty_keys_.insert(w.key);
+    if (!anti_entropy_scheduled_) {
       anti_entropy_scheduled_ = true;
       sim_->schedule_event(cfg_.anti_entropy_period,
                            cluster_event(EventKind::kAntiEntropySweep, this));
     }
   }
 
-  // Writes go to every replica; dead targets get hints (hinted handoff).
-  // Fan-out legs execute on the replica's shard but resolve the pending
-  // record in this (home) shard's pool via the event's `home` byte.
+  // Writes go to every replica; dead targets get hints (hinted handoff;
+  // serial runs only). Fan-out legs execute on the replica's shard but
+  // resolve the pending record in this (home) shard's pool via the event's
+  // `home` byte.
   const std::uint8_t home = static_cast<std::uint8_t>(st.id);
   for (const net::NodeId r : w.replicas) {
     if (!node_alive(r)) {
-      st.hints.add(r, w.key, w.value);
+      hints_.add(r, w.key, w.value);
       continue;
     }
     account(w.coord, r, kMessageOverheadBytes + w.value.size_bytes);
@@ -451,7 +441,7 @@ void Cluster::start_write(WriteHandle h) {
 void Cluster::write_unavailable(WriteHandle h, SimDuration coord_delay) {
   ShardState& st = here();
   PendingWrite& w = *st.pending_writes.get(h);
-  ++st.unavailable;
+  ++unavailable_;
   const SimDuration back =
       coord_delay + client_link_delay(st.rng, w.cross_origin);
   account_client(kMessageOverheadBytes, w.cross_origin);
@@ -473,27 +463,14 @@ void Cluster::replica_apply_write(WriteHandle h, net::NodeId replica,
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
   if (!node_alive(replica)) {
-    // Died mid-flight: mutation lost (hint was only stored for known-dead
-    // targets). The lifecycle still completes.
-    if (!deferred_) {
-      ++w.completed_targets;
-      if (w.completed_targets == w.alive_targets) {
-        observer_write_propagated(w.key, w.start, w.delays);
-        if (w.delivered) shards_[home]->pending_writes.release(h);
-      }
-      return;
+    // Died mid-flight (serial runs only: a sharded run never kills a node,
+    // so home is this shard): mutation lost (a hint was only stored for
+    // known-dead targets). The lifecycle still completes.
+    ++w.completed_targets;
+    if (w.completed_targets == w.alive_targets) {
+      observer_write_propagated(w.key, w.start, w.delays);
+      if (w.delivered) shards_[home]->pending_writes.release(h);
     }
-    // Sharded: completed_targets is home-side state, so the completion rides
-    // an ack-shaped event home (flag 0 = lifecycle only, no consistency
-    // credit), paced like the ack the replica would have sent.
-    const SimDuration back = link_delay(replica, w.coord, here().rng);
-    TypedEvent ev = cluster_event(EventKind::kWriteAck, this);
-    ev.node = replica;
-    ev.flag = 0;
-    ev.shard = static_cast<std::uint8_t>(home);
-    ev.home = static_cast<std::uint8_t>(home);
-    ev.u.ack = {{h.slot, h.generation}, 0};
-    sim_->schedule_event(back, ev);
     return;
   }
   const SimDuration svc = nodes_[replica]->service(ServiceKind::kWrite, sim_->now());
@@ -521,7 +498,6 @@ void Cluster::write_apply_done(WriteHandle h, net::NodeId replica,
   const SimDuration back = link_delay(replica, wp->coord, here().rng);
   TypedEvent ev = cluster_event(EventKind::kWriteAck, this);
   ev.node = replica;
-  ev.flag = 1;
   ev.shard = static_cast<std::uint8_t>(home);
   ev.home = static_cast<std::uint8_t>(home);
   ev.u.ack = {{h.slot, h.generation}, apply_delay};
@@ -529,7 +505,7 @@ void Cluster::write_apply_done(WriteHandle h, net::NodeId replica,
 }
 
 void Cluster::write_ack(WriteHandle h, net::NodeId replica,
-                        SimDuration apply_delay, bool acked) {
+                        SimDuration apply_delay) {
   // Back on the home shard: here() owns the record again.
   ShardState& st = here();
   PendingWrite* wp = st.pending_writes.get(h);
@@ -537,15 +513,6 @@ void Cluster::write_ack(WriteHandle h, net::NodeId replica,
   PendingWrite& w = *wp;
 
   ++w.completed_targets;
-  if (!acked) {
-    // Lifecycle-only completion: the replica died mid-flight (see
-    // replica_apply_write's sharded path); no consistency credit.
-    if (w.completed_targets == w.alive_targets) {
-      observer_write_propagated(w.key, w.start, w.delays);
-      if (w.delivered) st.pending_writes.release(h);
-    }
-    return;
-  }
   w.delays.push_back(apply_delay);
   const net::DcId dc = topo_.dc_of(replica);
   ++w.acks;
@@ -591,8 +558,8 @@ void Cluster::finish_write(WriteHandle h, bool ok) {
   const SimDuration back = client_link_delay(st.rng, w.cross_origin);
   // The callback and result stay in the record (responded is set, so nothing
   // fires them again); the typed delivery leg hands them to the client and
-  // releases the record — or write_ack's lifecycle bookkeeping does, when
-  // propagation is still in flight at delivery time.
+  // releases the record — or the last replica leg does, when propagation is
+  // still in flight at delivery time.
   w.deliver_ok = ok;
   TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
   ev.shard = static_cast<std::uint8_t>(st.id);
@@ -608,7 +575,7 @@ void Cluster::write_shed(WriteHandle h, SimDuration retry_after) {
   PendingWrite* wp = st.pending_writes.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
-  ++st.sheds;
+  ++sheds_;
   account_client(kMessageOverheadBytes, w.cross_origin);
   const SimDuration back = client_link_delay(st.rng, w.cross_origin);
   w.responded = true;
@@ -683,7 +650,7 @@ void Cluster::start_read(ReadHandle h) {
     if (wait > 0) {
       if (cfg_.resilience.admission_mode == AdmissionMode::kDelay &&
           wait <= cfg_.resilience.admission_max_delay) {
-        admission_bucket(r.client_dc).tokens -= 1.0;  // pre-pay (see start_write)
+        admission_[r.client_dc].tokens -= 1.0;  // pre-pay (see start_write)
         r.admitted = true;
         TypedEvent ev = cluster_event(EventKind::kStartRead, this);
         ev.shard = static_cast<std::uint8_t>(st.id);
@@ -779,7 +746,7 @@ void Cluster::start_read(ReadHandle h) {
   if ((rc.hedge_reads || rc.read_retries > 0) && !r.each_quorum) {
     r.snitch_order = ordered;
     if (rc.hedge_reads && next_untried_replica(r) >= 0) {
-      r.hedge_timer = sim_->schedule(hedge_delay_of(st),
+      r.hedge_timer = sim_->schedule(current_hedge_delay(),
                                      [this, h] { fire_hedge(h); });
     }
   }
@@ -788,7 +755,7 @@ void Cluster::start_read(ReadHandle h) {
 void Cluster::read_unavailable(ReadHandle h, SimDuration coord_delay) {
   ShardState& st = here();
   PendingRead& r = *st.pending_reads.get(h);
-  ++st.unavailable;
+  ++unavailable_;
   account_client(kMessageOverheadBytes, r.cross_origin);
   const SimDuration back =
       coord_delay + client_link_delay(st.rng, r.cross_origin);
@@ -813,7 +780,7 @@ void Cluster::read_timeout(ReadHandle h) {
   const ResilienceConfig& rc = cfg_.resilience;
   if (r.attempts <= rc.read_retries && !r.each_quorum &&
       next_untried_replica(r) >= 0) {
-    ++st.retries;
+    ++retries_;
     const SimDuration backoff =
         rc.retry_backoff * (SimDuration{1} << (r.attempts - 1));
     r.retry_timer = sim_->schedule(backoff, [this, h] { retry_read(h); });
@@ -860,7 +827,7 @@ void Cluster::fire_hedge(ReadHandle h) {
   if (!node_alive(r.coord)) return;
   const int cand = next_untried_replica(r);
   if (cand < 0) return;
-  ++st.hedges_fired;
+  ++hedges_fired_;
   r.hedged = true;
   r.hedge_replica = static_cast<net::NodeId>(cand);
   send_read_leg(h, r.hedge_replica);
@@ -916,25 +883,25 @@ void Cluster::send_read_leg(ReadHandle h, net::NodeId replica) {
   sim_->schedule_event(d, ev);
 }
 
-void Cluster::observe_read_rtt(ShardState& st, SimDuration rtt) {
-  st.hedge_rtt.record(rtt);
-  const std::uint64_t c = st.hedge_rtt.count();
+void Cluster::observe_read_rtt(SimDuration rtt) {
+  hedge_rtt_.record(rtt);
+  const std::uint64_t c = hedge_rtt_.count();
   // Recompute the cached quantile every 64 samples (and once warm at 32) so
   // the percentile scan stays off the per-response path.
   if (c == 32 || (c & 63) == 0) {
-    st.hedge_delay_cached =
+    hedge_delay_cached_ =
         std::max(cfg_.resilience.hedge_min_delay,
-                 st.hedge_rtt.percentile(cfg_.resilience.hedge_quantile * 100.0));
+                 hedge_rtt_.percentile(cfg_.resilience.hedge_quantile * 100.0));
   }
 }
 
 SimDuration Cluster::admit(net::DcId dc) {
-  // Rate and burst live in the bucket: per DC unsharded, per shard (1/S of
-  // the DC's configuration) sharded.
-  TokenBucket& b = admission_bucket(dc);
+  const ResilienceConfig& rc = cfg_.resilience;
+  TokenBucket& b = admission_[dc];
   const SimTime now = sim_->now();
-  b.tokens = std::min(
-      b.burst, b.tokens + static_cast<double>(now - b.last) * b.rate / 1e6);
+  b.tokens = std::min(rc.admission_burst,
+                      b.tokens + static_cast<double>(now - b.last) *
+                                     rc.admission_rate / 1e6);
   b.last = now;
   if (b.tokens >= 1.0) {
     b.tokens -= 1.0;
@@ -942,7 +909,7 @@ SimDuration Cluster::admit(net::DcId dc) {
   }
   // Time until the bucket covers one token; doubles as the shed retry-after.
   const double deficit = 1.0 - b.tokens;
-  return static_cast<SimDuration>(deficit * 1e6 / b.rate) + 1;
+  return static_cast<SimDuration>(deficit * 1e6 / rc.admission_rate) + 1;
 }
 
 void Cluster::read_shed(ReadHandle h, SimDuration retry_after) {
@@ -950,7 +917,7 @@ void Cluster::read_shed(ReadHandle h, SimDuration retry_after) {
   PendingRead* rp = st.pending_reads.get(h);
   if (rp == nullptr) return;
   PendingRead& r = *rp;
-  ++st.sheds;
+  ++sheds_;
   account_client(kMessageOverheadBytes, r.cross_origin);
   const SimDuration back = client_link_delay(st.rng, r.cross_origin);
   oracle_end_read(r.start);
@@ -1021,7 +988,7 @@ void Cluster::read_response(ReadHandle h, net::NodeId replica, bool found,
   ShardState& st = here();
   // Hedge-delay quantile input: every response leg counts, including late
   // ones — the slow tail is exactly what the quantile must see.
-  if (cfg_.resilience.hedge_reads) observe_read_rtt(st, rtt);
+  if (cfg_.resilience.hedge_reads) observe_read_rtt(rtt);
   PendingRead* rp = st.pending_reads.get(h);
   // Records parked for delivery (responded) count as gone, as when the
   // closure-lane delivery released them before this late response arrived.
@@ -1059,7 +1026,7 @@ void Cluster::read_response(ReadHandle h, net::NodeId replica, bool found,
   if (met) {
     // A hedge "wins" when the backup leg is the response that completes the
     // read — the original slowest leg would have blown the latency budget.
-    if (r.hedged && replica == r.hedge_replica) ++st.hedge_wins;
+    if (r.hedged && replica == r.hedge_replica) ++hedge_wins_;
     finish_read(h, true);
   }
 }
@@ -1412,6 +1379,7 @@ void Cluster::replay_monitor_op(const MonitorOp& op) {
 // ------------------------------------------------------------ failures
 
 void Cluster::kill_node(net::NodeId id) {
+  require_serial("kill_node is serial-only");
   HARMONY_CHECK(id < nodes_.size());
   if (!nodes_[id]->alive()) return;
   nodes_[id]->set_alive(false);
@@ -1420,6 +1388,7 @@ void Cluster::kill_node(net::NodeId id) {
 }
 
 void Cluster::revive_node(net::NodeId id) {
+  require_serial("revive_node is serial-only");
   HARMONY_CHECK(id < nodes_.size());
   if (nodes_[id]->alive()) return;
   nodes_[id]->set_alive(true);
@@ -1429,28 +1398,21 @@ void Cluster::revive_node(net::NodeId id) {
 }
 
 void Cluster::kill_dc(net::DcId dc) {
+  require_serial("kill_dc is serial-only");
   for (const net::NodeId n : topo_.nodes_in_dc(dc)) kill_node(n);
 }
 
 void Cluster::revive_dc(net::DcId dc) {
+  require_serial("revive_dc is serial-only");
   for (const net::NodeId n : topo_.nodes_in_dc(dc)) revive_node(n);
 }
 
 void Cluster::schedule_fault(const FaultSpec& f) {
-  // A sharded run's one DC going dark leaves no shard a coordinator
-  // (requests may not leave their shard), so blackouts stay serial-only.
-  HARMONY_CHECK_MSG(
-      !deferred_ ||
-          (f.op != FaultOp::kDcBlackout && f.op != FaultOp::kDcRestore),
-      "DC blackout faults are serial-only (every shard needs an alive "
-      "coordinator under shard_count > 1)");
+  require_serial("schedule_fault is serial-only");
   TypedEvent ev = cluster_event(EventKind::kFault, this);
   ev.node = f.node;
   ev.u.fault = {static_cast<std::uint32_t>(f.op),
                 static_cast<std::uint32_t>(f.dc), f.factor};
-  // Faults mutate cross-shard state (liveness, link multipliers); the instant
-  // becomes a fence so the action executes merged-serial.
-  sim_->register_fence(f.at);
   sim_->schedule_event_at(f.at, ev);
 }
 
@@ -1491,28 +1453,21 @@ void Cluster::refresh_links_degraded() {
 }
 
 void Cluster::replay_hints(net::NodeId target) {
-  // Hints are stored sender-side, so the revived node's backlog is spread
-  // over every shard's store; drain them in shard order. Revive runs at a
-  // fenced instant (or unsharded), so the cross-shard scan — and the paced
-  // sub-lookahead deliveries below — push directly into the target's queue.
+  // Paced replay: one mutation per 200us, as a hint queue drain would be.
   SimDuration delay = 0;
-  for (const auto& sp : shards_) {
-    auto hints = sp->hints.take(target);
-    // Paced replay: one mutation per 200us, as a hint queue drain would be.
-    for (auto& h : hints) {
-      delay += usec(200);
-      account(target, target, kMessageOverheadBytes + h.value.size_bytes);
-      sim_->schedule_event(delay, kv_event(EventKind::kHintDeliver, this,
-                                           target, h.key, h.value,
-                                           shard_of(target)));
-    }
+  const auto pending = hints_.take(target);
+  for (const auto& h : pending) {
+    delay += usec(200);
+    account(target, target, kMessageOverheadBytes + h.value.size_bytes);
+    sim_->schedule_event(delay, kv_event(EventKind::kHintDeliver, this, target,
+                                         h.key, h.value, shard_of(target)));
   }
 }
 
 void Cluster::hint_deliver(net::NodeId target, Key key,
                            const VersionedValue& value) {
   if (!node_alive(target)) {
-    here().hints.add(target, key, value);  // went down again: re-hint
+    hints_.add(target, key, value);  // went down again: re-hint
     return;
   }
   Node& n = *nodes_[target];
@@ -1525,58 +1480,16 @@ void Cluster::anti_entropy_sweep() {
   // Repair the keys written since the last sweep: compare every replica's
   // stored version and push the newest to stragglers. Messaging costs are
   // charged like regular repairs (digest per replica + repair writes).
-  anti_entropy_scheduled_ = false;
-  std::size_t budget = cfg_.anti_entropy_keys_per_round;
-  if (!deferred_) {
-    sweep_shard_dirty(*shards_[0], budget);
-    if (!shards_[0]->dirty_keys.empty() && !anti_entropy_scheduled_) {
-      anti_entropy_scheduled_ = true;
-      sim_->schedule_event(cfg_.anti_entropy_period,
-                           cluster_event(EventKind::kAntiEntropySweep, this));
-    }
-    return;
-  }
-  // Sharded: this instant is a fence, so we run merged-serial and may touch
-  // every shard's replica state; walk the per-shard dirty sets in shard-id
-  // order under one global budget. The sweep stays armed as long as any
-  // events remain (dirty sets refill between rounds), which keeps arming
-  // eager — a fence must be registered from outside a window, so the lazy
-  // "arm on first dirty key" trick of the serial path cannot work here.
-  for (auto& sp : shards_) {
-    if (budget == 0) break;
-    budget -= sweep_shard_dirty(*sp, budget);
-  }
-  // Re-arm while repair work remains (budget-deferred dirty keys) or the
-  // queue still holds events that can dirty more. The workload's fenced
-  // policy tick stops on its own client-drain criterion rather than on
-  // sim idleness, so the two self-re-arming fence sources cannot hold each
-  // other live past the end of the run.
-  bool dirty = false;
-  for (const auto& sp : shards_) dirty |= !sp->dirty_keys.empty();
-  if (dirty || !sim_->idle()) {
-    arm_anti_entropy_fence(sim_->now() + cfg_.anti_entropy_period);
-  }
-}
-
-std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
   std::size_t repaired = 0;
   // lint: allow(determinism-unordered-iter): order is stdlib-dependent but
   // fixed for a given build+insertion sequence, and the diff harness pins it
-  // byte-for-byte; sharded runs sweep at fenced merged-serial instants, so
-  // the insertion sequence itself is thread-count-invariant.
-  auto it = st.dirty_keys.begin();
-  while (it != st.dirty_keys.end() && repaired < budget) {
+  // byte-for-byte.
+  auto it = dirty_keys_.begin();
+  while (it != dirty_keys_.end() &&
+         repaired < cfg_.anti_entropy_keys_per_round) {
     const Key key = *it;
-    it = st.dirty_keys.erase(it);
+    it = dirty_keys_.erase(it);
     ++repaired;
-    if (deferred_) {
-      // A key whose replicas span several shards is dirty in each of them;
-      // repairing it once repairs every replica, so drop the duplicates
-      // (reproduces the single-global-set semantics of the serial path).
-      for (auto& other : shards_) {
-        if (other.get() != &st) other->dirty_keys.erase(key);
-      }
-    }
 
     const ReplicaList& replicas = replicas_for(key);
     Version newest = kNoVersion;
@@ -1602,15 +1515,13 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
       }
     }
   }
-  return repaired;
-}
-
-void Cluster::arm_anti_entropy_fence(SimTime at) {
-  // Sweeps mutate replica stores across shards, so each sweep instant is a
-  // fence (merged-serial). Registration happens at setup or inside a prior
-  // fence — never mid-window — which register_fence enforces.
-  sim_->register_fence(at);
-  sim_->schedule_event_at(at, cluster_event(EventKind::kAntiEntropySweep, this));
+  // Budget-deferred keys keep the sweep scheduled; otherwise the next dirty
+  // write schedules it.
+  anti_entropy_scheduled_ = !dirty_keys_.empty();
+  if (anti_entropy_scheduled_) {
+    sim_->schedule_event(cfg_.anti_entropy_period,
+                         cluster_event(EventKind::kAntiEntropySweep, this));
+  }
 }
 
 // ------------------------------------------------------------ typed dispatch
@@ -1630,7 +1541,7 @@ void Cluster::dispatch_event(const sim::TypedEvent& ev) {
       break;
     case EventKind::kWriteAck:
       c->write_ack({ev.u.ack.h.slot, ev.u.ack.h.gen}, ev.node,
-                   ev.u.ack.apply_delay, ev.flag != 0);
+                   ev.u.ack.apply_delay);
       break;
     case EventKind::kStartRead:
       c->start_read({ev.u.req.h.slot, ev.u.req.h.gen});

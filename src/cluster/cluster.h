@@ -37,16 +37,23 @@
 // owning Simulation is partitioned into S >= 2 event shards, the cluster's
 // one DC is cut into S key-range shards over TokenRing token ranges. Shard s
 // owns nodes s, s + S, s + 2S, ... and every key whose token falls in range
-// s (home_shard). The cluster routes every typed event to the shard owning
-// the state its handler touches and keeps ALL mutable request-path state
-// per shard (ShardState below): RNG stream, pending-request pools, hint
-// store, net/latency stats, counters, anti-entropy dirty set (placement is
-// one immutable table every shard reads). An operation on key k executes on
-// home_shard(k); replicas of one key live on other shards, so write fan-out
-// legs are cross-shard events — the configured lookahead must be a floor on
-// the same-rack and same-DC link classes (the ctor checks this).
-// Cross-shard interaction happens only through scheduled events with at
-// least that delay, plus the carefully-fenced exceptions:
+// s (home_shard). A sharded cluster carries client reads and writes on a
+// healthy cluster and nothing else: fault injection (schedule_fault and the
+// kill/revive calls), anti-entropy, hedged reads, read retries and admission
+// control are serial-only, and a sharded cluster refuses each with a
+// CheckError before anything is scheduled. So no node dies mid-run, and the
+// hint store, dirty-key set, hedge and admission state stay plain members
+// only serial runs write. The cluster routes every typed event to the shard
+// owning the state its handler touches and keeps the mutable request-path
+// state sharded traffic reaches per shard (ShardState below): RNG stream,
+// pending-request pools, net stats, replica-op/timeout/read-repair counters
+// and the deferred logs (placement is one immutable table every shard
+// reads). An operation on key k executes on home_shard(k); replicas of one
+// key live on other shards, so write fan-out legs are cross-shard events —
+// the configured lookahead must be a floor on the same-rack and same-DC link
+// classes (the ctor checks this). Cross-shard interaction happens only
+// through scheduled events with at least that delay, plus the
+// carefully-fenced exceptions:
 //   * write legs executing on a replica's shard read the *pinned* fields of
 //     the home shard's pending record (key/value/coord/start — written before
 //     fan-out, immutable until every leg completed; pools are pre-grown so
@@ -65,11 +72,7 @@
 //     exact serial order, so set_observer is legal under sharding. The
 //     executor joins the replay before every fence instant and before a run
 //     returns; only fenced handlers and post-run readers look at the oracle
-//     and the observer (docs/INVARIANTS.md lists them);
-//   * anti-entropy keeps one dirty-key set per shard and runs its sweeps
-//     merged-serial at fenced instants every anti_entropy_period.
-// Remaining restrictions under shard_count > 1, each enforced by a contract
-// check: one DC, no DC blackout faults, degrade factors >= 1.
+//     and the observer (docs/INVARIANTS.md lists them).
 #pragma once
 
 #include <cstdint>
@@ -151,9 +154,8 @@ enum class FaultOp : std::uint8_t {
 
 /// One deterministic fault-schedule entry. Rides the typed event lane
 /// (sim::EventKind::kFault), so fault timing interleaves with request traffic
-/// in exact (time, seq) order and every scenario is seed-reproducible. Under
-/// sharded execution every fault instant is a fence: the executor runs it
-/// merged-serial, so the cross-shard state mutation is safe and ordered.
+/// in exact (time, seq) order and every scenario is seed-reproducible.
+/// Serial-only: a sharded cluster refuses schedule_fault.
 struct FaultSpec {
   SimTime at = 0;
   FaultOp op = FaultOp::kKillNode;
@@ -169,7 +171,8 @@ enum class AdmissionMode : std::uint8_t {
 
 /// Coordinator-side resilience knobs. Everything defaults OFF, and the off
 /// path is byte-identical to the pre-resilience cluster (same RNG draw
-/// sequence, same event schedule).
+/// sequence, same event schedule). Serial-only: a sharded cluster refuses
+/// hedge_reads, read_retries > 0 and admission_rate > 0.
 struct ResilienceConfig {
   /// Hedged (speculative) reads: after the hedge delay, send one backup data
   /// read to the next snitch-ranked untried alive replica. Read-only by
@@ -225,9 +228,8 @@ struct ClusterConfig {
   /// Anti-entropy: every period, repair the keys written since the last
   /// sweep (digest reads on every replica, then LWW repair of stale ones).
   /// 0 disables (read repair + hints remain the only convergence paths).
-  /// Sharded runs keep one dirty set per shard and run the sweep
-  /// merged-serial at fenced instants every period (the sweep walks every
-  /// replica), re-armed while the simulation still has pending events.
+  /// Serial-only: the sweep walks every replica of a key, across shards, so
+  /// a sharded cluster refuses a period > 0.
   SimDuration anti_entropy_period = 0;
   /// Cap on keys repaired per sweep (bounds repair burst size).
   std::size_t anti_entropy_keys_per_round = 512;
@@ -311,7 +313,10 @@ class Cluster {
                     ReplicaRequirement req, WriteCallback cb,
                     net::DcId origin_dc = kSameOrigin);
 
-  // ---- failure injection -------------------------------------------------
+  // ---- failure injection (serial-only) -----------------------------------
+  // A sharded cluster keeps every node alive: the kill/revive calls and
+  // schedule_fault throw a CheckError naming the call when
+  // shard_count() > 1.
   void kill_node(net::NodeId id);
   void revive_node(net::NodeId id);
   void kill_dc(net::DcId dc);
@@ -320,9 +325,7 @@ class Cluster {
   /// True while at least one node in `dc` is alive (client re-routing poll).
   bool dc_alive(net::DcId dc) const { return alive_per_dc_[dc] > 0; }
 
-  /// Schedule one scripted fault action on the typed event lane. Under
-  /// sharded execution the instant is registered as a fence (the action
-  /// mutates cross-shard state), so call before the run starts.
+  /// Schedule one scripted fault action on the typed event lane.
   void schedule_fault(const FaultSpec& f);
 
   // ---- introspection -----------------------------------------------------
@@ -347,19 +350,9 @@ class Cluster {
     }
     return net_stats_merged_;
   }
-  /// Shard 0's hint store (the only one when unsharded). Sharded runs keep
-  /// one sender-side store per shard; use the summed accessors below.
-  const HintStore& hints() const { return shards_[0]->hints; }
-  std::uint64_t hints_stored() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->hints.stored();
-    return n;
-  }
-  std::uint64_t hints_replayed() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->hints.replayed();
-    return n;
-  }
+  /// Sender-side hints for writes to dead replicas (serial runs only write
+  /// it: a sharded run never kills a node).
+  const HintStore& hints() const { return hints_; }
   Node& node(net::NodeId id);
 
   /// Replica set for `key` (placement order): its arc's entry in the
@@ -387,24 +380,24 @@ class Cluster {
   /// Requests that exhausted every attempt without meeting their requirement.
   /// A request rescued by a retry or hedge is NOT counted here.
   std::uint64_t timeouts() const { return sum(&ShardState::timeouts); }
-  std::uint64_t unavailable() const { return sum(&ShardState::unavailable); }
-  std::uint64_t retries() const { return sum(&ShardState::retries); }
-  std::uint64_t hedges_fired() const { return sum(&ShardState::hedges_fired); }
+  /// Requests no alive replica set could serve. Only serial runs count any:
+  /// a sharded run keeps every node alive and requirements stay within rf.
+  std::uint64_t unavailable() const { return unavailable_; }
+  std::uint64_t retries() const { return retries_; }
+  std::uint64_t hedges_fired() const { return hedges_fired_; }
   /// Hedge legs whose response completed the read (the hedge paid off).
-  std::uint64_t hedge_wins() const { return sum(&ShardState::hedge_wins); }
-  std::uint64_t sheds() const { return sum(&ShardState::sheds); }
+  std::uint64_t hedge_wins() const { return hedge_wins_; }
+  std::uint64_t sheds() const { return sheds_; }
   /// Current hedge delay (fallback until enough RTT samples accumulate).
-  /// Shard 0's view — each shard tracks its own RTT quantile when sharded.
-  SimDuration current_hedge_delay() const { return hedge_delay_of(*shards_[0]); }
+  SimDuration current_hedge_delay() const {
+    return hedge_delay_cached_ > 0 ? hedge_delay_cached_
+                                   : cfg_.resilience.hedge_fallback_delay;
+  }
   std::uint64_t read_repairs_sent() const {
     return sum(&ShardState::read_repairs);
   }
   std::uint64_t anti_entropy_repairs() const { return anti_entropy_repairs_; }
-  std::size_t anti_entropy_backlog() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s->dirty_keys.size();
-    return n;
-  }
+  std::size_t anti_entropy_backlog() const { return dirty_keys_.size(); }
 
   /// Attach the measurement observer. Legal under sharding: every callback
   /// site defers into the executing shard's monitor log, and the barrier
@@ -638,38 +631,23 @@ class Cluster {
     std::vector<MonitorOp> monitor;
   };
 
-  /// Everything the request path mutates, one instance per event shard (a
-  /// single instance when unsharded — shard 0's RNG stream and slot order
-  /// are byte-identical to the historical flat members). Each instance is
-  /// owned by its shard's worker during a window; heap-separate allocations
-  /// keep shards off each other's cache lines.
+  /// The request-path state sharded traffic mutates, one instance per event
+  /// shard (a single instance when unsharded — shard 0's RNG stream and
+  /// slot order are byte-identical to the historical flat members). Each
+  /// instance is owned by its shard's worker during a window; heap-separate
+  /// allocations keep shards off each other's cache lines. State only the
+  /// serial-only settings write lives in plain Cluster members instead.
   struct ShardState {
     Rng rng;  ///< coordinator choice, snitch shuffles, link jitter
     std::uint32_t id = 0;
     std::uint64_t write_seq = 0;
     std::uint64_t replica_ops = 0;
     std::uint64_t timeouts = 0;
-    std::uint64_t unavailable = 0;
     std::uint64_t read_repairs = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges_fired = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t sheds = 0;
-    /// Replica read RTTs feeding the hedge-delay quantile; sampled only
-    /// while hedging is enabled. The cached delay is recomputed every 64
-    /// samples so the percentile scan stays off the per-response path.
-    LatencyHistogram hedge_rtt;
-    SimDuration hedge_delay_cached = 0;  ///< 0: use the fallback delay
-    HintStore hints;  ///< sender-side: hints this shard's coordinators hold
     net::NetStats net_stats;
     SlotPool<PendingWrite> pending_writes;
     SlotPool<PendingRead> pending_reads;
     DeferredLogs logs[2];  ///< indexed by live_log_ / its complement
-    /// Keys written since this shard's last anti-entropy sweep (shard 0's
-    /// set is the historical global one when unsharded).
-    // lint: allow(hot-path-alloc): touched only when anti-entropy is on;
-    // alloc_guard pins the default request path.
-    std::unordered_set<Key> dirty_keys;
   };
 
   /// The shard state this thread is currently executing against: the
@@ -690,8 +668,12 @@ class Cluster {
   }
 
   /// An alive coordinator for a request from `dc`: one in `dc` when any is
-  /// alive, else (serial runs) any alive node; -1 when no node is alive.
+  /// alive, else any alive node; -1 when no node is alive. Sharded: one of
+  /// the executing shard's nodes, every one of which is alive.
   int pick_coordinator(net::DcId dc, Rng& rng);
+  /// Fault injection is serial-only (a sharded cluster keeps every node
+  /// alive): a CheckError carrying `msg`, which names the call, when sharded.
+  void require_serial(const char* msg) const;
   SimDuration client_link_delay(Rng& rng, bool cross_dc = false);
   SimDuration link_delay(net::NodeId src, net::NodeId dst, Rng& rng);
   void account(net::NodeId src, net::NodeId dst, std::uint64_t bytes);
@@ -709,11 +691,7 @@ class Cluster {
   void replica_apply_write(WriteHandle h, net::NodeId replica,
                            std::uint32_t home);
   void write_apply_done(WriteHandle h, net::NodeId replica, std::uint32_t home);
-  /// `acked` distinguishes a replica ack (counts toward the consistency
-  /// level) from a completion-only leg (replica died mid-flight; sharded
-  /// runs route the lifecycle bookkeeping home as an event).
-  void write_ack(WriteHandle h, net::NodeId replica, SimDuration apply_delay,
-                 bool acked);
+  void write_ack(WriteHandle h, net::NodeId replica, SimDuration apply_delay);
   void finish_write(WriteHandle h, bool ok);
   void write_deliver(WriteHandle h);
   void read_deliver(ReadHandle h);
@@ -739,11 +717,7 @@ class Cluster {
   void fire_hedge(ReadHandle h);
   void read_timeout(ReadHandle h);
   void retry_read(ReadHandle h);
-  void observe_read_rtt(ShardState& st, SimDuration rtt);
-  SimDuration hedge_delay_of(const ShardState& st) const {
-    return st.hedge_delay_cached > 0 ? st.hedge_delay_cached
-                                     : cfg_.resilience.hedge_fallback_delay;
-  }
+  void observe_read_rtt(SimDuration rtt);
   /// Token-bucket check for one request in `dc`. Returns 0 when admitted
   /// (one token consumed); otherwise the retry-after the shed should carry.
   SimDuration admit(net::DcId dc);
@@ -760,10 +734,6 @@ class Cluster {
 
   void replay_hints(net::NodeId target);
   void anti_entropy_sweep();
-  /// Sweep one shard's dirty set (up to `budget` keys); returns keys swept.
-  std::size_t sweep_shard_dirty(ShardState& st, std::size_t budget);
-  /// Deferred mode: fence + schedule the next sweep instant.
-  void arm_anti_entropy_fence(SimTime at);
 
   // ---- deferred oracle (shard_count > 1) ---------------------------------
   void oracle_commit(Key key, const Version& version);
@@ -814,8 +784,7 @@ class Cluster {
   /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// True when shard_count > 1: oracle and observer calls defer to per-shard
-  /// logs, write lifecycle legs route home as events, pools are pre-grown,
-  /// and the sharded-restriction contract checks are armed.
+  /// logs, pools are pre-grown, and the serial-only settings are refused.
   bool deferred_ = false;
   /// Window barriers seen so far (bumped by the seal); memoized merged
   /// accessors re-merge only when it moved. 0 = setup time.
@@ -831,49 +800,51 @@ class Cluster {
   /// alive()-flags mirrored out of the Node objects: the request path scans
   /// liveness constantly (coordinator picks, feasibility, contact sets), and
   /// a contiguous byte array beats a unique_ptr chase per node. kill_node/
-  /// revive_node keep it in sync. Read by every shard, mutated only at
-  /// fenced fault instants (merged-serial execution).
+  /// revive_node keep it in sync (serial runs only; a sharded run reads an
+  /// all-alive array).
   std::vector<std::uint8_t> alive_;
   bool node_alive(net::NodeId id) const { return alive_[id] != 0; }
   /// Alive-node count per DC, kept in sync by kill_node/revive_node; feeds
   /// dc_alive() so clients can poll failover state in O(1).
   DcCounts alive_per_dc_;
 
+  // ---- serial-only state ---------------------------------------------------
+  // Only dead nodes and the serial-only settings write what follows, so no
+  // shard worker ever writes it.
+  HintStore hints_;  ///< sender-side hints for writes to dead replicas
+  std::uint64_t unavailable_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t hedges_fired_ = 0;
+  std::uint64_t hedge_wins_ = 0;
+  std::uint64_t sheds_ = 0;
   std::uint64_t anti_entropy_repairs_ = 0;
+  /// Replica read RTTs feeding the hedge-delay quantile; sampled only while
+  /// hedging is enabled. The cached delay is recomputed every 64 samples so
+  /// the percentile scan stays off the per-response path.
+  LatencyHistogram hedge_rtt_;
+  SimDuration hedge_delay_cached_ = 0;  ///< 0: use the fallback delay
 
-  /// Admission token buckets (lazy refill on access), one per DC unsharded
-  /// and one per *shard* when sharded — each shard gets 1/S of the DC's
-  /// rate and burst, so the aggregate admitted rate matches the
-  /// configuration while bucket b is touched only by shard b (no
-  /// cross-shard mutation). Each bucket carries its own rate/burst and is
-  /// padded to a cache line.
+  /// Admission token buckets, one per DC (lazy refill on access at
+  /// resilience.admission_rate, capped at admission_burst).
   struct TokenBucket {
     double tokens = 0;
     SimTime last = 0;
-    double rate = 0;   ///< tokens per second this bucket accrues
-    double burst = 0;  ///< bucket depth, tokens
-    char pad_[32] = {};
   };
-  /// The calling context's admission bucket for a request from `dc`.
-  TokenBucket& admission_bucket(net::DcId dc) {
-    return admission_[deferred_ ? sim_->current_shard() : dc];
-  }
   std::vector<TokenBucket> admission_;
 
   /// Per-node link-latency multipliers and the WAN-wide multiplier from
   /// degradation faults. `links_degraded_` gates the multiply so the healthy
-  /// path never pays it (and stays byte-identical). Mutated only at fenced
-  /// fault instants.
+  /// path never pays it (and stays byte-identical).
   std::vector<double> latency_mult_;
   double wan_mult_ = 1.0;
   bool links_degraded_ = false;
   void refresh_links_degraded();
 
-  // Anti-entropy scheduling state. Unsharded, the sweep is scheduled lazily
-  // (only while dirty keys exist) so an idle cluster's event queue drains;
-  // sharded, sweeps run at fenced instants armed at construction and
-  // re-armed from the sweep itself while the simulation has pending events
-  // (dirty sets live per shard — see ShardState::dirty_keys).
+  /// Keys written since the last anti-entropy sweep. The sweep is scheduled
+  /// lazily (only while dirty keys exist) so an idle cluster's queue drains.
+  // lint: allow(hot-path-alloc): touched only when anti-entropy is on;
+  // alloc_guard pins the default request path.
+  std::unordered_set<Key> dirty_keys_;
   bool anti_entropy_scheduled_ = false;
 };
 

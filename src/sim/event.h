@@ -26,7 +26,8 @@
 // registration.
 //
 // Sharded execution: `shard` names the event shard the event must execute on
-// (see sim/shard.h — per-DC shards under conservative lookahead windows).
+// (see sim/shard.h — key-range shards of one DC under conservative
+// lookahead windows).
 // Schedule sites set it to the shard owning the state the handler touches;
 // in one-shard simulations (the default kernel) it stays 0.
 #pragma once

@@ -24,8 +24,8 @@
 //      into its own queue when the next window opens. Pop order depends
 //      only on (time, seq) — a wheel slot keeps its events sorted by seq —
 //      so drain order is irrelevant.
-//   3. Fences. Operations that touch cross-shard state (fault injection:
-//      kill/revive/degrade) register their instant as a fence; the executor
+//   3. Fences. Operations that touch cross-shard state (the runner's policy
+//      re-tuning ticks) register their instant as a fence; the executor
 //      never lets a window span a fence and runs the fence instant in
 //      merged-serial mode on one thread.
 //

@@ -97,8 +97,8 @@ class Simulation {
     setup_shard_ = s;
   }
 
-  /// See ShardSet::register_fence: instants that mutate cross-shard state
-  /// (fault injection) must be fenced.
+  /// See ShardSet::register_fence: instants that touch cross-shard state
+  /// (the runner's policy re-tuning ticks) must be fenced.
   void register_fence(SimTime t) { shards_->register_fence(t); }
 
   /// See sim/shard.h BarrierHook.

@@ -143,22 +143,10 @@ void OpenLoopSource::draw_op(Op& op) {
   op.type = static_cast<OpType>(rng_.weighted_index(props_, 4));
   op.value_size = spec_->value_size;
   if (op.type == OpType::kInsert) {
-    // Interleaved per-source insert lane (same scheme as the sharded
-    // closed-loop stream): key identity is independent of execution order.
-    // Under key-range sharding the lane contains keys other shards own;
-    // skip those (lanes are disjoint across sources, so a skipped
-    // key is simply never inserted — uniqueness holds). Ownership is ~1/S
-    // per lane step, so the scan is geometric with mean S.
-    for (int probe = 0;; ++probe) {
-      HARMONY_CHECK_MSG(probe < 4096,
-                        "insert-lane skip-scan found no owned key");
-      op.key = spec_->record_count + insert_lane_ +
-               next_insert_seq_ * insert_stride_;
-      ++next_insert_seq_;
-      if (!key_filter_ || env_->cluster().home_shard(op.key) == shard_) {
-        break;
-      }
-    }
+    // Interleaved per-source insert lane: key identity is independent of
+    // execution order. Serial-only (sharded runs refuse inserts).
+    op.key = spec_->record_count + insert_lane_ +
+             next_insert_seq_++ * insert_stride_;
     keys_->grow(op.key + 1);
     return;
   }

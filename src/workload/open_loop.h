@@ -70,13 +70,13 @@ class OpenLoopSource {
   /// `rate_per_s` is this source's share of OpenLoopSpec::rate_per_s.
   /// `insert_lane`/`insert_stride` give the source its interleaved insert-key
   /// lane (record_count + lane + n*stride) so sources never contend for a
-  /// key counter — identical keys for any shard-thread count.
+  /// key counter.
   /// `keys` is this source's private request distribution (clone per source);
   /// `users` is copied (the copy shares the already-computed zeta constants).
   /// `shard` is the event shard the source's whole loop runs on — under
   /// key-range sharding one source exists per shard of the single DC, and
-  /// draw_op() keeps only keys that shard owns (rejection sampling for
-  /// distribution draws, lane skip-scan for inserts); 0 in a one-shard run.
+  /// draw_op() keeps only keys that shard owns (rejection sampling; inserts
+  /// are serial-only); 0 in a one-shard run.
   OpenLoopSource(ClientEnv& env, net::DcId dc, const WorkloadSpec& spec,
                  double rate_per_s, std::uint64_t insert_lane,
                  std::uint64_t insert_stride, Rng rng,

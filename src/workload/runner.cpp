@@ -34,6 +34,7 @@ class Runner final : public ClientEnv {
     HARMONY_CHECK_MSG(cfg_.policy_tick >= 0,
                       "policy_tick must be >= 0 (0 = never retune)");
     HARMONY_CHECK_MSG(cfg_.warmup >= 0, "warmup must be >= 0");
+    if (cfg_.record_trace) trace_ = std::make_shared<Trace>();
     monitor_.attach(cluster_, /*client_home_dc=*/0);
     policy::PolicyInit init;
     init.rf = cfg_.cluster.rf;
@@ -78,10 +79,9 @@ class Runner final : public ClientEnv {
       sim_.set_setup_shard(0);
     }
 
-    // Scheduled failure injection, typed lane: the legacy kill/revive list
-    // first, then the full schedule (blackouts, degradation windows, ...).
-    // Every fault instant is a fence, so sharded runs execute it
-    // merged-serial.
+    // Scheduled failure injection, typed lane (serial runs only): the
+    // legacy kill/revive list first, then the full schedule (blackouts,
+    // degradation windows, ...).
     for (const auto& fault : cfg_.faults) {
       cluster_.schedule_fault(
           {.at = fault.at,
@@ -129,14 +129,12 @@ class Runner final : public ClientEnv {
   // ---- ClientEnv -----------------------------------------------------------
 
   /// The op stream: each shard lane owns a slice of the op budget, its own
-  /// RNG stream and key distribution, and an interleaved insert-key lane
-  /// (record_count + shard + n*shard_count) so shards never contend for a
-  /// key counter. Under key-range sharding the lane additionally keeps only
-  /// keys its shard owns: distribution draws are rejection-sampled against
-  /// Cluster::home_shard and the insert lane is skip-scanned (unowned lane
-  /// keys are simply never inserted — lanes are disjoint, so uniqueness
-  /// holds). Runs on the calling client's shard thread; touches only that
-  /// shard's LaneState.
+  /// RNG stream and key distribution. Under key-range sharding the lane
+  /// keeps only keys its shard owns: distribution draws are
+  /// rejection-sampled against Cluster::home_shard. Inserts are serial-only
+  /// (the one lane appends keys record_count, record_count + 1, ...). Runs
+  /// on the calling client's shard thread; touches only that shard's
+  /// LaneState.
   bool next_op(Op& op) override {
     const std::uint32_t shard = sim_.current_shard();
     LaneState& s = lane_[shard];
@@ -153,13 +151,7 @@ class Runner final : public ClientEnv {
       default: op.type = OpType::kReadModifyWrite; break;
     }
     if (op.type == OpType::kInsert) {
-      for (int probe = 0;; ++probe) {
-        HARMONY_CHECK_MSG(probe < 4096,
-                          "insert-lane skip-scan found no owned key");
-        op.key = w.record_count + shard + s.next_insert_seq * lane_.size();
-        ++s.next_insert_seq;
-        if (!key_filter || cluster_.home_shard(op.key) == shard) break;
-      }
+      op.key = w.record_count + s.next_insert_seq++;
       s.request_dist->grow(op.key + 1);
     } else {
       int tries = 0;
@@ -171,12 +163,10 @@ class Runner final : public ClientEnv {
       } while (key_filter && cluster_.home_shard(op.key) != shard);
     }
     op.value_size = w.value_size;
-    if (cfg_.record_trace) {
-      // Per-lane (time, seq)-stamped buffer; collect() stitches the lanes
-      // into the global serial issue order.
-      s.trace.push_back(StampedTrace{
-          sim_.current_seq(),
-          TraceRecord{sim_.now(), op.type, op.key, op.value_size}});
+    if (trace_ != nullptr) {
+      // Serial-only, so issue order is the (time, seq) order.
+      trace_->records.push_back(
+          TraceRecord{sim_.now(), op.type, op.key, op.value_size});
     }
     return true;
   }
@@ -230,13 +220,6 @@ class Runner final : public ClientEnv {
   }
 
  private:
-  /// One issued-op trace record plus the event seq that stamps its position
-  /// in the global (time, seq) order (record_trace).
-  struct StampedTrace {
-    std::uint64_t seq = 0;
-    TraceRecord rec{};
-  };
-
   /// Per-shard workload state ("lane"): everything a client callback mutates
   /// lives here, indexed by the executing shard, so workers never share a
   /// cache line let alone a counter. A one-shard run has one lane; a
@@ -245,9 +228,6 @@ class Runner final : public ClientEnv {
   struct alignas(64) LaneState {
     Rng op_rng;
     std::unique_ptr<KeyDistribution> request_dist;
-    /// record_trace: this shard's issued ops, stamped for the collect-time
-    /// stitch.
-    std::vector<StampedTrace> trace;
     std::uint64_t ops_budget = 0;
     std::uint64_t ops_issued = 0;
     std::uint64_t ops_completed = 0;
@@ -289,10 +269,12 @@ class Runner final : public ClientEnv {
   /// after the Simulation exists but before the Cluster (or anything else)
   /// schedules its first event, and a shape that cannot run is rejected
   /// here, before the run starts. The one sharded shape is a single DC cut
-  /// into shards_per_dc key-range shards. Replicas of a key sit on several
-  /// shards, so intra-DC hops cross shards and their floors bound the
-  /// conservative lookahead (loopback never crosses shards: src == dst node
-  /// => same shard).
+  /// into shards_per_dc key-range shards, carrying read/update/RMW traffic
+  /// on a healthy cluster: the runner refuses its own serial-only settings
+  /// here and the Cluster constructor refuses the cluster's. Replicas of a
+  /// key sit on several shards, so intra-DC hops cross shards and their
+  /// floors bound the conservative lookahead (loopback never crosses
+  /// shards: src == dst node => same shard).
   static sim::Simulation& shard_configured(sim::Simulation& sim,
                                            const RunConfig& cfg) {
     if (cfg.num_shard_threads > 0) {
@@ -302,6 +284,14 @@ class Runner final : public ClientEnv {
       HARMONY_CHECK_MSG(cfg.shards_per_dc >= 2,
                         "sharded runs (num_shard_threads > 0) need "
                         "shards_per_dc >= 2 key-range shards");
+      const auto serial_only = [](bool set, const char* setting) {
+        HARMONY_CHECK_MSG(!set, std::string(setting) +
+                                    " is serial-only (num_shard_threads > 0)");
+      };
+      serial_only(!cfg.faults.empty(), "faults");
+      serial_only(!cfg.fault_schedule.empty(), "fault_schedule");
+      serial_only(cfg.record_trace, "record_trace");
+      serial_only(cfg.workload.insert_proportion > 0, "insert_proportion > 0");
       const auto& lat = cfg.cluster.latency;
       HARMONY_CHECK_MSG(
           lat.same_rack.floor > 0 && lat.same_dc.floor > 0,
@@ -352,8 +342,8 @@ class Runner final : public ClientEnv {
   /// per-shard monitor op dated before it, and the policy sees the same
   /// snapshot for every thread count. The timer stops once every lane's
   /// clients have drained their budget. That keys off client state, not
-  /// sim_.idle(): another self-re-arming fence source (anti-entropy) would
-  /// keep the queue non-idle forever and the two would hold each other live.
+  /// sim_.idle(): the queue can hold other work (repairs, a pending
+  /// anti-entropy sweep) past the last client op.
   void tick_policy() {
     bool running = false;
     for (const LaneState& s : lane_) running |= s.clients_finished < s.clients;
@@ -448,24 +438,7 @@ class Runner final : public ClientEnv {
       r.fresh_reads = cluster_.oracle().fresh_reads();
       r.staleness_age = cluster_.oracle().staleness_age();
     }
-    if (cfg_.record_trace) {
-      // Stitch the per-lane trace buffers into the global serial issue
-      // order: each lane is already (time, seq)-sorted by construction, so
-      // one sort of the concatenation reproduces the merged stream
-      // byte-for-byte for every thread count.
-      std::vector<StampedTrace> trace;
-      for (const LaneState& s : lane_) {
-        trace.insert(trace.end(), s.trace.begin(), s.trace.end());
-      }
-      std::sort(trace.begin(), trace.end(),
-                [](const StampedTrace& a, const StampedTrace& b) {
-                  return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
-                                                  : a.seq < b.seq;
-                });
-      r.trace = std::make_shared<Trace>();
-      r.trace->records.reserve(trace.size());
-      for (const StampedTrace& t : trace) r.trace->records.push_back(t.rec);
-    }
+    r.trace = std::move(trace_);
     r.label = cfg_.label;
     r.policy_name = policy_->name();
     r.ops = r.reads + r.writes;
@@ -548,6 +521,8 @@ class Runner final : public ClientEnv {
   sim::PeriodicTimer policy_timer_;
   /// One workload lane per event shard (see LaneState).
   std::vector<LaneState> lane_;
+  /// Issued ops in issue order (record_trace; null otherwise).
+  std::shared_ptr<Trace> trace_;
   RunResult result_;
 };
 

@@ -37,7 +37,7 @@ struct RunConfig {
   cost::PriceBook price_book = cost::PriceBook::ec2_2012();
   /// Record every issued operation into RunResult::trace — the "past access
   /// trace" input of the behavior-modeling pipeline (§III-C). Costs memory
-  /// proportional to op_count; off by default.
+  /// proportional to op_count; off by default. Serial-only.
   bool record_trace = false;
 
   /// Sharded execution (the parallel perf path; see sim/shard.h and
@@ -49,6 +49,13 @@ struct RunConfig {
   /// same_dc latency floors: the conservative lookahead is the smaller of
   /// the two, since every cross-shard hop is intra-DC. A config outside
   /// that shape throws CheckError at construction.
+  ///
+  /// A sharded run carries closed- or open-loop read, update and
+  /// read-modify-write traffic on a healthy cluster. These settings are
+  /// serial-only, and each throws a CheckError naming it at construction:
+  /// faults, fault_schedule, record_trace, workload.insert_proportion > 0,
+  /// cluster.anti_entropy_period > 0, and the resilience knobs hedge_reads,
+  /// read_retries > 0 and admission_rate > 0.
   ///
   /// Every run keeps its workload state in per-shard lanes (one lane in a
   /// one-shard run), feeds the monitor through Cluster::record_*, and
@@ -65,7 +72,7 @@ struct RunConfig {
   /// num_shard_threads == 0). The token space splits into S contiguous
   /// ranges (TokenRing::range_of): shard s owns nodes s, s + S, ..., the
   /// keys hashing into range s, and a full workload lane (clients or an
-  /// open-loop source, RNG fork, key distribution clone, insert lane) —
+  /// open-loop source, RNG fork, key distribution clone) —
   /// that is how a single-DC topology scales past one worker thread.
   /// Requires 2 <= S <= node_count.
   unsigned shards_per_dc = 1;
@@ -73,6 +80,7 @@ struct RunConfig {
   /// Scheduled failure injection: kill/revive nodes mid-run (availability
   /// experiments; revival replays hints). Each entry is scheduled as a
   /// kKillNode / kReviveNode FaultSpec, ahead of `fault_schedule`.
+  /// Serial-only, like fault_schedule.
   struct FaultEvent {
     SimTime at = 0;
     net::NodeId node = 0;

@@ -207,7 +207,7 @@ TEST(Failures, NoAliveNodeComesBackUnavailable) {
   EXPECT_GT(during, 0u);
   EXPECT_GT(after, 0u);
   EXPECT_EQ(c.unavailable(), during);
-  EXPECT_EQ(c.hints_stored(), 0u);
+  EXPECT_EQ(c.hints().stored(), 0u);
   EXPECT_EQ(c.alive_count(), 6u);
 }
 

@@ -1253,9 +1253,6 @@ struct KeyRangeOpts {
   unsigned threads = 1;
   std::uint32_t shards = 4;  ///< key-range shards inside the one DC
   std::uint32_t mailbox_capacity = sim::Simulation::kDefaultMailboxCapacity;
-  bool anti_entropy = false; ///< fenced per-shard sweeps
-  bool faults = false;       ///< fenced kill/revive and a degradation window
-  bool resilience = false;   ///< hedging / retries / admission knobs on
   bool quiet_shard = false;  ///< the last shard owns no traffic at all
 };
 
@@ -1267,9 +1264,9 @@ struct KeyRangeOpts {
 /// mailbox constantly. The fingerprint covers everything the run can observe
 /// — the per-shard client result streams, the full oracle diff against the
 /// reference model (the per-shard logs are merged by (time, seq) at window
-/// barriers, i.e. in exact serial call order), hint/repair/net counters —
-/// but NOT mailbox spills, which legitimately differ between the serial
-/// executor (no mailboxes) and the windowed one. threads == 1 is the
+/// barriers, i.e. in exact serial call order), timeout/replica-op/repair/net
+/// counters — but NOT mailbox spills, which legitimately differ between the
+/// serial executor (no mailboxes) and the windowed one. threads == 1 is the
 /// merged-serial reference; every other thread count must reproduce its
 /// fingerprint bit for bit.
 ClusterRunResult run_key_range_schedule(std::uint64_t seed,
@@ -1279,8 +1276,8 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
 
   cluster::ClusterConfig cfg;
   cfg.dc_count = 1;
-  cfg.node_count = 2 * opts.shards;  // two coordinator candidates per shard,
-  cfg.rf = 3;                        // kills included
+  cfg.node_count = 2 * opts.shards;  // two coordinator candidates per shard
+  cfg.rf = 3;
   // Intra-DC hops cross shards, so the conservative lookahead is the
   // intra-DC floor — the floors must cover it (the cluster ctor enforces
   // this).
@@ -1288,22 +1285,6 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
   cfg.latency.same_rack.floor = lookahead;
   cfg.latency.same_dc.floor = lookahead;
   if (setup.chance(0.3)) cfg.request_timeout = 30 * kMillisecond;
-  if (opts.anti_entropy) cfg.anti_entropy_period = 50 * kMillisecond;
-  if (opts.resilience) {
-    cluster::ResilienceConfig& rc = cfg.resilience;
-    rc.hedge_reads = setup.chance(0.8);
-    rc.hedge_quantile = 0.5 + setup.uniform() * 0.45;
-    rc.hedge_fallback_delay = msec(1 + setup.uniform_u64(5));
-    rc.read_retries = static_cast<int>(setup.uniform_u64(3));
-    rc.retry_backoff = msec(1 + setup.uniform_u64(4));
-    if (setup.chance(0.5)) {
-      // One bucket per shard, each with 1/S of the rate and burst.
-      rc.admission_rate = 500 + static_cast<double>(setup.uniform_u64(4000));
-      rc.admission_burst = 20 + static_cast<double>(setup.uniform_u64(100));
-      rc.admission_mode = setup.chance(0.5) ? cluster::AdmissionMode::kShed
-                                            : cluster::AdmissionMode::kDelay;
-    }
-  }
 
   sim.configure_shards(opts.shards, lookahead, opts.threads,
                        opts.mailbox_capacity);
@@ -1331,32 +1312,6 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
   EXPECT_FALSE(keys.empty()) << "seed " << seed;
 
   const SimTime horizon = kSecond;
-  if (opts.faults) {
-    // Kill/revive one node per key-range shard (each shard keeps a second
-    // coordinator candidate alive); the fault instants are fences, so the
-    // windowed executor splits mid-lookahead around them.
-    for (std::uint32_t s = 0; s < opts.shards; ++s) {
-      if (opts.quiet_shard && s == quiet) continue;
-      const auto victim = static_cast<net::NodeId>(
-          s + opts.shards * setup.uniform_u64(2));
-      const SimTime down = static_cast<SimTime>(
-          50 * kMillisecond + setup.uniform_u64(horizon / 2));
-      const auto outage = static_cast<SimDuration>(
-          50 * kMillisecond + setup.uniform_u64(200 * kMillisecond));
-      c.schedule_fault({down, cluster::FaultOp::kKillNode, victim, 0, 1.0});
-      c.schedule_fault(
-          {down + outage, cluster::FaultOp::kReviveNode, victim, 0, 1.0});
-    }
-    // A degradation window: factors stay >= 1 so no link ever undercuts the
-    // lookahead floor.
-    const auto slow =
-        static_cast<net::NodeId>(setup.uniform_u64(cfg.node_count));
-    const auto deg_at = static_cast<SimTime>(1 + setup.uniform_u64(horizon));
-    c.schedule_fault({deg_at, cluster::FaultOp::kDegradeNode, slow, 0,
-                      2.0 + static_cast<double>(setup.uniform_u64(8))});
-    c.schedule_fault({deg_at + 300 * kMillisecond,
-                      cluster::FaultOp::kRestoreNode, slow, 0, 1.0});
-  }
 
   // One traffic context per shard, touched only by that shard's events.
   std::vector<ShardCtx> ctx(sim.shard_count());
@@ -1405,8 +1360,7 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
       } else {
         c.client_read(0, key, req, [&cx](const cluster::ReadResult& r) {
           ++cx.completed;
-          cx.fp = mix(cx.fp, (r.ok ? 1u : 0u) | (r.found ? 2u : 0u) |
-                                 (r.shed ? 4u : 0u));
+          cx.fp = mix(cx.fp, (r.ok ? 1u : 0u) | (r.found ? 2u : 0u));
           cx.fp = mix(cx.fp, static_cast<std::uint64_t>(r.version.timestamp));
           cx.fp = mix(cx.fp, r.version.seq);
           cx.fp = mix(cx.fp, r.value_size);
@@ -1451,14 +1405,6 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
   fp = mix(fp, c.oracle().fresh_reads());
   fp = mix(fp, c.oracle().stale_reads());
   fp = mix(fp, c.timeouts());
-  fp = mix(fp, c.unavailable());
-  fp = mix(fp, c.retries());
-  fp = mix(fp, c.hedges_fired());
-  fp = mix(fp, c.hedge_wins());
-  fp = mix(fp, c.sheds());
-  fp = mix(fp, c.anti_entropy_repairs());
-  fp = mix(fp, c.hints_stored());
-  fp = mix(fp, c.hints_replayed());
   fp = mix(fp, c.replica_ops());
   fp = mix(fp, c.read_repairs_sent());
   fp = mix(fp, c.net_stats().total_bytes());
@@ -1498,57 +1444,23 @@ ClusterRunResult assert_key_range_thread_invariance(std::uint64_t seed,
 
 TEST(RequestPathDiff, KeyRangeShardedByteIdenticalAcrossThreadCounts) {
   // A single DC split into 3 or 4 key-range shards; 1, 2, 4, and 8 worker
-  // threads must all reproduce the merged-serial reference.
-  std::uint64_t schedules = 0;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    KeyRangeOpts opts;
-    opts.shards = (i % 2) == 0 ? 4 : 3;
-    opts.faults = i >= 2;
-    assert_key_range_thread_invariance(0x4EE7A6E0ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "key-range diff diverged at seed " << 0x4EE7A6E0ULL + i;
-    ++schedules;
-  }
-  std::printf("[diff] key-range sharded schedules: %llu\n",
-              (unsigned long long)schedules);
-}
-
-TEST(RequestPathDiff, KeyRangeShardedResilienceByteIdentical) {
-  // Hedges racing cross-shard responses, retries, and admission control with
-  // one bucket per shard (1/S of the rate each), with and without the fenced
-  // fault script — the CI extra seeds explore fresh schedules here.
+  // threads must all reproduce the merged-serial reference. CI's extra
+  // seeds explore fresh schedules here.
   std::uint64_t schedules = 0;
   auto run_block = [&](std::uint64_t base, std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
       KeyRangeOpts opts;
-      opts.resilience = true;
-      opts.faults = (i % 2) == 1;
-      opts.shards = (i % 3) == 2 ? 3 : 4;
+      opts.shards = (i % 2) == 0 ? 4 : 3;
       assert_key_range_thread_invariance(base + i, opts);
       ASSERT_FALSE(::testing::Test::HasFailure())
-          << "key-range resilience diff diverged at seed " << base + i;
+          << "key-range diff diverged at seed " << base + i;
       ++schedules;
     }
   };
-  run_block(0x5AA4DED0ULL, 6);
+  run_block(0x4EE7A6E0ULL, 4);
   for (const auto seed : extra_seeds()) run_block(seed, 2);
-  std::printf("[diff] key-range resilience schedules: %llu\n",
+  std::printf("[diff] key-range sharded schedules: %llu\n",
               (unsigned long long)schedules);
-}
-
-TEST(RequestPathDiff, KeyRangeShardedAntiEntropyByteIdentical) {
-  // Anti-entropy used to be rejected under sharding; sweeps now run
-  // per-shard at fenced instants with a cross-shard dedup of deferred dirty
-  // keys. The repair stream (and everything downstream of it) must still be
-  // byte-identical across thread counts.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    KeyRangeOpts opts;
-    opts.anti_entropy = true;
-    opts.faults = (i % 2) == 1;  // outages make hints + dirty keys pile up
-    assert_key_range_thread_invariance(0xAE5EE0ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "key-range anti-entropy diff diverged at seed " << 0xAE5EE0ULL + i;
-  }
 }
 
 TEST(RequestPathDiff, KeyRangeShardedTinyMailboxBackpressureIsDeterministic) {
@@ -1582,7 +1494,6 @@ TEST(RequestPathDiff, KeyRangeShardedIdleShardStaysIdleAndDeterministic) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     KeyRangeOpts opts;
     opts.quiet_shard = true;
-    opts.faults = (i % 2) == 1;
     assert_key_range_thread_invariance(0xE3057ULL + i, opts);
     ASSERT_FALSE(::testing::Test::HasFailure())
         << "idle-shard diff diverged at seed " << 0xE3057ULL + i;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -191,16 +193,29 @@ void expect_same_run(const RunResult& a, const RunResult& b) {
 }
 
 TEST(Runner, ShardedRunRejectsShapesOtherThanOneSplitDc) {
-  // Sharded execution means one DC cut into >= 2 key-range shards; any
-  // other shape fails at construction with a message, never mid-run.
-  auto expect_rejected = [](const RunConfig& cfg, const char* why) {
+  // Sharded execution means one DC cut into >= 2 key-range shards carrying
+  // reads and writes on a healthy cluster; any other shape, and every
+  // serial-only setting, fails at construction with a message naming it,
+  // never mid-run. The runner calls the policy factory last in its
+  // constructor, after the cluster is built and before anything is
+  // scheduled, so a rejection that never reached the factory ran no event.
+  auto expect_throw_naming = [](auto&& call, const char* setting) {
     try {
-      run_experiment(cfg);
-      ADD_FAILURE() << "accepted: " << why;
+      call();
+      ADD_FAILURE() << "accepted: " << setting;
     } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(setting), std::string::npos)
           << e.what();
     }
+  };
+  auto expect_rejected = [&](RunConfig cfg, const char* setting) {
+    bool built = false;
+    cfg.policy = [&built, inner = cfg.policy](const policy::PolicyInit& init) {
+      built = true;
+      return inner(init);
+    };
+    expect_throw_naming([&] { run_experiment(cfg); }, setting);
+    EXPECT_FALSE(built) << setting << " was rejected after set-up";
   };
   auto two_dcs = key_range_run(2, 2, 1000);
   two_dcs.cluster.dc_count = 2;
@@ -208,12 +223,75 @@ TEST(Runner, ShardedRunRejectsShapesOtherThanOneSplitDc) {
   auto one_shard = key_range_run(2, 1, 1000);
   expect_rejected(one_shard, "shards_per_dc >= 2");
 
-  // The cluster enforces the same shape on a hand-configured kernel,
-  // before anything is scheduled.
-  sim::Simulation sim(3);
-  sim.configure_shards(2, usec(150), 2);
-  EXPECT_THROW(cluster::Cluster(sim, two_dcs.cluster), CheckError);
-  EXPECT_EQ(sim.events_processed(), 0u);
+  // The serial-only settings, one case each.
+  auto faults = key_range_run(2, 2, 1000);
+  faults.faults.push_back({100 * kMillisecond, 0, true});
+  expect_rejected(faults, "faults is serial-only");
+  auto schedule = key_range_run(2, 2, 1000);
+  schedule.fault_schedule.push_back(
+      {100 * kMillisecond, cluster::FaultOp::kDegradeNode, 1, 0, 2.0});
+  expect_rejected(schedule, "fault_schedule is serial-only");
+  auto trace = key_range_run(2, 2, 1000);
+  trace.record_trace = true;
+  expect_rejected(trace, "record_trace is serial-only");
+  auto inserts = key_range_run(2, 2, 1000);
+  inserts.workload.update_proportion = 0.45;
+  inserts.workload.insert_proportion = 0.05;
+  expect_rejected(inserts, "insert_proportion > 0 is serial-only");
+  auto anti_entropy = key_range_run(2, 2, 1000);
+  anti_entropy.cluster.anti_entropy_period = 200 * kMillisecond;
+  expect_rejected(anti_entropy, "anti_entropy_period > 0 is serial-only");
+  auto hedges = key_range_run(2, 2, 1000);
+  hedges.cluster.resilience.hedge_reads = true;
+  expect_rejected(hedges, "hedge_reads is serial-only");
+  auto retries = key_range_run(2, 2, 1000);
+  retries.cluster.resilience.read_retries = 2;
+  expect_rejected(retries, "read_retries > 0 is serial-only");
+  auto admission = key_range_run(2, 2, 1000);
+  admission.cluster.resilience.admission_rate = 1000;
+  expect_rejected(admission, "admission_rate > 0 is serial-only");
+
+  // The cluster enforces the same on a hand-configured kernel, before
+  // anything is scheduled.
+  auto expect_cluster_rejects = [&](const cluster::ClusterConfig& cfg,
+                                    const char* setting) {
+    sim::Simulation sim(3);
+    sim.configure_shards(2, usec(150), 2);
+    expect_throw_naming([&] { cluster::Cluster c(sim, cfg); }, setting);
+    EXPECT_EQ(sim.events_processed(), 0u) << setting;
+    EXPECT_TRUE(sim.idle()) << setting;
+  };
+  expect_cluster_rejects(two_dcs.cluster, "dc_count must be 1");
+  expect_cluster_rejects(anti_entropy.cluster,
+                         "anti_entropy_period > 0 is serial-only");
+  expect_cluster_rejects(hedges.cluster, "hedge_reads is serial-only");
+  expect_cluster_rejects(retries.cluster, "read_retries > 0 is serial-only");
+  expect_cluster_rejects(admission.cluster,
+                         "admission_rate > 0 is serial-only");
+
+  // Fault injection on a sharded cluster: every call throws, schedules
+  // nothing and leaves every node alive.
+  const cluster::ClusterConfig healthy = key_range_run(2, 2, 1000).cluster;
+  const std::pair<const char*, void (*)(cluster::Cluster&)> calls[] = {
+      {"schedule_fault is serial-only",
+       [](cluster::Cluster& c) {
+         c.schedule_fault({kMillisecond, cluster::FaultOp::kKillNode, 0, 0, 1});
+       }},
+      {"kill_node is serial-only", [](cluster::Cluster& c) { c.kill_node(0); }},
+      {"revive_node is serial-only",
+       [](cluster::Cluster& c) { c.revive_node(0); }},
+      {"kill_dc is serial-only", [](cluster::Cluster& c) { c.kill_dc(0); }},
+      {"revive_dc is serial-only", [](cluster::Cluster& c) { c.revive_dc(0); }},
+  };
+  for (const auto& [setting, call] : calls) {
+    sim::Simulation sim(3);
+    sim.configure_shards(2, usec(150), 2);
+    cluster::Cluster c(sim, healthy);
+    expect_throw_naming([&] { call(c); }, setting);
+    EXPECT_EQ(sim.events_processed(), 0u) << setting;
+    EXPECT_TRUE(sim.idle()) << setting;
+    EXPECT_EQ(c.alive_count(), healthy.node_count) << setting;
+  }
 }
 
 TEST(Runner, ShardedRunIsThreadCountInvariant) {
@@ -235,65 +313,12 @@ TEST(Runner, ShardedRunIsThreadCountInvariant) {
   EXPECT_EQ(serial.mailbox_spills, 0u);
 }
 
-TEST(Runner, ShardedInsertWorkloadIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 3, 4000);
-    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: per-shard key lanes
-    cfg.workload.update_proportion = 0.0;
-    cfg.workload.insert_proportion = 0.05;
-    cfg.workload.op_count = 4000;
-    cfg.workload.record_count = 500;
-    cfg.workload.clients_per_dc = 6;
-    cfg.seed = 29;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  EXPECT_GT(serial.writes, 0u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, four);
-}
-
 TEST(Runner, ShardedRunRejectsCrossShardSingletons) {
-  // The legacy kill/revive list lowers to fenced fault_schedule entries, so
-  // a sharded run accepts it and stays thread-count invariant.
-  auto with_faults = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 3, 1000);
-    cfg.faults.push_back({100 * kMillisecond, 0, true});
-    return cfg;
-  };
-  expect_same_run(run_experiment(with_faults(1)),
-                  run_experiment(with_faults(4)));
-
+  // Intra-DC hops cross shards, so a zero intra-DC floor leaves the
+  // conservative lookahead nothing to stand on.
   auto no_floor = key_range_run(2, 3, 1000);
   no_floor.cluster.latency.same_dc.floor = 0;
   EXPECT_THROW(run_experiment(no_floor), CheckError);
-}
-
-TEST(Runner, ShardedTraceCaptureMatchesSerial) {
-  // record_trace used to be rejected under sharding; it now captures into
-  // per-shard buffers stitched by (time, seq) at collect. The merged trace
-  // must be byte-identical to the merged-serial reference for every thread
-  // count.
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 3, 2000);
-    cfg.record_trace = true;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  ASSERT_NE(serial.trace, nullptr);
-  ASSERT_NE(four.trace, nullptr);
-  ASSERT_EQ(serial.trace->records.size(), four.trace->records.size());
-  EXPECT_GT(serial.trace->records.size(), 1000u);
-  for (std::size_t i = 0; i < serial.trace->records.size(); ++i) {
-    const auto& a = serial.trace->records[i];
-    const auto& b = four.trace->records[i];
-    ASSERT_EQ(a.time, b.time) << "trace diverges at record " << i;
-    ASSERT_EQ(a.op, b.op) << "trace diverges at record " << i;
-    ASSERT_EQ(a.key, b.key) << "trace diverges at record " << i;
-    ASSERT_EQ(a.value_size, b.value_size) << "trace diverges at record " << i;
-  }
 }
 
 TEST(Runner, KeyRangeShardedRunIsThreadCountInvariant) {
@@ -307,35 +332,15 @@ TEST(Runner, KeyRangeShardedRunIsThreadCountInvariant) {
   EXPECT_EQ(serial.mailbox_spills, 0u);
 }
 
-TEST(Runner, KeyRangeShardedInsertWorkloadIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 4, 4000);
-    cfg.workload = WorkloadSpec::ycsb_b();  // inserts: skip-scan lanes
-    cfg.workload.update_proportion = 0.0;
-    cfg.workload.insert_proportion = 0.05;
-    cfg.workload.op_count = 4000;
-    cfg.workload.record_count = 500;
-    cfg.workload.clients_per_dc = 8;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  EXPECT_GT(serial.writes, 0u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, four);
-}
-
 TEST(Runner, KeyRangeShardedMonitorFeedsAdaptivePolicy) {
-  // The lifted restrictions working together: the monitor attaches to a
-  // sharded run (fed from per-shard logs merged at barriers), the Harmony
-  // policy re-tunes at fenced ticks, and anti-entropy sweeps per shard —
-  // all byte-identical across thread counts, including the policy's level
+  // The monitor attaches to a sharded run (fed from per-shard logs merged
+  // at barriers) and the Harmony policy re-tunes at fenced ticks — both
+  // byte-identical across thread counts, including the policy's level
   // decisions (read_level_usage) and the monitor-driven staleness results.
   auto make = [](unsigned threads) {
     auto cfg = key_range_run(threads, 4);
     cfg.policy = core::harmony_policy(0.2);
     cfg.policy_tick = 100 * kMillisecond;
-    cfg.cluster.anti_entropy_period = 200 * kMillisecond;
     return cfg;
   };
   const auto serial = run_experiment(make(1));
@@ -352,24 +357,6 @@ TEST(Runner, KeyRangeShardedMonitorFeedsAdaptivePolicy) {
   EXPECT_GT(serial.final_state.read_rate, 0.0);
   EXPECT_DOUBLE_EQ(serial.final_state.read_rate, four.final_state.read_rate);
   EXPECT_DOUBLE_EQ(serial.final_state.write_rate, four.final_state.write_rate);
-}
-
-TEST(Runner, ShardedFaultScheduleIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 3, 5000);
-    // Kill one node per shard mid-run and revive it (each shard keeps a
-    // second coordinator); fault instants are fences.
-    for (net::NodeId n = 0; n < 3; ++n) {
-      cfg.fault_schedule.push_back({300 * kMillisecond + n * 50 * kMillisecond,
-                                    cluster::FaultOp::kKillNode, n, 0, 1.0});
-      cfg.fault_schedule.push_back({800 * kMillisecond + n * 50 * kMillisecond,
-                                    cluster::FaultOp::kReviveNode, n, 0, 1.0});
-    }
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  expect_same_run(serial, four);
 }
 
 TEST(Runner, ZeroPolicyTickNeverRetunes) {
