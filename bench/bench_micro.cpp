@@ -7,11 +7,14 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/staleness_oracle.h"
 #include "cluster/token_ring.h"
+#include "cluster/versioned_value.h"
 #include "common/distributions.h"
+#include "common/flat_table.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/stale_model.h"
@@ -250,6 +253,39 @@ void BM_OracleCommitJudge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OracleCommitJudge)->Arg(1000)->Arg(100'000);
+
+/// One FlatTable find through the public API, on a table of range(0) random
+/// keys grown from the replica store's 1,024 slots. At 7/8 growth, 57,345
+/// keys sit just past a doubling (7/16 load of 131,072 slots) and 114,688
+/// just below the next (7/8 load). Hits look up present keys, misses absent
+/// ones, in a fixed random order over 65,536 lookups.
+void BM_FlatTableFind(benchmark::State& state, bool hit) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  FlatTable<cluster::VersionedValue> table(1024);
+  Rng rng(5);
+  std::vector<std::uint64_t> present(n);
+  for (std::uint64_t& k : present) {
+    k = rng.next();
+    table.insert(k);
+  }
+  constexpr std::size_t kLookups = 1 << 16;
+  std::vector<std::uint64_t> lookups(kLookups);
+  for (std::uint64_t& k : lookups) {
+    if (hit) {
+      k = present[rng.uniform_u64(n)];
+    } else {
+      do k = rng.next();
+      while (table.find(k) != nullptr);
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(lookups[i++ & (kLookups - 1)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_FlatTableFind, hit, true)->Arg(57'345)->Arg(114'688);
+BENCHMARK_CAPTURE(BM_FlatTableFind, miss, false)->Arg(57'345)->Arg(114'688);
 
 void BM_StaleModelEval(benchmark::State& state) {
   core::StaleModelParams params;

@@ -20,6 +20,17 @@ google-benchmark's tools/compare.py does:
   * (new): a benchmark only the candidate has. Its median is printed with
     nothing to compare it to; it never fails.
 
+Beside each shared row's verdict it prints the paired ratio: the k-th
+repetition of a row in one report is paired with the k-th in the other
+(run_micro.sh --parent merges its rounds in order, so a pair is one round),
+each pair gives candidate speed / baseline speed (items_per_second, or the
+inverse of cpu_time; above 1 is faster), and the column shows the median of
+those ratios and its 95% percentile-bootstrap interval (2,000 resamples
+from a fixed-seed random.Random, so a rerun prints the same interval). The
+ratios inform; they change no verdict and no exit code. Judge a change by
+whether its interval clears the interval of the parent against itself
+(run_micro.sh --parent PARENT_BUILD PARENT_BUILD).
+
 Only meaningful for reports produced on the same host: cross-machine
 numbers differ for reasons that have nothing to do with the code. So the
 script first compares the two reports' host context (CPU model, CPU count,
@@ -46,6 +57,7 @@ ever written:
 import argparse
 import json
 import os
+import random
 import re
 import shutil
 import statistics
@@ -58,6 +70,8 @@ from pathlib import Path
 # --benchmark_context.
 HOST_KEYS = ("cpu_model", "num_cpus", "mhz_per_cpu")
 MIN_REPETITIONS = 3
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 1
 
 
 def host_context(report):
@@ -115,6 +129,21 @@ def spread(values):
     return med, (q3 - q1) / med
 
 
+def paired_ratio(old_values, new_values, higher_is_better):
+    """(median, low, high): the median of the per-round candidate/baseline
+    speed ratios and its 95% percentile-bootstrap interval."""
+    ratios = [n / o if higher_is_better else o / n
+              for o, n in zip(old_values, new_values) if o > 0 and n > 0]
+    if not ratios:
+        return None
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    low = medians[int(0.025 * BOOTSTRAP_RESAMPLES)]
+    high = medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1]
+    return statistics.median(ratios), low, high
+
+
 def compare(base_report, cand_report, threshold):
     """Print the verdict table; returns the exit code (0, 1 or 2)."""
     base_host = host_context(base_report)
@@ -137,7 +166,7 @@ def compare(base_report, cand_report, threshold):
     unresolved = 0
     width = max(len(n) for n in shared + only_cand)
     print(f"{'benchmark':<{width}}  {'base med':>12}  {'base IQR':>8}  "
-          f"{'cand med':>12}  {'reps':>5}  delta")
+          f"{'cand med':>12}  {'reps':>5}  {'delta':>7}  paired ratio [95% CI]")
     for name in shared:
         _, higher_is_better, old_values = base[name]
         new_values = cand[name][2]
@@ -154,8 +183,12 @@ def compare(base_report, cand_report, threshold):
         elif change < -threshold:
             regressions.append((name, change))
             flag = "  << REGRESSION"
+        paired = paired_ratio(old_values, new_values, higher_is_better)
+        ratio = ("{:.3f} [{:.3f}, {:.3f}]".format(*paired) if paired
+                 else "-")
         print(f"{name:<{width}}  {old:>12.4g}  {old_iqr:>8.1%}  {new:>12.4g}  "
-              f"{len(old_values):>2}/{len(new_values):<2}  {change:+7.1%}{flag}")
+              f"{len(old_values):>2}/{len(new_values):<2}  {change:+7.1%}  "
+              f"{ratio}{flag}")
     for name in only_cand:
         new_values = cand[name][2]
         new, _ = spread(new_values)

@@ -6,7 +6,9 @@ and checks diff_micro's verdicts: a clean pair passes, a real median
 regression fails, a baseline noisier than the bound is reported as
 "unresolved" without failing, a candidate-only benchmark is shown as "(new)"
 with its median without failing, and a report from another host (other
-CPU count or CPU model) is refused.
+CPU count or CPU model) is refused. Beside each verdict, the paired ratio:
+the median of the per-round speed ratios and its bootstrap interval, on
+rounds that move together and rounds that spread.
 
 Then the per-host gate (--baseline-dir): the host key names the file, a
 host with no file records its first baseline, a second host never touches
@@ -250,6 +252,18 @@ def main():
         ("new row", {"BM_A": STEADY},
          {"BM_A": STEADY, "BM_B": [15000.0, 14000.0, 16000.0, 15500.0, 14500.0]},
          HOST, 0, r"BM_B +- +- +1\.5e\+04 +-/5 +\(new\)"),
+        # Paired by round: every round 10% faster gives a point interval.
+        ("paired ratio, steady", {"BM_A": STEADY},
+         {"BM_A": [v * 1.1 for v in STEADY]}, HOST, 0,
+         r"BM_A .* \+10\.0%  1\.100 \[1\.100, 1\.100\]\n"),
+        # Round ratios 1.1, 1.2, 1.0, 0.9, 1.05: median 1.05; a resampled
+        # median is 0.9 (or 1.2) with probability 5.8%, past each 2.5% tail.
+        ("paired ratio, spread", {"BM_A": [100.0] * 5},
+         {"BM_A": [110.0, 120.0, 100.0, 90.0, 105.0]}, HOST, 0,
+         r"BM_A .*  1\.050 \[0\.900, 1\.200\]\n"),
+        ("paired ratio beside a regression", {"BM_A": STEADY},
+         {"BM_A": [v * 0.8 for v in STEADY]}, HOST, 1,
+         r"BM_A .*  0\.800 \[0\.800, 0\.800\]  << REGRESSION"),
         ("new row beside a regression", {"BM_A": STEADY},
          {"BM_A": SLOWER, "BM_B": STEADY},
          HOST, 1, r"BM_B .*\(new\)"),

@@ -5,10 +5,10 @@
 // dropping payloads lets a laptop-scale simulation carry millions of keys.
 //
 // Two layers, read top-down:
-//   * a common/flat_table.h open-addressing table (linear probing,
-//     power-of-two capacity, never-erase) holding every key a write, repair
-//     or hint has reached — one probe sequence over contiguous 32-byte
-//     entries, no per-insert allocation between growth doublings;
+//   * a common/flat_table.h open-addressing table (32-byte entries beside
+//     one control byte a slot, probed eight slots at a time, grown at 7/8
+//     load, never-erase) holding every key a write, repair or hint has
+//     reached — no per-insert allocation between growth doublings;
 //   * a read-only preload base (PreloadBase): the dataset loaded before
 //     traffic, one bit per key this node replicates plus the closed-form
 //     version the load gave it. A base key is copied into the table the

@@ -135,8 +135,8 @@ class StalenessOracle {
   void fold_through(SimTime h);
   void grow_log();
 
-  // Per-key entries in the shared open-addressing table (hash64, linear
-  // probe, 50% load, never-erase — common/flat_table.h).
+  // Per-key entries in the shared open-addressing table (hash64, one tag
+  // byte a slot, grown at 7/8 load, never-erase — common/flat_table.h).
   FlatTable<KeyState> table_{256};
 
   std::vector<LogEntry> log_;  // power-of-two ring, positions masked

@@ -94,6 +94,10 @@ class ScrambledZipfianKeys final : public ZipfianKeys {
  public:
   explicit ScrambledZipfianKeys(std::uint64_t n, double theta = kDefaultTheta)
       : ZipfianKeys(n, theta) {}
+  /// The scrambled twin of `ranks`: its zeta constants copied, not re-summed.
+  /// grow() extends them bit for bit as a fresh construction would sum them.
+  explicit ScrambledZipfianKeys(const ZipfianKeys& ranks)
+      : ZipfianKeys(ranks) {}
   std::uint64_t next(Rng& rng) override {
     // Offset before mixing: mix64(0) == 0 would pin the hottest rank to
     // index 0, defeating the scramble.

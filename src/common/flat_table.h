@@ -1,24 +1,40 @@
 // Open-addressing hash table for never-erased u64 keys.
 //
-// ReplicaStore and StalenessOracle each hand-rolled the same table: hash64,
-// linear probing, power-of-two capacity, growth at 50% load, no erase (and
-// therefore no tombstones). This header is that table, factored once — the
-// same move common/slot_pool.h made for the pending-request maps.
+// ReplicaStore and StalenessOracle share it: hash64, power-of-two capacity,
+// no erase (and therefore no tombstones) — the same move common/slot_pool.h
+// made for the pending-request maps.
 //
-// Layout: entries are {key, value} with an all-ones key sentinel marking
-// empty slots, so a slot costs no separate `used` flag — with a 24-byte
-// value (ReplicaStore's VersionedValue, StalenessOracle's per-key state) an
-// entry packs to 32 bytes, two per cache line on the probe path. The
-// sentinel key itself is still a legal key: it lives in a dedicated side
-// slot instead of the table.
+// Layout: {key, value} entries in one array — with a 24-byte value
+// (ReplicaStore's VersionedValue, StalenessOracle's per-key state) an entry
+// packs to 32 bytes — and beside it one control byte per slot: 0x80 for an
+// empty slot, else the key's tag, the top 7 bits of hash64(key). Only the
+// control byte marks a slot empty, so every u64, 0 and ~0 included, is an
+// ordinary key.
 //
-// Values are small plain structs, copied on growth; they must be cheap to
-// default-construct (empty slots hold one). There is no bulk reserve:
-// tables only grow by doubling as keys arrive (a preloaded dataset lives in
-// ReplicaStore's bitmap base, not here).
+// Probe: slots form aligned groups of eight, whose control bytes load as one
+// u64. The low bits of hash64(key) pick the key's home group — disjoint from
+// the tag's bits, so keys sharing a group still differ in tag. A SWAR byte
+// test (no intrinsics) marks the group's bytes equal to the tag, and a key
+// compare checks each mark. The test never misses a tag and never marks an
+// empty byte; it can falsely mark a byte only above a true match (where the
+// subtraction's borrow crosses into it), and the key compare rejects that.
+// From the home group the probe takes triangular steps (+1, +2, +3, ...
+// groups), which visit every group once when the group count is a power of
+// two, and stops at the first group with an empty byte: keys are never
+// erased, so a key is absent once such a group misses it, and insert puts
+// it in that group's first empty slot.
+//
+// Growth: the table doubles when a new key would pass 7/8 load, so one slot
+// in eight stays empty and every probe ends. Values are small plain structs,
+// copied on growth; they must be cheap to default-construct (empty slots
+// hold one). There is no bulk reserve: tables only grow by doubling as keys
+// arrive (a preloaded dataset lives in ReplicaStore's bitmap base, not
+// here).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -27,53 +43,49 @@
 
 namespace harmony {
 
+/// Defined only by the table's tests, which read the control bytes to check
+/// the layout rules above.
+template <typename Value>
+struct FlatTableTestAccess;
+
 template <typename Value>
 class FlatTable {
  public:
-  /// `initial_capacity` must be a power of two (masked probing would
-  /// otherwise skip slots and insert() could spin); the table allocates
-  /// lazily on first insert.
+  /// `initial_capacity` must be a power of two of at least one group (8
+  /// slots); the table allocates lazily on first insert.
   explicit FlatTable(std::size_t initial_capacity = 1024)
       : initial_capacity_(initial_capacity) {
     HARMONY_CHECK_MSG(
-        initial_capacity > 0 &&
+        initial_capacity >= kGroup &&
             (initial_capacity & (initial_capacity - 1)) == 0,
-        "FlatTable capacity must be a power of two");
+        "FlatTable capacity must be a power of two of at least 8");
   }
 
   /// The value for `key`, inserting a default-constructed one on miss.
   /// Returns {value, true} when this call inserted it. The pointer is valid
   /// until the next insert (growth moves entries).
   std::pair<Value*, bool> insert(std::uint64_t key) {
-    if (key == kEmptyKey) {
-      const bool inserted = !has_sentinel_;
-      has_sentinel_ = true;
-      return {&sentinel_value_, inserted};
+    const std::uint64_t h = hash64(key);
+    std::size_t i = 0;
+    if (!ctrl_.empty()) {
+      i = seek(h, key);
+      if (ctrl_[i] != kEmpty) return {&entries_[i].value, false};
     }
-    // Grow at 50% load *before* probing so the insert below always finds a
-    // free slot in a healthy probe sequence.
-    if ((used_ + 1) * 2 > table_.size()) grow();
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(hash64(key)) & mask;
-    while (table_[i].key != kEmptyKey) {
-      if (table_[i].key == key) return {&table_[i].value, false};
-      i = (i + 1) & mask;
+    // A new key: grow first if it would pass 7/8 load (or on first use).
+    if (used_ == ctrl_.size() - ctrl_.size() / 8) {
+      grow();
+      i = seek(h, key);
     }
-    table_[i].key = key;
+    ctrl_[i] = tag(h);
+    entries_[i].key = key;
     ++used_;
-    return {&table_[i].value, true};
+    return {&entries_[i].value, true};
   }
 
   Value* find(std::uint64_t key) {
-    if (key == kEmptyKey) return has_sentinel_ ? &sentinel_value_ : nullptr;
-    if (table_.empty()) return nullptr;
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(hash64(key)) & mask;
-    while (table_[i].key != kEmptyKey) {
-      if (table_[i].key == key) return &table_[i].value;
-      i = (i + 1) & mask;
-    }
-    return nullptr;
+    if (ctrl_.empty()) return nullptr;
+    const std::size_t i = seek(hash64(key), key);
+    return ctrl_[i] == kEmpty ? nullptr : &entries_[i].value;
   }
   const Value* find(std::uint64_t key) const {
     return const_cast<FlatTable*>(this)->find(key);
@@ -83,44 +95,94 @@ class FlatTable {
   static constexpr std::size_t entry_bytes() { return sizeof(Entry); }
 
   /// Keys present (never decreases: keys are never erased).
-  std::size_t size() const { return used_ + (has_sentinel_ ? 1 : 0); }
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return used_; }
+  bool empty() const { return used_ == 0; }
 
   void clear() {
-    table_.clear();
+    entries_.clear();
+    ctrl_.clear();
     used_ = 0;
-    has_sentinel_ = false;
-    sentinel_value_ = Value{};
   }
 
  private:
-  /// Empty-slot marker. A real key with this value is legal — it just lives
-  /// in `sentinel_value_` instead of the table.
-  static constexpr std::uint64_t kEmptyKey = ~0ull;
+  friend struct FlatTableTestAccess<Value>;
+
+  static constexpr std::size_t kGroup = 8;  // slots per control word
+  static constexpr std::uint8_t kEmpty = 0x80;
+  static constexpr std::uint64_t kLsb = 0x0101010101010101ull;
+  static constexpr std::uint64_t kMsb = 0x8080808080808080ull;
 
   struct Entry {
-    std::uint64_t key = kEmptyKey;
+    std::uint64_t key = 0;
     Value value{};
   };
 
-  void grow() {
-    std::vector<Entry> old;
-    old.swap(table_);
-    table_.resize(old.empty() ? initial_capacity_ : old.size() * 2);
-    const std::size_t mask = table_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.key == kEmptyKey) continue;
-      std::size_t i = static_cast<std::size_t>(hash64(e.key)) & mask;
-      while (table_[i].key != kEmptyKey) i = (i + 1) & mask;
-      table_[i] = e;
+  static std::uint8_t tag(std::uint64_t h) {
+    return static_cast<std::uint8_t>(h >> 57);
+  }
+
+  /// Group g's control bytes as one word, slot 8g + j in bits [8j, 8j + 8).
+  std::uint64_t group(std::size_t g) const {
+    const std::uint8_t* p = ctrl_.data() + g * kGroup;
+    std::uint64_t w = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&w, p, sizeof w);
+    } else {
+      for (std::size_t j = 0; j < kGroup; ++j) {
+        w |= std::uint64_t{p[j]} << (8 * j);
+      }
+    }
+    return w;
+  }
+
+  /// Index of the lowest slot whose byte has its top bit set in `m`.
+  static std::size_t first(std::uint64_t m) {
+    return static_cast<std::size_t>(std::countr_zero(m)) / 8;
+  }
+
+  /// The slot holding `key` (hash `h`), or else the empty slot where insert
+  /// puts it. The table must be allocated.
+  std::size_t seek(std::uint64_t h, std::uint64_t key) const {
+    const std::size_t mask = ctrl_.size() / kGroup - 1;
+    const std::uint64_t tags = kLsb * tag(h);
+    std::size_t g = static_cast<std::size_t>(h) & mask;
+    for (std::size_t step = 1;; ++step) {
+      const std::uint64_t word = group(g);
+      // Bytes equal to the tag become zero; the classic zero-byte test
+      // marks them. Empty bytes (0x80 ^ tag) keep their top bit, which the
+      // `& ~x` term clears, so they are never marked.
+      const std::uint64_t x = word ^ tags;
+      for (std::uint64_t m = (x - kLsb) & ~x & kMsb; m != 0; m &= m - 1) {
+        const std::size_t i = g * kGroup + first(m);
+        if (entries_[i].key == key) return i;
+      }
+      if (const std::uint64_t empty = word & kMsb) {
+        return g * kGroup + first(empty);
+      }
+      g = (g + step) & mask;
     }
   }
 
-  std::vector<Entry> table_;  // power-of-two; empty until first insert
-  std::size_t used_ = 0;      // table-resident keys (excludes the sentinel)
+  void grow() {
+    const std::size_t capacity =
+        ctrl_.empty() ? initial_capacity_ : ctrl_.size() * 2;
+    const std::vector<Entry> old_entries =
+        std::exchange(entries_, std::vector<Entry>(capacity));
+    const std::vector<std::uint8_t> old_ctrl =
+        std::exchange(ctrl_, std::vector<std::uint8_t>(capacity, kEmpty));
+    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
+      if (old_ctrl[i] == kEmpty) continue;
+      const std::uint64_t key = old_entries[i].key;
+      const std::size_t j = seek(hash64(key), key);
+      ctrl_[j] = old_ctrl[i];
+      entries_[j] = old_entries[i];
+    }
+  }
+
+  std::vector<Entry> entries_;       // power-of-two; empty until first insert
+  std::vector<std::uint8_t> ctrl_;   // one control byte per entry
+  std::size_t used_ = 0;             // keys present
   std::size_t initial_capacity_;
-  bool has_sentinel_ = false;
-  Value sentinel_value_{};
 };
 
 }  // namespace harmony

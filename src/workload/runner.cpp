@@ -383,7 +383,16 @@ class Runner final : public ClientEnv {
     HARMONY_CHECK(active > 0);
     // One shared zeta computation for the million-user population; every
     // source copies the finished constants instead of re-summing O(users).
-    const ScrambledZipfianKeys users(ol.user_count, ol.user_zipf_theta);
+    // When the request keys are zipfian at the users' theta over no more
+    // records than users, their sum is the users' first terms: copy it and
+    // grow to the user count instead of summing from 1 again.
+    const auto* keys = dynamic_cast<const ZipfianKeys*>(request_dist_.get());
+    ScrambledZipfianKeys users =
+        keys != nullptr && keys->theta() == ol.user_zipf_theta &&
+                keys->item_count() <= ol.user_count
+            ? ScrambledZipfianKeys(*keys)
+            : ScrambledZipfianKeys(ol.user_count, ol.user_zipf_theta);
+    users.grow(ol.user_count);
     // Partition ids name each source's insert lane and RNG fork: the shard
     // when sharded, the DC in a one-shard run (where every source shares
     // shard 0).

@@ -102,6 +102,26 @@ TEST(ZipfianKeys, IncrementalGrowMatchesFromScratch) {
   for (int i = 0; i < 2000; ++i) ASSERT_EQ(grown.next(a), fresh.next(b)) << i;
 }
 
+TEST(ScrambledZipfian, CopiedConstantsDrawLikeAFreshOne) {
+  // The open-loop runner builds its users from the request keys' constants
+  // (the same theta, grown to the user count) instead of summing zeta again.
+  // Equal n and a grown smaller n must both give the fresh constants exactly.
+  constexpr std::uint64_t kN = 20'000;
+  for (const std::uint64_t from : {kN, std::uint64_t{1'500}}) {
+    ScrambledZipfianKeys copied{ZipfianKeys(from, 0.99)};
+    copied.grow(kN);
+    ScrambledZipfianKeys fresh(kN, 0.99);
+    ASSERT_EQ(copied.item_count(), kN);
+    for (const std::uint64_t r : {0ULL, 1ULL, 1'499ULL, 1'500ULL, 19'999ULL}) {
+      EXPECT_EQ(copied.pmf(r), fresh.pmf(r)) << "from " << from << " rank " << r;
+    }
+    Rng a(33), b(33);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(copied.next(a), fresh.next(b)) << "from " << from << " draw " << i;
+    }
+  }
+}
+
 TEST(ZipfianKeys, GrowByOneIsIncrementalNotQuadratic) {
   // Insert workloads grow the domain one key at a time. A from-scratch zeta
   // recompute per grow() would make this loop O(n^2) over ~1.1e10 pow()

@@ -27,7 +27,7 @@ namespace {
 struct Driver {
   Cluster* cluster = nullptr;
   Rng rng{3};
-  ZipfianKeys zipf{400};
+  ZipfianKeys zipf{600};
   ReplicaRequirement req{};
   std::uint64_t done = 0;
   bool reissue = true;
@@ -56,14 +56,15 @@ void run_steady_state(int level) {
   cfg.dc_count = 2;
   cfg.rf = 3;
   Cluster c(sim, cfg);
-  // 400 keys: comfortably past the oracle table's 256-key growth step and
-  // short of its 512-key one, so the key table reaches its final size during
-  // warm-up even though the zipfian tail keys show up late. (A growing
-  // working set legitimately grows tables; steady state means a stable one.)
-  // Writes below hit only preloaded keys; the first write to each one copies
-  // it into its replicas' tables, and with ~120 keys per node those tables
-  // stay at their first 1024-slot allocation, made during warm-up.
-  c.preload_range(400, 512);
+  // 600 keys: past the oracle table's growth steps at 224 and 448 keys (7/8
+  // of 256 and 512 slots) and short of its next at 896, so the key table
+  // reaches its final size during warm-up even though the zipfian tail keys
+  // show up late. (A growing working set legitimately grows tables; steady
+  // state means a stable one.) Writes below hit only preloaded keys; the
+  // first write to each one copies it into its replicas' tables, and with
+  // ~180 keys per node those tables stay at their first 1024-slot
+  // allocation (896 keys at 7/8 load), made during warm-up.
+  c.preload_range(600, 512);
 
   Driver d{&c};
   d.req = resolve_count(level, 3);

@@ -21,7 +21,12 @@
 //   * preload-base schedules — a replica store with a random copy-on-write
 //     preload base against a map that loaded every base key explicitly:
 //     ties and near-ties with base versions, unset bits, keys past the
-//     base, and clears;
+//     base, clears, and enough written keys to grow the store's table;
+//   * flat-table schedules — common/flat_table.h against std::unordered_map
+//     through several doublings, checked at each 7/8-load boundary and one
+//     key past it: dense, random and hash-colliding keys, 0 and ~0, values
+//     read back after growth, and absent keys whose home group is full,
+//     plus the table's layout rules read through its test access;
 //   * event-queue schedules — typed pushes from zero delay to several wheel
 //     spans (and one past 2^32 µs), stamped pushes with earlier-drawn seqs
 //     delivered shuffled as a mailbox drain does, closure pushes and
@@ -41,6 +46,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +55,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -56,6 +64,7 @@
 #include "cluster/node.h"
 #include "cluster/replica_store.h"
 #include "cluster/staleness_oracle.h"
+#include "common/flat_table.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/slot_pool.h"
@@ -69,16 +78,83 @@
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 
+namespace harmony {
+
+/// The layout rules of common/flat_table.h, read through its private
+/// members: control and entry arrays of one power-of-two size, each group's
+/// full slots a prefix, each full slot's control byte its key's top 7 hash
+/// bits, each key on its probe path (home group from the low hash bits,
+/// triangular steps) past only full groups, and size() full slots.
+template <typename Value>
+struct FlatTableTestAccess {
+  static constexpr std::size_t kGroup = FlatTable<Value>::kGroup;
+  static constexpr std::uint8_t kEmpty = FlatTable<Value>::kEmpty;
+
+  static std::size_t capacity(const FlatTable<Value>& t) {
+    return t.ctrl_.size();
+  }
+
+  static bool group_full(const FlatTable<Value>& t, std::size_t g) {
+    for (std::size_t j = 0; j < kGroup; ++j) {
+      if (t.ctrl_[g * kGroup + j] == kEmpty) return false;
+    }
+    return true;
+  }
+
+  /// True when `key`'s home group has no empty slot (false before the
+  /// first insert).
+  static bool home_group_full(const FlatTable<Value>& t, std::uint64_t key) {
+    if (t.ctrl_.empty()) return false;
+    return group_full(t, hash64(key) & (t.ctrl_.size() / kGroup - 1));
+  }
+
+  /// "" when every rule holds, else the first one broken.
+  static std::string layout_error(const FlatTable<Value>& t) {
+    const std::size_t cap = t.ctrl_.size();
+    if (t.entries_.size() != cap) return "entry and control sizes differ";
+    if (cap == 0) return t.size() == 0 ? "" : "keys without a table";
+    if (cap % kGroup != 0 || (cap & (cap - 1)) != 0) {
+      return "capacity " + std::to_string(cap) + " is not a power of two";
+    }
+    if (t.size() > cap - cap / 8) return "past 7/8 load";
+    const std::size_t mask = cap / kGroup - 1;
+    std::size_t full = 0;
+    for (std::size_t i = 0; i < cap; ++i) {
+      const auto at = [i](const char* rule) {
+        return "slot " + std::to_string(i) + ": " + rule;
+      };
+      if (t.ctrl_[i] == kEmpty) continue;
+      if (i % kGroup != 0 && t.ctrl_[i - 1] == kEmpty) {
+        return at("full above an empty slot of its group");
+      }
+      ++full;
+      const std::uint64_t h = hash64(t.entries_[i].key);
+      if (t.ctrl_[i] != (h >> 57)) return at("tag is not the top 7 bits");
+      std::size_t g = h & mask;
+      for (std::size_t step = 1; g != i / kGroup; ++step) {
+        if (step > mask + 1) return at("key is off its probe path");
+        if (!group_full(t, g)) return at("an earlier group has room");
+        g = (g + step) & mask;
+      }
+    }
+    if (full != t.size()) return "size() is not the count of full slots";
+    return "";
+  }
+};
+
+}  // namespace harmony
+
 namespace harmony::testing {
 namespace {
 
 // Default schedule counts; the acceptance bar for this harness is >= 5000
-// randomized schedules per full run (3200 + 1500 + 600 + 400 + 2000 + 40 =
-// 7740).
+// randomized schedules per full run (3200 + 1500 + 600 + 400 + 48 + 2000 +
+// 40 = 7788).
 constexpr std::uint64_t kOracleSchedules = 3200;
 constexpr std::uint64_t kHistogramSchedules = 1500;
 constexpr std::uint64_t kPoolSchedules = 600;
 constexpr std::uint64_t kStoreSchedules = 400;
+constexpr std::uint64_t kTableSchedules = 48;
 constexpr std::uint64_t kEventQueueSchedules = 2000;
 constexpr std::uint64_t kClusterRuns = 40;
 
@@ -620,18 +696,28 @@ TEST(RequestPathDiff, SlotPoolMatchesPendingMapSemantics) {
 
 // ------------------------------------------------------- preload-base diff
 
-void run_store_schedule(std::uint64_t seed) {
+/// One randomized store schedule. Raises `most_written` to the most keys its
+/// table held (keys written since the last clear), so the caller can check
+/// that the table grew.
+void run_store_schedule(std::uint64_t seed, std::size_t& most_written) {
   Rng rng(seed);
   cluster::ReplicaStore prod;
   ReferenceStore ref;
   std::uint64_t count = 0;
   std::uint64_t seq0 = 0;
   std::uint64_t stride = 1;
+  // A quarter of the schedules write a few thousand keys over a wider
+  // range, clearing rarely, so the store's table grows past its first 1,024
+  // slots (896 keys at 7/8 load) and again.
+  const bool wide = rng.chance(0.25);
+  const std::uint64_t past_base = wide ? 2000 : 20;
+  const double clear_below = wide ? 0.9995 : 0.98;
+  std::unordered_set<cluster::Key> written;
 
   // A random base: the store gets the bitmap, the reference applies every
   // member key explicitly. seq0 has the preload's (w0 + 1) * S + id shape.
   auto install_base = [&] {
-    count = rng.uniform_u64(301);
+    count = rng.uniform_u64(wide ? 4001 : 301);
     stride = 1 + rng.uniform_u64(4);
     seq0 = (1 + rng.uniform_u64(64)) * stride + rng.uniform_u64(stride);
     const auto size = static_cast<std::uint32_t>(1 + rng.uniform_u64(1024));
@@ -660,13 +746,14 @@ void run_store_schedule(std::uint64_t seed) {
   auto pick_key = [&]() -> cluster::Key {
     const double roll = rng.uniform();
     if (roll < 0.7 && count > 0) return rng.uniform_u64(count);
-    if (roll < 0.97) return count + rng.uniform_u64(20);
-    return ~0ULL;  // the flat table's empty-slot sentinel, stored aside
+    if (roll < 0.97) return count + rng.uniform_u64(past_base);
+    return ~0ULL;  // the largest key, an ordinary one for the table
   };
 
   install_base();
   expect_same_counters();
-  const int ops = 200 + static_cast<int>(rng.uniform_u64(401));
+  const int ops = wide ? 3000 + static_cast<int>(rng.uniform_u64(3001))
+                       : 200 + static_cast<int>(rng.uniform_u64(401));
   for (int op = 0; op < ops; ++op) {
     const double roll = rng.uniform();
     const cluster::Key key = pick_key();
@@ -686,7 +773,9 @@ void run_store_schedule(std::uint64_t seed) {
       const bool p = prod.apply(key, v);
       const bool r = ref.apply(key, v);
       EXPECT_EQ(p, r) << "seed " << seed << " apply key " << key;
-    } else if (roll < 0.98) {
+      written.insert(key);
+      most_written = std::max(most_written, written.size());
+    } else if (roll < clear_below) {
       const auto p = prod.read(key);
       const auto r = ref.read(key);
       ASSERT_EQ(p.has_value(), r.has_value())
@@ -698,6 +787,7 @@ void run_store_schedule(std::uint64_t seed) {
     } else {
       prod.clear();
       ref.clear();
+      written.clear();
       if (rng.chance(0.5)) {
         install_base();
       } else {
@@ -710,18 +800,239 @@ void run_store_schedule(std::uint64_t seed) {
 
 TEST(RequestPathDiff, PreloadBaseMatchesExplicitLoad) {
   std::uint64_t schedules = 0;
+  std::size_t most_written = 0;
   auto run_block = [&](std::uint64_t base, std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      run_store_schedule(base + i);
+      run_store_schedule(base + i, most_written);
       ASSERT_FALSE(::testing::Test::HasFailure())
           << "preload-base diff diverged at seed " << base + i;
       ++schedules;
     }
   };
   run_block(0xBA5E0001ULL, kStoreSchedules);
+  // The default seeds take the table through at least two doublings: past
+  // 896 keys (7/8 of 1,024 slots) and past 1,792.
+  EXPECT_GT(most_written, 1792u);
   for (const auto seed : extra_seeds()) run_block(seed, 40);
-  std::printf("[diff] preload-base schedules: %llu\n",
-              (unsigned long long)schedules);
+  std::printf("[diff] preload-base schedules: %llu, table keys up to %zu\n",
+              (unsigned long long)schedules, most_written);
+}
+
+// --------------------------------------------------------- flat-table diff
+
+/// A 24-byte value, so an entry is 32 bytes as in the oracle and the store.
+struct TableValue {
+  std::uint64_t a = 0, b = 0, c = 0;
+  bool operator==(const TableValue&) const = default;
+};
+static_assert(FlatTable<TableValue>::entry_bytes() == 32);
+using Table = FlatTable<TableValue>;
+using TableAccess = FlatTableTestAccess<TableValue>;
+
+/// The capacity the growth rule gives a table of `initial` slots holding
+/// `n` keys: none before the first insert, then the fewest doublings that
+/// keep n at or under 7/8 load.
+std::size_t expected_capacity(std::size_t initial, std::size_t n) {
+  if (n == 0) return 0;
+  std::size_t cap = initial;
+  while (n > cap - cap / 8) cap *= 2;
+  return cap;
+}
+
+/// Keys whose hashes share key 0's low 10 bits and top 7 bits: one home
+/// group at every capacity up to 8,192 slots, and one tag. Key 0 is first.
+const std::vector<std::uint64_t>& colliding_keys() {
+  static const std::vector<std::uint64_t> keys = [] {
+    const std::uint64_t h0 = hash64(0);
+    std::vector<std::uint64_t> out{0};
+    for (std::uint64_t k = 1; out.size() < 40; ++k) {
+      const std::uint64_t h = hash64(k);
+      if ((h & 1023) == (h0 & 1023) && (h >> 57) == (h0 >> 57)) {
+        out.push_back(k);
+      }
+    }
+    return out;
+  }();
+  return keys;
+}
+
+/// What the table schedules reached, so the test can show it is not vacuous.
+struct TableCoverage {
+  std::size_t boundaries = 0;   // 7/8-load boundaries checked
+  std::size_t most_keys = 0;    // largest table
+  std::size_t most_doublings = 0;
+};
+
+/// One randomized table schedule against std::unordered_map: inserts (new
+/// keys, and old ones again), values written through insert's pointer and
+/// read back after later growth, finds of present and absent keys, and a
+/// full check at every 7/8 boundary and one key past it.
+void run_table_schedule(std::uint64_t seed, TableCoverage& coverage) {
+  Rng rng(seed);
+  constexpr std::size_t kInitial[] = {8, 16, 256, 1024};
+  const std::size_t initial = kInitial[rng.uniform_u64(4)];
+  Table table(initial);
+  std::unordered_map<std::uint64_t, TableValue> ref;
+  std::uint64_t writes = 0;
+
+  // The key stream: dense small integers, random u64s, or a mix of both,
+  // 0, ~0 and the colliding keys. A quarter of the schedules run to ~20k
+  // keys: at least four doublings from any initial capacity.
+  const std::uint64_t kind = rng.uniform_u64(3);
+  const std::size_t target = rng.chance(0.25)
+                                 ? 14337 + rng.uniform_u64(5664)
+                                 : 1 + rng.uniform_u64(3000);
+  std::uint64_t next_dense = 0;
+  const auto& colliding = colliding_keys();
+  // Even-indexed colliding keys go in; odd ones stay out, so finds of them
+  // cross the full groups their siblings fill.
+  std::size_t next_colliding = 0;
+  auto draw_key = [&]() -> std::uint64_t {
+    if (kind == 0) return next_dense++;
+    if (kind == 1) return rng.next();
+    const double roll = rng.uniform();
+    if (roll < 0.02 && next_colliding < colliding.size()) {
+      const std::uint64_t k = colliding[next_colliding];
+      next_colliding += 2;
+      return k;
+    }
+    if (roll < 0.03) return ~0ULL - rng.uniform_u64(2);
+    if (roll < 0.5) return next_dense++;
+    return rng.next();
+  };
+  auto value_for = [&](std::uint64_t key) {
+    ++writes;
+    return TableValue{key ^ writes, writes, ~key};
+  };
+
+  auto check_find = [&](std::uint64_t key) {
+    const auto it = ref.find(key);
+    const TableValue* v = static_cast<const Table&>(table).find(key);
+    ASSERT_EQ(v != nullptr, it != ref.end())
+        << "seed " << seed << ": find(" << key << ") hit/miss diverged";
+    if (v != nullptr) {
+      ASSERT_EQ(*v, it->second) << "seed " << seed << ": key " << key;
+    }
+  };
+
+  // Everything at once: the layout rules, every present key's value, the
+  // corner keys, and absent keys whose home group is full (at 7/8 load,
+  // `at_boundary`, a table of 64 slots or more must offer 64 of them).
+  auto full_check = [&](bool at_boundary) {
+    ASSERT_EQ(TableAccess::layout_error(table), "") << "seed " << seed;
+    ASSERT_EQ(table.size(), ref.size()) << "seed " << seed;
+    ASSERT_EQ(table.empty(), ref.empty()) << "seed " << seed;
+    for (const auto& [key, value] : ref) {
+      const TableValue* v = table.find(key);
+      ASSERT_NE(v, nullptr) << "seed " << seed << ": lost key " << key;
+      ASSERT_EQ(*v, value) << "seed " << seed << ": key " << key;
+    }
+    for (const std::uint64_t key : colliding) check_find(key);
+    check_find(~0ULL);
+    check_find(~0ULL - 1);
+    std::size_t crossing = 0;
+    for (int tries = 0; tries < 4096 && crossing < 64; ++tries) {
+      const std::uint64_t key = rng.next();
+      if (ref.count(key) != 0 || !TableAccess::home_group_full(table, key)) {
+        continue;
+      }
+      ASSERT_EQ(table.find(key), nullptr) << "seed " << seed;
+      ++crossing;
+    }
+    if (at_boundary && TableAccess::capacity(table) >= 64) {
+      ASSERT_EQ(crossing, 64u)
+          << "seed " << seed << ": too few full home groups at 7/8 load";
+    }
+  };
+
+  auto insert = [&](std::uint64_t key) {
+    const auto [v, inserted] = table.insert(key);
+    const auto it = ref.find(key);
+    ASSERT_EQ(inserted, it == ref.end())
+        << "seed " << seed << ": insert(" << key << ") new/old diverged";
+    ASSERT_EQ(TableAccess::capacity(table),
+              expected_capacity(initial, ref.size() + (inserted ? 1 : 0)))
+        << "seed " << seed << ": grew at the wrong size";
+    if (inserted) {
+      ASSERT_EQ(*v, TableValue{}) << "seed " << seed;
+    } else {
+      ASSERT_EQ(*v, it->second) << "seed " << seed;
+    }
+    *v = value_for(key);
+    ref[key] = *v;
+  };
+
+  while (ref.size() < target) {
+    const double roll = rng.uniform();
+    if (roll < 0.75 || ref.empty()) {
+      insert(draw_key());
+    } else if (roll < 0.85) {
+      // An old key again: an insert that must not grow the table.
+      auto it = ref.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(
+                           rng.uniform_u64(std::min<std::size_t>(ref.size(), 64))));
+      insert(it->first);
+    } else {
+      check_find(rng.chance(0.5) ? rng.next() : rng.uniform_u64(next_dense + 1));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::size_t cap = TableAccess::capacity(table);
+    if (ref.size() == cap - cap / 8) {
+      // Exactly at 7/8 load, and one new key past it.
+      full_check(true);
+      if (::testing::Test::HasFatalFailure()) return;
+      std::uint64_t key = draw_key();
+      while (ref.count(key) != 0) key = draw_key();
+      insert(key);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(TableAccess::capacity(table), 2 * cap) << "seed " << seed;
+      full_check(false);
+      if (::testing::Test::HasFatalFailure()) return;
+      ++coverage.boundaries;
+    }
+  }
+  full_check(false);
+  coverage.most_keys = std::max(coverage.most_keys, ref.size());
+  coverage.most_doublings =
+      std::max(coverage.most_doublings,
+               static_cast<std::size_t>(std::countr_zero(
+                   TableAccess::capacity(table) / initial)));
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // clear() drops every key and the allocation; the table starts over.
+  table.clear();
+  ref.clear();
+  ASSERT_EQ(TableAccess::capacity(table), 0u) << "seed " << seed;
+  const std::uint64_t corners[] = {0, ~0ULL, 7};
+  for (const std::uint64_t key : corners) {
+    check_find(key);
+    insert(key);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  full_check(false);
+}
+
+TEST(RequestPathDiff, FlatTableMatchesReferenceMap) {
+  ASSERT_EQ(colliding_keys().front(), 0u);
+  std::uint64_t schedules = 0;
+  TableCoverage coverage;
+  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      run_table_schedule(base + i, coverage);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "flat-table diff diverged at seed " << base + i;
+      ++schedules;
+    }
+  };
+  run_block(0xF1A7AB1EULL, kTableSchedules);
+  EXPECT_GE(coverage.most_keys, 14337u);
+  EXPECT_GE(coverage.most_doublings, 4u);
+  for (const auto seed : extra_seeds()) run_block(seed, 8);
+  std::printf(
+      "[diff] flat-table schedules: %llu, 7/8 boundaries checked: %zu, "
+      "most keys: %zu, most doublings: %zu\n",
+      (unsigned long long)schedules, coverage.boundaries, coverage.most_keys,
+      coverage.most_doublings);
 }
 
 // ------------------------------------------------------- event-queue diff
