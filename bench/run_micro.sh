@@ -18,7 +18,7 @@
 # trajectory PR over PR on that host.
 #
 # With --parent DIR, DIR holds the parent commit's bench_micro, built from
-# the same bench source. The two binaries run in five alternating rounds of
+# the same bench source. The two binaries run in ten alternating rounds of
 # one repetition each (the order flips every round, so host drift lands on
 # both sides alike) with the same flags, at a 1 s minimum time per row,
 # into <build-dir>/bench_micro_parent.json and
@@ -57,7 +57,9 @@ fi
 min_time_flag="--benchmark_min_time=0.25${unit}"
 
 if [[ -n "${parent_dir}" ]]; then
-  rounds=5
+  # Five rounds left the parent-against-itself interval 0.8-1.2 wide on
+  # most rows, too wide to resolve a 10% change.
+  rounds=10
   parent_out="${build_dir}/bench_micro_parent.json"
   change_out="${build_dir}/bench_micro_change.json"
   round_dir="$(mktemp -d)"

@@ -16,12 +16,12 @@ the first one's file, a same-host regression keeps the baseline unless
 HARMONY_BENCH_ALLOW_REGRESSION=1 accepts it, and a file whose context is
 not the candidate's host is refused and never replaced, override or not.
 
-Last, run_micro.sh --parent, on two stub bench_micro programs: the rounds
-alternate which side runs first, both sides get the extra flags and a 1 s
-minimum time, single-threaded rows run pinned to one CPU (when taskset is
-installed) while BM_KeyRangeShardedThroughput runs in its own unpinned
-pass, both reports are written with one row per round, a slower change
-fails, and bench/micro_baseline/ is left as it was.
+Last, run_micro.sh --parent, on two stub bench_micro programs: its ten
+rounds alternate which side runs first, both sides get the extra flags and
+a 1 s minimum time, single-threaded rows run pinned to one CPU (when
+taskset is installed) while BM_KeyRangeShardedThroughput runs in its own
+unpinned pass, both reports are written with one row per round, a slower
+change fails, and bench/micro_baseline/ is left as it was.
 """
 
 from __future__ import annotations
@@ -159,6 +159,7 @@ with open(out, "w") as f:
 """
 
 THREADED = "BM_KeyRangeShardedThroughput/4/real_time"
+ROUNDS = 10  # run_micro.sh --parent's alternated rounds
 
 
 def parent_cases(tmp):
@@ -207,11 +208,11 @@ def parent_cases(tmp):
                                           ["BM_A", "BM_A/2", "BM_AB", "BM_B"],
                                           100.0, ["--benchmark_filter=BM_A$"])
     want = [f"{side} filtered ^(BM_A)$ 1s {pinned}"
-            for r in range(5) for side in sides(r)]
+            for r in range(ROUNDS) for side in sides(r)]
     out.append(("--parent alternates the sides and passes the flags, pinned "
                 "at 1 s", order == want, text + "\n".join(order)))
     out.append(("--parent writes both reports, one row per round",
-                all(len(r["benchmarks"]) == 5 and
+                all(len(r["benchmarks"]) == ROUNDS and
                     {b["name"] for b in r["benchmarks"]} == {"BM_A"}
                     for r in reports) and
                 len(reports) == 2 and proc.returncode == 0 and "OK" in text,
@@ -221,13 +222,14 @@ def parent_cases(tmp):
                 proc.returncode == 1 and "REGRESSION" in text, text))
     proc, text, order, reports = run_pair("threaded", ["BM_A", THREADED],
                                           100.0, [])
-    want = [line for r in range(5) for side in sides(r) for line in (
+    want = [line for r in range(ROUNDS) for side in sides(r) for line in (
         f"{side} - ^(BM_A)$ 1s {pinned}",
         f"{side} - ^(BM_KeyRangeShardedThroughput/4/real_time)$ 1s {free}")]
     out.append(("--parent runs the threaded row in its own unpinned pass",
                 order == want and proc.returncode == 0 and
                 all(sorted({b["name"] for b in r["benchmarks"]}) ==
-                    ["BM_A", THREADED] and len(r["benchmarks"]) == 10
+                    ["BM_A", THREADED] and
+                    len(r["benchmarks"]) == 2 * ROUNDS
                     for r in reports) and len(reports) == 2,
                 text + "\n".join(order)))
     out.append(("--parent never touches bench/micro_baseline/",

@@ -110,13 +110,6 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
     auto st = std::make_unique<ShardState>();
     st->id = s;
     st->rng = sim.fork_rng(0xC1D2E3F4ULL + s);
-    if (deferred_) {
-      // Pre-grow the pools: remote shards read pinned write records through
-      // get() while the home shard acquires/releases, which is only race-free
-      // if the slab never grows mid-window (see SlotPool::reserve).
-      st->pending_writes.reserve(cfg_.sharded_slot_reserve);
-      st->pending_reads.reserve(cfg_.sharded_slot_reserve);
-    }
     shards_.push_back(std::move(st));
   }
   if (deferred_) {
@@ -300,9 +293,6 @@ void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
   ShardState& st = here();
   // Acquired slots come back in default state (release resets them), so only
   // the non-default fields need touching.
-  HARMONY_CHECK_MSG(!deferred_ ||
-                        st.pending_writes.live() < st.pending_writes.capacity(),
-                    "sharded_slot_reserve exhausted (pending writes)");
   const auto [h, w] = st.pending_writes.acquire();
   w->key = key;
   w->start = sim_->now();
@@ -612,9 +602,6 @@ void Cluster::write_deliver(WriteHandle h) {
 void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
                           ReadCallback cb, net::DcId origin_dc) {
   ShardState& st = here();
-  HARMONY_CHECK_MSG(!deferred_ ||
-                        st.pending_reads.live() < st.pending_reads.capacity(),
-                    "sharded_slot_reserve exhausted (pending reads)");
   const auto [h, r] = st.pending_reads.acquire();
   r->key = key;
   r->start = sim_->now();

@@ -56,8 +56,8 @@
 // carefully-fenced exceptions:
 //   * write legs executing on a replica's shard read the *pinned* fields of
 //     the home shard's pending record (key/value/coord/start — written before
-//     fan-out, immutable until every leg completed; pools are pre-grown so
-//     the slab never moves under a reader);
+//     fan-out, immutable until every leg completed). The home shard's pool
+//     may grow meanwhile: growth never moves a record (see SlotPool);
 //   * the ground-truth staleness oracle is global, so sharded runs append
 //     per-shard op logs. Each window barrier seals them, and the replay,
 //     overlapped with the next window, merges the sealed logs by (time,
@@ -233,13 +233,6 @@ struct ClusterConfig {
   SimDuration anti_entropy_period = 0;
   /// Cap on keys repaired per sweep (bounds repair burst size).
   std::size_t anti_entropy_keys_per_round = 512;
-
-  /// Sharded execution: per-shard pending-request pools are pre-grown to
-  /// this many slots at construction, so remote shards reading pinned write
-  /// records never race pool growth (the slab never moves). Exhausting the
-  /// reserve is a loud contract failure — raise it for extreme in-flight
-  /// request counts.
-  std::uint32_t sharded_slot_reserve = 4096;
 
   /// Hedging / retry / admission knobs (all off by default).
   ResilienceConfig resilience{};
@@ -784,7 +777,7 @@ class Cluster {
   /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// True when shard_count > 1: oracle and observer calls defer to per-shard
-  /// logs, pools are pre-grown, and the serial-only settings are refused.
+  /// logs, and the serial-only settings are refused.
   bool deferred_ = false;
   /// Window barriers seen so far (bumped by the seal); memoized merged
   /// accessors re-merge only when it moved. 0 = setup time.

@@ -22,7 +22,7 @@ class Runner final : public ClientEnv {
   explicit Runner(const RunConfig& cfg)
       : cfg_(cfg),
         sim_(cfg.seed),
-        cluster_(shard_configured(sim_, cfg), sized_cluster_config(cfg)),
+        cluster_(shard_configured(sim_, cfg), cfg.cluster),
         monitor_(cfg.monitor),
         op_rng_(sim_.fork_rng(0x0FAB5EED)),
         request_dist_(cfg.workload.request_dist.build(cfg.workload.record_count)) {
@@ -248,22 +248,6 @@ class Runner final : public ClientEnv {
     LatencyHistogram staleness_age;
     std::map<int, std::uint64_t> read_level_usage;
   };
-
-  /// Sharded slot pools never grow mid-window, so their reserve must cover
-  /// the worst-case in-flight population. The open-loop engine states that
-  /// bound explicitly (max_in_flight_per_dc, one coordinator slot per op,
-  /// doubled for hedge/repair legs); closed-loop runs keep the default.
-  static cluster::ClusterConfig sized_cluster_config(const RunConfig& cfg) {
-    cluster::ClusterConfig c = cfg.cluster;
-    if (cfg.num_shard_threads > 0 && cfg.workload.open_loop.enabled) {
-      const std::uint64_t want =
-          2ull * cfg.workload.open_loop.max_in_flight_per_dc;
-      if (want > c.sharded_slot_reserve) {
-        c.sharded_slot_reserve = static_cast<std::uint32_t>(want);
-      }
-    }
-    return c;
-  }
 
   /// Runs in the constructor's member-init list: shards must be configured
   /// after the Simulation exists but before the Cluster (or anything else)

@@ -140,9 +140,9 @@ struct RunResult {
   std::uint64_t unavailable = 0;
   std::uint64_t read_repairs = 0;
   std::uint64_t sim_events = 0;
-  /// Cross-shard mailbox slab overflows (sharded runs; 0 serial). Nonzero
-  /// means cluster.sharded_slot_reserve-style tuning of
-  /// Simulation::configure_shards mailbox_capacity may help throughput.
+  /// Cross-shard mailbox slab overflows (sharded runs; 0 serial): events
+  /// that went to a mailbox's growable spill vector. No other output
+  /// depends on them.
   std::uint64_t mailbox_spills = 0;
   double total_sim_s = 0;  ///< simulated seconds, including warmup
 

@@ -21,22 +21,30 @@
 //   * the window handoff's park path (a barrier hook or a shard slow enough
 //     to outlast the spin budget) and an 8-shard x 8-thread plan;
 //   * a failed check on any thread, in the barrier hook or in its replay,
-//     surfacing as a catchable CheckError.
+//     surfacing as a catchable CheckError;
+//   * request pools read across shards: a SlotPool grows while another
+//     thread reads records pinned before the growth, and one shard of a
+//     key-range cluster holds thousands of requests in flight.
 //
 // Built as its own binary so CI's TSan job can exercise the window handoff,
-// mailbox hand-off, and fence protocol under the race detector directly.
+// mailbox hand-off, fence protocol and remote pool reads under the race
+// detector directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "alloc_guard.h"
+#include "cluster/cluster.h"
 #include "common/check.h"
+#include "common/slot_pool.h"
 #include "common/time_types.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
@@ -998,5 +1006,167 @@ TEST(ShardSet, CheckFailingInBarrierHookThrowsCheckError) {
   }
 }
 
+// -------------------------------------------- pools read across shards
+
+// The sharded cluster's remote write legs, reduced to the pool: the owner
+// pins records, hands their handles to a reader thread through a
+// release/acquire flag (as a mailbox hands over an event), then acquires and
+// releases its way through six more chunks while the reader get()s the
+// pinned records over and over. The reader's progress counter is relaxed on
+// purpose, so nothing orders its reads before the owner's growth: under
+// TSan, a chunk directory that moves on growth or a plain slot count is a
+// reported race.
+TEST(SlotPool, GrowsWhileAnotherThreadReadsPinnedRecords) {
+  struct Pinned {
+    std::uint64_t key = 0;
+    std::uint64_t value = 0;
+  };
+  SlotPool<Pinned> pool;
+  using Handle = SlotPool<Pinned>::Handle;
+  std::atomic<const std::vector<Handle>*> handoff{nullptr};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> passes{0};
+  std::uint64_t bad_reads = 0;
+
+  std::thread reader([&] {
+    const std::vector<Handle>* pinned = nullptr;
+    while ((pinned = handoff.load(std::memory_order_acquire)) == nullptr) {
+      std::this_thread::yield();
+    }
+    do {
+      for (std::size_t i = 0; i < pinned->size(); ++i) {
+        const Pinned* p = pool.get((*pinned)[i]);
+        if (p == nullptr || p->key != i || p->value != splitmix(i)) {
+          ++bad_reads;
+        }
+      }
+      passes.fetch_add(1, std::memory_order_relaxed);
+    } while (!done.load(std::memory_order_acquire));
+  });
+
+  std::vector<Handle> pinned;
+  for (std::uint64_t i = 0; i < 100; ++i) {  // chunks 0 and 1
+    const auto [h, p] = pool.acquire();
+    p->key = i;
+    p->value = splitmix(i);
+    pinned.push_back(h);
+  }
+  handoff.store(&pinned, std::memory_order_release);
+
+  std::vector<Handle> churn;
+  std::size_t chunk_end = 192;  // first slot past chunk 1
+  for (int chunk = 2; chunk <= 7; ++chunk) {
+    chunk_end += std::size_t{64} << chunk;
+    const std::uint64_t seen = passes.load(std::memory_order_relaxed);
+    while (pool.capacity() < chunk_end) {
+      const auto [h, p] = pool.acquire();
+      p->key = h.slot;
+      churn.push_back(h);
+      if (churn.size() % 3 == 0) {  // recycle some slots on the way
+        pool.release(churn[churn.size() / 2]);
+        churn[churn.size() / 2] = pool.acquire().first;
+      }
+    }
+    // Let the reader finish a pass inside every chunk's growth.
+    while (passes.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(bad_reads, 0u);
+  EXPECT_GE(passes.load(), 6u);
+  EXPECT_EQ(pool.capacity(), chunk_end);
+  for (std::uint64_t i = 0; i < pinned.size(); ++i) {
+    ASSERT_NE(pool.get(pinned[i]), nullptr);
+    EXPECT_EQ(pool.get(pinned[i])->value, splitmix(i));
+  }
+}
+
 }  // namespace
 }  // namespace harmony::sim
+
+namespace harmony::cluster {
+namespace {
+
+/// One DC cut into two key-range shards, the Preload.* shape, with 5-ms
+/// intra-DC hops, so a request at ALL stays in flight for at least 10 ms.
+/// Eight bursts of 1,000 reads or writes, every one homed on shard 0, land
+/// 1 ms apart. Shard 0's pending pool grows through seven chunks to 8,000
+/// live records; the last bursts grow it while shard 1 runs the first
+/// bursts' write legs against those records. Returns a fingerprint of the
+/// results in callback order, which must not depend on the thread count.
+std::uint64_t run_deep_backlog(bool writes, unsigned threads) {
+  constexpr std::uint64_t kBursts = 8;
+  constexpr std::uint64_t kPerBurst = 1000;
+  sim::Simulation sim(6);
+  ClusterConfig cfg;
+  cfg.node_count = 12;
+  cfg.dc_count = 1;
+  cfg.rf = 3;
+  cfg.latency.same_rack.floor = 5 * kMillisecond;
+  cfg.latency.same_dc.floor = 5 * kMillisecond;
+  sim.configure_shards(2, usec(150), threads);
+  Cluster c(sim, cfg);
+  c.preload_range(4096, 128);
+  std::vector<Key> keys;
+  for (Key k = 0; keys.size() < 512; ++k) {
+    if (c.home_shard(k) == 0) keys.push_back(k);
+  }
+
+  struct Tally {
+    std::uint64_t issued = 0;
+    std::uint64_t done = 0;
+    std::uint64_t ok = 0;
+    std::uint64_t peak_in_flight = 0;
+    std::uint64_t fp = sim::kFnvOffset;
+  } t;
+  const ReplicaRequirement all = resolve_count(3, 3);
+  sim.set_setup_shard(0);
+  for (std::uint64_t b = 0; b < kBursts; ++b) {
+    sim.schedule_at(static_cast<SimTime>(b) * kMillisecond,
+                    [&c, &t, &keys, all, writes, b] {
+      for (std::uint64_t i = 0; i < kPerBurst; ++i) {
+        const Key key = keys[(b * kPerBurst + i) % keys.size()];
+        ++t.issued;
+        if (writes) {
+          c.client_write(0, key, 128, all, [&t](const WriteResult& r) {
+            ++t.done;
+            t.ok += r.ok ? 1 : 0;
+            t.fp = sim::mix(t.fp, r.version.seq);
+          });
+        } else {
+          c.client_read(0, key, all, [&t](const ReadResult& r) {
+            ++t.done;
+            t.ok += r.ok ? 1 : 0;
+            t.fp = sim::mix(t.fp, r.version.seq);
+            t.fp = sim::mix(t.fp, r.found ? 1 : 0);
+          });
+        }
+      }
+      t.peak_in_flight = std::max(t.peak_in_flight, t.issued - t.done);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(t.issued, kBursts * kPerBurst);
+  EXPECT_EQ(t.done, t.issued) << "a callback never ran";
+  EXPECT_EQ(t.ok, t.issued);
+  // 4,096: the fixed per-shard pool sharded runs had before pools grew on
+  // demand.
+  EXPECT_GT(t.peak_in_flight, 4096u);
+  return t.fp;
+}
+
+TEST(ShardedCluster, OneShardHoldsOverFourThousandWritesInFlight) {
+  const std::uint64_t fp = run_deep_backlog(/*writes=*/true, 1);
+  EXPECT_EQ(run_deep_backlog(/*writes=*/true, 2), fp);
+}
+
+TEST(ShardedCluster, OneShardHoldsOverFourThousandReadsInFlight) {
+  const std::uint64_t fp = run_deep_backlog(/*writes=*/false, 1);
+  EXPECT_EQ(run_deep_backlog(/*writes=*/false, 2), fp);
+}
+
+}  // namespace
+}  // namespace harmony::cluster

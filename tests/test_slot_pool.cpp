@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -100,6 +101,57 @@ TEST(SlotPool, ChurnRecyclesWithoutAliasing) {
   EXPECT_LE(pool.capacity(), 64u);  // slots were recycled, not leaked
   for (const auto& [h, t] : hist) {
     EXPECT_EQ(pool.get(h), nullptr);  // every historical handle is stale
+  }
+}
+
+// Chunk c holds 64·2^c slots and no chunk ever moves: every record keeps its
+// address and every handle keeps resolving while the pool grows through
+// seven chunks, and slots freed on both sides of each chunk boundary are
+// reused, last freed first, before the pool grows again.
+TEST(SlotPool, GrowthThroughChunksKeepsRecordsInPlace) {
+  SlotPool<Record> pool;
+  constexpr std::uint32_t kSlots = 64 * 127;  // fills chunks 0..6 exactly
+  std::vector<SlotPool<Record>::Handle> handles;
+  std::vector<Record*> records;
+  for (std::uint32_t i = 0; i < kSlots; ++i) {
+    const auto [h, r] = pool.acquire();
+    ASSERT_EQ(h.slot, i);
+    r->tag = static_cast<int>(i);
+    handles.push_back(h);
+    records.push_back(r);
+  }
+  EXPECT_EQ(pool.capacity(), kSlots);
+  for (std::uint32_t i = 0; i < kSlots; ++i) {
+    ASSERT_EQ(pool.get(handles[i]), records[i]) << "slot " << i;
+    EXPECT_EQ(records[i]->tag, static_cast<int>(i));
+  }
+
+  std::vector<std::uint32_t> freed;  // first and last slot of every chunk
+  for (std::uint32_t start = 0, size = 64; start < kSlots;
+       start += size, size *= 2) {
+    freed.push_back(start);
+    freed.push_back(start + size - 1);
+  }
+  for (const std::uint32_t i : freed) pool.release(handles[i]);
+  EXPECT_EQ(pool.live(), kSlots - freed.size());
+  for (auto it = freed.rbegin(); it != freed.rend(); ++it) {
+    const auto [h, r] = pool.acquire();
+    ASSERT_EQ(h.slot, *it);
+    EXPECT_EQ(r, records[*it]);
+    EXPECT_EQ(r->tag, 0);
+    EXPECT_EQ(pool.get(handles[*it]), nullptr);
+    EXPECT_EQ(pool.get(h), r);
+    r->tag = -1;
+  }
+  EXPECT_EQ(pool.capacity(), kSlots);
+
+  const auto [h, r] = pool.acquire();  // free list empty: opens chunk 7
+  EXPECT_EQ(h.slot, kSlots);
+  EXPECT_EQ(pool.capacity(), kSlots + 1);
+  r->tag = 7;
+  for (std::uint32_t i = 0; i < kSlots; ++i) {
+    const bool recycled = std::ranges::find(freed, i) != freed.end();
+    EXPECT_EQ(records[i]->tag, recycled ? -1 : static_cast<int>(i));
   }
 }
 
