@@ -9,8 +9,9 @@
 //   --seed=S     base simulation seed (replicate i runs with seed S+i)
 //   --seeds=N    replicates per table row (default 3); rows report the
 //                across-seed mean ±95% CI
-//   --jobs=M     worker threads for the sweep (default 0 = all cores;
-//                output is byte-identical for any value, incl. --jobs=1)
+//   --jobs=M     worker threads for the sweep (default 0 = every CPU of
+//                the affinity mask; output is byte-identical for any value,
+//                incl. --jobs=1)
 //   --csv        also dump rows as CSV (for plotting)
 // plus the flags the bench names itself, and prints the paper's table plus a
 // paper-vs-measured footer. Any other argument, or a value that does not

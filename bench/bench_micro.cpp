@@ -7,6 +7,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -61,6 +62,20 @@ void BM_ZipfianNext(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zipf.next(rng));
 }
 BENCHMARK(BM_ZipfianNext)->Arg(1000)->Arg(1'000'000);
+
+/// One zipfian distribution built over range(0) ranks: the zeta sum, one
+/// libm pow per rank, that every zipfian run pays at set-up. Wall time: from
+/// 2^16 ranks up the terms are computed on set-up threads (unpinned in
+/// run_micro.sh, or it would time the one-thread path).
+void BM_ZipfianBuild(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    ZipfianKeys zipf(n);
+    benchmark::DoNotOptimize(zipf.pmf(0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_ZipfianBuild)->Arg(100'000)->Arg(2'000'000)->UseRealTime();
 
 void BM_ScrambledZipfianNext(benchmark::State& state) {
   Rng rng(1);
@@ -365,6 +380,33 @@ void BM_ClusterThroughput(benchmark::State& state) {
   state.SetLabel(level == 1 ? "CL=ONE" : "CL=QUORUM");
 }
 BENCHMARK(BM_ClusterThroughput)->Arg(1)->Arg(2);
+
+/// Cluster::preload_range of range(0) keys onto openloop_2m's cluster shape
+/// (12 nodes, 3 DCs, rf 3, 64 vnodes a node): one placement lookup per key
+/// and one bit per replica. The cluster is built and torn down untimed.
+/// Wall time, like BM_ZipfianBuild: from 2^16 keys up the bitmaps are filled
+/// on set-up threads.
+void BM_PreloadRange(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  cluster::ClusterConfig cfg;
+  cfg.node_count = 12;
+  cfg.dc_count = 3;
+  cfg.rf = 3;
+  cfg.vnodes_per_node = 64;
+  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<cluster::Cluster> c;
+  for (auto _ : state) {
+    state.PauseTiming();
+    c.reset();
+    sim = std::make_unique<sim::Simulation>(1);
+    c = std::make_unique<cluster::Cluster>(*sim, cfg);
+    state.ResumeTiming();
+    c->preload_range(n, 1024);
+    benchmark::DoNotOptimize(c->storage_bytes());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_PreloadRange)->Arg(100'000)->Arg(2'000'000)->UseRealTime();
 
 void BM_ClusterOps(benchmark::State& state) {
   // End-to-end simulated read+write pair throughput of the cluster substrate

@@ -24,9 +24,10 @@
 # into <build-dir>/bench_micro_parent.json and
 # <build-dir>/bench_micro_change.json, and diff_micro.py PARENT.json
 # CHANGE.json compares them. Each round pins both binaries to the same
-# single CPU with taskset when it is installed, except for
-# BM_KeyRangeShardedThroughput, the one row that spawns worker threads,
-# which runs in its own unpinned pass. This mode never reads or writes
+# single CPU with taskset when it is installed, except for the rows that
+# spawn worker threads: BM_KeyRangeShardedThroughput, and BM_ZipfianBuild
+# and BM_PreloadRange, whose set-up threads a pinned run would size to one.
+# They run in their own unpinned pass. This mode never reads or writes
 # bench/micro_baseline/.
 set -euo pipefail
 
@@ -65,8 +66,8 @@ if [[ -n "${parent_dir}" ]]; then
   round_dir="$(mktemp -d)"
   trap 'rm -rf "${round_dir}"' EXIT
   # Single-threaded rows run pinned to this shell's last allowed CPU, so
-  # both sides share one core's caches and frequency; the threaded row
-  # runs unpinned. Each pass's filter names exactly the rows the given flags
+  # both sides share one core's caches and frequency; the threaded rows
+  # run unpinned. Each pass's filter names exactly the rows the given flags
   # select (a later --benchmark_filter overrides an earlier one).
   pin=()
   cpus="$(taskset -pc $$ 2>/dev/null | sed 's/.*: *//')" || true
@@ -78,7 +79,8 @@ if [[ -n "${parent_dir}" ]]; then
   threaded_rows=""
   while read -r row; do
     row="$(sed 's/[][\.^$*+?(){}|]/\\&/g' <<<"${row}")"
-    if [[ "${row}" == BM_KeyRangeShardedThroughput/* ]]; then
+    if [[ "${row}" == BM_KeyRangeShardedThroughput/* ||
+          "${row}" == BM_ZipfianBuild/* || "${row}" == BM_PreloadRange/* ]]; then
       threaded_rows+="${threaded_rows:+|}${row}"
     else
       pinned_rows+="${pinned_rows:+|}${row}"

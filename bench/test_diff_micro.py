@@ -19,9 +19,10 @@ not the candidate's host is refused and never replaced, override or not.
 Last, run_micro.sh --parent, on two stub bench_micro programs: its ten
 rounds alternate which side runs first, both sides get the extra flags and
 a 1 s minimum time, single-threaded rows run pinned to one CPU (when
-taskset is installed) while BM_KeyRangeShardedThroughput runs in its own
-unpinned pass, both reports are written with one row per round, a slower
-change fails, and bench/micro_baseline/ is left as it was.
+taskset is installed) while the rows that start threads
+(BM_KeyRangeShardedThroughput, BM_ZipfianBuild, BM_PreloadRange) run in
+their own unpinned pass, both reports are written with one row per round, a
+slower change fails, and bench/micro_baseline/ is left as it was.
 """
 
 from __future__ import annotations
@@ -158,7 +159,9 @@ with open(out, "w") as f:
         "time_unit": "ns", "items_per_second": {ips}}} for r in run]}}, f)
 """
 
-THREADED = "BM_KeyRangeShardedThroughput/4/real_time"
+THREADED = ["BM_KeyRangeShardedThroughput/4/real_time",
+            "BM_ZipfianBuild/2000000/real_time",
+            "BM_PreloadRange/100000/real_time"]
 ROUNDS = 10  # run_micro.sh --parent's alternated rounds
 
 
@@ -220,16 +223,16 @@ def parent_cases(tmp):
     proc, text, order, reports = run_pair("slower", ["BM_A"], 80.0, [])
     out.append(("--parent fails a slower change",
                 proc.returncode == 1 and "REGRESSION" in text, text))
-    proc, text, order, reports = run_pair("threaded", ["BM_A", THREADED],
+    proc, text, order, reports = run_pair("threaded", ["BM_A", *THREADED],
                                           100.0, [])
     want = [line for r in range(ROUNDS) for side in sides(r) for line in (
         f"{side} - ^(BM_A)$ 1s {pinned}",
-        f"{side} - ^(BM_KeyRangeShardedThroughput/4/real_time)$ 1s {free}")]
-    out.append(("--parent runs the threaded row in its own unpinned pass",
+        f"{side} - ^({'|'.join(THREADED)})$ 1s {free}")]
+    out.append(("--parent runs the threaded rows in their own unpinned pass",
                 order == want and proc.returncode == 0 and
                 all(sorted({b["name"] for b in r["benchmarks"]}) ==
-                    ["BM_A", THREADED] and
-                    len(r["benchmarks"]) == 2 * ROUNDS
+                    sorted(["BM_A", *THREADED]) and
+                    len(r["benchmarks"]) == 4 * ROUNDS
                     for r in reports) and len(reports) == 2,
                 text + "\n".join(order)))
     out.append(("--parent never touches bench/micro_baseline/",

@@ -5,6 +5,8 @@
 #include <ranges>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "common/threads.h"
 
 namespace harmony::cluster {
 
@@ -27,6 +29,9 @@ int ClusterConfig::local_rf(net::DcId dc) const {
 namespace {
 /// Every node runs the default NodeParams service model.
 const NodeParams kNodeParams{};
+
+/// Bitmap words a preload thread claims at a time: 16,384 keys.
+constexpr std::uint64_t kPreloadClaimWords = 256;
 
 net::Topology build_topology(const ClusterConfig& cfg) {
   return net::Topology::balanced(cfg.node_count, cfg.dc_count);
@@ -165,15 +170,35 @@ void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   ShardState& st = here();
   const std::uint64_t stride = shards_.size();
   const std::uint64_t seq0 = (st.write_seq + 1) * stride + st.id;
+  const std::uint64_t words = (count + 63) / 64;
   std::vector<PreloadBase> bases(nodes_.size());
   for (PreloadBase& b : bases) {
-    b = {count, seq0, stride, size,
-         std::vector<std::uint64_t>((count + 63) / 64)};
+    b = {count, seq0, stride, size, std::vector<std::uint64_t>(words)};
   }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    for (const net::NodeId r : replicas_for(k)) {
-      bases[r].bits[k >> 6] |= 1ULL << (k & 63);
+  // Claim c sets the bits of the keys in bitmap words [c K, (c+1) K), K =
+  // kPreloadClaimWords: whole words, so claims filled on different threads
+  // never write one word, and every bitmap is the one a serial pass builds.
+  // Serial set-up fills the same claims in order on the calling thread.
+  const std::uint64_t claims =
+      (words + kPreloadClaimWords - 1) / kPreloadClaimWords;
+  const auto fill = [this, count, &bases](std::size_t c) {
+    const std::uint64_t k0 = c * kPreloadClaimWords * 64;
+    const std::uint64_t end = std::min(count, k0 + kPreloadClaimWords * 64);
+    for (std::uint64_t k = k0; k < end; ++k) {
+      for (const net::NodeId r : replicas_for(k)) {
+        bases[r].bits[k >> 6] |= 1ULL << (k & 63);
+      }
     }
+  };
+  const std::uint64_t threads =
+      std::min<std::uint64_t>(setup_threads(count), claims);
+  if (threads > 1) {
+    // Placement is immutable and the bitmaps are sized before any thread
+    // starts; parallel_for's return orders every bit before set_base.
+    ThreadPool pool(threads);
+    pool.parallel_for(claims, fill);
+  } else {
+    for (std::uint64_t c = 0; c < claims; ++c) fill(c);
   }
   st.write_seq += count;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {

@@ -67,15 +67,24 @@ class ZipfianKeys : public KeyDistribution {
   std::unique_ptr<KeyDistribution> clone() const override;
 
   double theta() const { return theta_; }
+  /// zeta(item_count(), theta), the normalizer of pmf().
+  double zeta_n() const { return zeta_n_; }
   /// Probability mass of rank r (for tests): p(r) = (1/(r+1)^theta)/zeta_n.
   double pmf(std::uint64_t rank) const;
+
+  /// `initial` plus the terms 1/(i+1)^theta for i in [from, to), added in
+  /// index order. With threads > 1 the terms are computed on the calling
+  /// thread and a ThreadPool of up to threads - 1 workers, and added on the
+  /// calling thread, so the result is the same double at any thread count.
+  /// Construction and grow() pass
+  /// setup_threads() of the term count (common/threads.h).
+  static double zeta(std::uint64_t from, std::uint64_t to, double theta,
+                     double initial, unsigned threads);
 
  protected:
   std::uint64_t next_rank(Rng& rng);
 
  private:
-  static double zeta(std::uint64_t from, std::uint64_t to, double theta,
-                     double initial);
   void recompute(std::uint64_t n);
 
   std::uint64_t n_;

@@ -4,21 +4,28 @@
 
 #include "common/check.h"
 #include "common/first_error.h"
+#include "common/threads.h"
 
 namespace harmony {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  if (threads == 0) threads = usable_cpus();
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread that cannot start throws std::system_error. Join the ones
+    // that did start: destroying a joinable thread would terminate.
+    stop();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -37,6 +44,7 @@ void ThreadPool::enqueue(std::function<void()> job) {
 }
 
 void ThreadPool::worker_loop() {
+  tls_pool_worker = true;
   for (;;) {
     std::function<void()> job;
     {

@@ -2,7 +2,9 @@
 // parallel_for. Experiment harnesses use it to run *independent* simulations
 // concurrently (policy/level/tolerance grids); the simulations themselves stay
 // single-threaded for determinism, so there is no shared mutable state between
-// tasks (C++ Core Guidelines CP.2: avoid data races by construction).
+// tasks (C++ Core Guidelines CP.2: avoid data races by construction). Set-up
+// loops over large inputs (common/threads.h) start a pool for one call and
+// give each task a disjoint share of the work.
 //
 // Locking discipline is machine-checked: every cross-thread member is
 // GUARDED_BY(mutex_) and every entry point that locks internally is
@@ -25,7 +27,8 @@ namespace harmony {
 
 class ThreadPool {
  public:
-  /// threads == 0 means hardware_concurrency() (at least 1).
+  /// threads == 0 means usable_cpus(): the CPUs of this process's affinity
+  /// mask, so a pool under `taskset -c N` starts one worker.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -51,6 +54,8 @@ class ThreadPool {
  private:
   void enqueue(std::function<void()> job) EXCLUDES(mutex_);
   void worker_loop() EXCLUDES(mutex_);
+  /// Lets the workers drain the queue, then joins them.
+  void stop() EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

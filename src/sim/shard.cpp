@@ -1,12 +1,11 @@
 #include "sim/shard.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <exception>
 #include <limits>
 
 #include "common/first_error.h"
+#include "common/threads.h"
 #include "sim/simulation.h"
 
 namespace harmony::sim {
@@ -25,17 +24,6 @@ constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 /// hook or a descheduled thread, and parks.
 constexpr int kPauseSpins = 512;
 constexpr int kYieldSpins = 64;
-
-/// CPUs this process may run on (its affinity mask where the OS has one).
-unsigned usable_cpus() {
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<unsigned>(CPU_COUNT(&set));
-  }
-#endif
-  return std::max(1u, std::thread::hardware_concurrency());
-}
 
 SimTime saturating_add(SimTime t, SimDuration d) {
   return (t > kNever - d) ? kNever : t + d;

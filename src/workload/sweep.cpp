@@ -122,7 +122,8 @@ std::vector<SweepStats> SweepRunner::run() {
     RunConfig cfg = cells_[flat / seeds];
     cfg.seed += flat % seeds;
     // No nested parallelism: a parallel grid already saturates the pool, so
-    // sharded cells keep their shard layout but run it merged-serial. The
+    // sharded cells keep their shard layout but run it merged-serial, and a
+    // cell's set-up stays serial on its pool worker (setup_threads()). The
     // results are identical by the sharding determinism contract.
     if (parallel_grid && cfg.num_shard_threads > 1) cfg.num_shard_threads = 1;
     sink.put(flat, run_experiment(cfg));

@@ -65,7 +65,8 @@ struct SweepStats {
 struct SweepOptions {
   /// Replicates per cell; replicate i runs with seed = RunConfig::seed + i.
   unsigned seeds = 1;
-  /// Worker threads; 0 = hardware concurrency, 1 = run serially inline.
+  /// Worker threads; 0 = usable_cpus() (the affinity mask), 1 = run
+  /// serially inline.
   std::size_t jobs = 1;
 };
 

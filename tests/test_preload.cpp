@@ -2,8 +2,10 @@
 //
 // Pins the three things the base layer promises: its footprint is one bit
 // per (node, key) rather than a hash-table entry, every replica reads the
-// version the explicit per-key load gave (on every event kernel), and the
-// load is a once-before-traffic contract.
+// version the explicit per-key load gave (on every event kernel, whether
+// the bitmaps were filled on one thread or on set-up threads), and the load
+// is a once-before-traffic contract. Built into the thread-pool suite, which
+// CI also runs under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "alloc_guard.h"
 #include "cluster/cluster.h"
 #include "common/check.h"
+#include "common/threads.h"
 #include "sim/simulation.h"
 
 namespace harmony::cluster {
@@ -59,42 +62,58 @@ TEST(Preload, PreloadAfterAWriteThrows) {
 }
 
 /// Every preloaded key reads {0, (k+1)·S} on exactly its replicas — the
-/// stamp the k-th write issued on shard 0 of an S-shard kernel gets.
-void expect_preload_placement(sim::Simulation& sim, const ClusterConfig& cfg) {
+/// stamp the k-th write issued on shard 0 of an S-shard kernel gets — and
+/// every node's key count is the number of keys it replicates. Stops at
+/// the first wrong key.
+void expect_preload_placement(sim::Simulation& sim, const ClusterConfig& cfg,
+                              std::uint64_t count) {
   Cluster c(sim, cfg);
-  constexpr std::uint64_t kCount = 500;
-  c.preload_range(kCount, 128);
+  c.preload_range(count, 128);
   const std::uint64_t shards = c.shard_count();
-  for (Key k = 0; k < kCount; ++k) {
+  std::vector<std::uint64_t> replicated(cfg.node_count, 0);
+  for (Key k = 0; k < count; ++k) {
     const ReplicaList replicas = c.replicas_for(k);
     for (net::NodeId n = 0; n < cfg.node_count; ++n) {
       const std::optional<VersionedValue> v = c.node(n).store().read(k);
       if (std::ranges::find(replicas, n) == replicas.end()) {
-        EXPECT_FALSE(v.has_value()) << "key " << k << " node " << n;
+        ASSERT_FALSE(v.has_value()) << "key " << k << " node " << n;
         continue;
       }
+      ++replicated[n];
       ASSERT_TRUE(v.has_value()) << "key " << k << " node " << n;
-      EXPECT_EQ(v->version, (Version{0, (k + 1) * shards})) << "key " << k;
-      EXPECT_EQ(v->size_bytes, 128u);
+      ASSERT_EQ(v->version, (Version{0, (k + 1) * shards})) << "key " << k;
+      ASSERT_EQ(v->size_bytes, 128u);
     }
   }
-  EXPECT_FALSE(c.node(0).store().read(kCount).has_value());
+  for (net::NodeId n = 0; n < cfg.node_count; ++n) {
+    EXPECT_EQ(c.node(n).store().key_count(), replicated[n]) << "node " << n;
+  }
+  EXPECT_FALSE(c.node(0).store().read(count).has_value());
 }
 
 TEST(Preload, PlacementAndVersionsOnEveryKernel) {
-  {
-    sim::Simulation sim(4);  // default one-shard kernel
-    expect_preload_placement(sim, three_dc_config());
-  }
-  {
-    sim::Simulation sim(6);  // one DC cut into two key-range shards
-    ClusterConfig cfg = three_dc_config();
-    cfg.dc_count = 1;
-    const SimDuration lookahead = usec(150);
-    cfg.latency.same_rack.floor = lookahead;
-    cfg.latency.same_dc.floor = lookahead;
-    sim.configure_shards(2, lookahead, 1);
-    expect_preload_placement(sim, cfg);
+  // Every count fills claims of 256 bitmap words: 500 keys (one claim) and
+  // 2^16 - 1 (four) in order on the calling thread, and from
+  // kParallelSetupMin keys up on pool workers. 2^16 + 63 keys end in a
+  // 63-key word; 200,003 keys span a dozen claims.
+  for (const std::uint64_t count :
+       {std::uint64_t{500}, kParallelSetupMin - 1, kParallelSetupMin + 63,
+        std::uint64_t{200'003}}) {
+    SCOPED_TRACE(count);
+    {
+      sim::Simulation sim(4);  // default one-shard kernel
+      expect_preload_placement(sim, three_dc_config(), count);
+    }
+    {
+      sim::Simulation sim(6);  // one DC cut into two key-range shards
+      ClusterConfig cfg = three_dc_config();
+      cfg.dc_count = 1;
+      const SimDuration lookahead = usec(150);
+      cfg.latency.same_rack.floor = lookahead;
+      cfg.latency.same_dc.floor = lookahead;
+      sim.configure_shards(2, lookahead, 1);
+      expect_preload_placement(sim, cfg, count);
+    }
   }
 }
 

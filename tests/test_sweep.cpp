@@ -183,6 +183,27 @@ TEST(Sweep, ShardedCellsClampToSerialUnderParallelGrid) {
   EXPECT_DOUBLE_EQ(a[0].runs[0].throughput, direct.throughput);
 }
 
+TEST(Sweep, LargeCellsMatchWithAndWithoutSetUpThreads) {
+  // At 100,000 records a cell's zeta sum and preload fill run on set-up
+  // threads when the cell runs on the calling thread (jobs=1) and stay
+  // serial on a pool worker (jobs=2). The results must not differ.
+  const auto grid = [](std::size_t jobs) {
+    SweepOptions opts;
+    opts.seeds = 1;
+    opts.jobs = jobs;
+    SweepRunner runner(opts);
+    for (const cluster::Level level :
+         {cluster::Level::kOne, cluster::Level::kQuorum}) {
+      RunConfig cell = small_run(1000);
+      cell.workload.record_count = 100'000;
+      cell.policy = core::static_level(level);
+      runner.add(cell);
+    }
+    return runner.run();
+  };
+  EXPECT_EQ(fingerprint(grid(1)), fingerprint(grid(2)));
+}
+
 TEST(Sweep, RequiresPolicy) {
   SweepRunner runner;
   RunConfig cfg = small_run();

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <stdexcept>
@@ -56,6 +57,24 @@ TEST(ThreadPool, ParallelForRethrows) {
 TEST(ThreadPool, ThreadCountDefaultsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
+}
+
+TEST(ThreadPool, ZeroThreadsSizesFromTheAffinityMask) {
+  // Pinned to one CPU, the way run_micro.sh pins with taskset, a default
+  // pool starts one worker however many CPUs are online.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool(0).thread_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ThreadPool(0).thread_count(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(ThreadPool, ParallelForFirstExceptionWins) {
