@@ -381,33 +381,6 @@ void BM_ClusterThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterThroughput)->Arg(1)->Arg(2);
 
-/// Cluster::preload_range of range(0) keys onto openloop_2m's cluster shape
-/// (12 nodes, 3 DCs, rf 3, 64 vnodes a node): one placement lookup per key
-/// and one bit per replica. The cluster is built and torn down untimed.
-/// Wall time, like BM_ZipfianBuild: from 2^16 keys up the bitmaps are filled
-/// on set-up threads.
-void BM_PreloadRange(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  cluster::ClusterConfig cfg;
-  cfg.node_count = 12;
-  cfg.dc_count = 3;
-  cfg.rf = 3;
-  cfg.vnodes_per_node = 64;
-  std::unique_ptr<sim::Simulation> sim;
-  std::unique_ptr<cluster::Cluster> c;
-  for (auto _ : state) {
-    state.PauseTiming();
-    c.reset();
-    sim = std::make_unique<sim::Simulation>(1);
-    c = std::make_unique<cluster::Cluster>(*sim, cfg);
-    state.ResumeTiming();
-    c->preload_range(n, 1024);
-    benchmark::DoNotOptimize(c->storage_bytes());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_PreloadRange)->Arg(100'000)->Arg(2'000'000)->UseRealTime();
-
 void BM_ClusterOps(benchmark::State& state) {
   // End-to-end simulated read+write pair throughput of the cluster substrate
   // (how many simulated ops one real second of benching covers).

@@ -25,9 +25,9 @@
 # <build-dir>/bench_micro_change.json, and diff_micro.py PARENT.json
 # CHANGE.json compares them. Each round pins both binaries to the same
 # single CPU with taskset when it is installed, except for the rows that
-# spawn worker threads: BM_KeyRangeShardedThroughput, and BM_ZipfianBuild
-# and BM_PreloadRange, whose set-up threads a pinned run would size to one.
-# They run in their own unpinned pass. This mode never reads or writes
+# spawn worker threads: BM_KeyRangeShardedThroughput, and BM_ZipfianBuild,
+# whose set-up threads a pinned run would size to one. They run in their
+# own unpinned pass. This mode never reads or writes
 # bench/micro_baseline/.
 set -euo pipefail
 
@@ -80,7 +80,7 @@ if [[ -n "${parent_dir}" ]]; then
   while read -r row; do
     row="$(sed 's/[][\.^$*+?(){}|]/\\&/g' <<<"${row}")"
     if [[ "${row}" == BM_KeyRangeShardedThroughput/* ||
-          "${row}" == BM_ZipfianBuild/* || "${row}" == BM_PreloadRange/* ]]; then
+          "${row}" == BM_ZipfianBuild/* ]]; then
       threaded_rows+="${threaded_rows:+|}${row}"
     else
       pinned_rows+="${pinned_rows:+|}${row}"

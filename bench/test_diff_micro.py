@@ -20,9 +20,9 @@ Last, run_micro.sh --parent, on two stub bench_micro programs: its ten
 rounds alternate which side runs first, both sides get the extra flags and
 a 1 s minimum time, single-threaded rows run pinned to one CPU (when
 taskset is installed) while the rows that start threads
-(BM_KeyRangeShardedThroughput, BM_ZipfianBuild, BM_PreloadRange) run in
-their own unpinned pass, both reports are written with one row per round, a
-slower change fails, and bench/micro_baseline/ is left as it was.
+(BM_KeyRangeShardedThroughput, BM_ZipfianBuild) run in their own unpinned
+pass, both reports are written with one row per round, a slower change
+fails, and bench/micro_baseline/ is left as it was.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ with open(out, "w") as f:
 """
 
 THREADED = ["BM_KeyRangeShardedThroughput/4/real_time",
-            "BM_ZipfianBuild/2000000/real_time",
-            "BM_PreloadRange/100000/real_time"]
+            "BM_ZipfianBuild/2000000/real_time"]
 ROUNDS = 10  # run_micro.sh --parent's alternated rounds
 
 
@@ -232,7 +231,7 @@ def parent_cases(tmp):
                 order == want and proc.returncode == 0 and
                 all(sorted({b["name"] for b in r["benchmarks"]}) ==
                     sorted(["BM_A", *THREADED]) and
-                    len(r["benchmarks"]) == 4 * ROUNDS
+                    len(r["benchmarks"]) == (1 + len(THREADED)) * ROUNDS
                     for r in reports) and len(reports) == 2,
                 text + "\n".join(order)))
     out.append(("--parent never touches bench/micro_baseline/",

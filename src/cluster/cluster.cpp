@@ -5,8 +5,6 @@
 #include <ranges>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "common/threads.h"
 
 namespace harmony::cluster {
 
@@ -29,9 +27,6 @@ int ClusterConfig::local_rf(net::DcId dc) const {
 namespace {
 /// Every node runs the default NodeParams service model.
 const NodeParams kNodeParams{};
-
-/// Bitmap words a preload thread claims at a time: 16,384 keys.
-constexpr std::uint64_t kPreloadClaimWords = 256;
 
 net::Topology build_topology(const ClusterConfig& cfg) {
   return net::Topology::balanced(cfg.node_count, cfg.dc_count);
@@ -130,6 +125,10 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   placement_.resize(ring_.vnode_count());
   for (std::size_t a = 0; a < placement_.size(); ++a) {
     ring_.replicas_at(a, rf_per_dc_, placement_[a]);
+    // preload_range's closed-form bytes count rf replicas per key.
+    HARMONY_CHECK_MSG(
+        placement_[a].size() == static_cast<std::size_t>(cfg_.rf),
+        "an arc's replica list is not rf long");
   }
   nodes_.reserve(cfg_.node_count);
   for (std::size_t i = 0; i < cfg_.node_count; ++i) {
@@ -161,7 +160,7 @@ Node& Cluster::node(net::NodeId id) {
 
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   for (const auto& n : nodes_) {
-    HARMONY_CHECK_MSG(n->store().key_count() == 0,
+    HARMONY_CHECK_MSG(n->store().empty(),
                       "preload_range loads the dataset once, before any "
                       "write: a store already holds keys");
   }
@@ -169,41 +168,13 @@ void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   // would get (++write_seq * shards + id, as client writes), in closed form.
   ShardState& st = here();
   const std::uint64_t stride = shards_.size();
-  const std::uint64_t seq0 = (st.write_seq + 1) * stride + st.id;
-  const std::uint64_t words = (count + 63) / 64;
-  std::vector<PreloadBase> bases(nodes_.size());
-  for (PreloadBase& b : bases) {
-    b = {count, seq0, stride, size, std::vector<std::uint64_t>(words)};
-  }
-  // Claim c sets the bits of the keys in bitmap words [c K, (c+1) K), K =
-  // kPreloadClaimWords: whole words, so claims filled on different threads
-  // never write one word, and every bitmap is the one a serial pass builds.
-  // Serial set-up fills the same claims in order on the calling thread.
-  const std::uint64_t claims =
-      (words + kPreloadClaimWords - 1) / kPreloadClaimWords;
-  const auto fill = [this, count, &bases](std::size_t c) {
-    const std::uint64_t k0 = c * kPreloadClaimWords * 64;
-    const std::uint64_t end = std::min(count, k0 + kPreloadClaimWords * 64);
-    for (std::uint64_t k = k0; k < end; ++k) {
-      for (const net::NodeId r : replicas_for(k)) {
-        bases[r].bits[k >> 6] |= 1ULL << (k & 63);
-      }
-    }
-  };
-  const std::uint64_t threads =
-      std::min<std::uint64_t>(setup_threads(count), claims);
-  if (threads > 1) {
-    // Placement is immutable and the bitmaps are sized before any thread
-    // starts; parallel_for's return orders every bit before set_base.
-    ThreadPool pool(threads);
-    pool.parallel_for(claims, fill);
-  } else {
-    for (std::uint64_t c = 0; c < claims; ++c) fill(c);
-  }
+  const PreloadBase base{count, (st.write_seq + 1) * stride + st.id, stride,
+                         size};
   st.write_seq += count;
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    nodes_[n]->store().set_base(std::move(bases[n]));
-  }
+  // Every node takes the whole range: a store is asked only about keys its
+  // node replicates, so it holds exactly those. Each key has rf replicas.
+  for (const auto& n : nodes_) n->store().set_base(base);
+  preload_bytes_ = count * static_cast<std::uint64_t>(cfg_.rf) * size;
 }
 
 // ------------------------------------------------------------ link helpers
@@ -1622,7 +1593,7 @@ std::size_t Cluster::alive_count() const {
 // ------------------------------------------------------------ accounting
 
 std::uint64_t Cluster::storage_bytes() const {
-  std::uint64_t total = 0;
+  std::uint64_t total = preload_bytes_;
   for (const auto& n : nodes_) total += n->store().stored_bytes();
   return total;
 }

@@ -285,10 +285,12 @@ class Cluster {
   /// Instantly install keys [0, count) of `size` bytes on their replicas
   /// (dataset load; bypasses messaging and the oracle). Key k reads as
   /// version {0, seq0 + k * S} with S = shard_count() and seq0 the stamp
-  /// the next write issued here would get; the store holds it as a bitmap
-  /// base until a write reaches it (ReplicaStore). Contract: call at most
-  /// once, before any traffic — a CheckError if any store already holds a
-  /// key (a second preload, or one after a completed write).
+  /// the next write issued here would get. O(nodes): every store takes the
+  /// same four-word base, and since the cluster asks a store only about
+  /// keys its node replicates (replicas_for), each replica holds exactly
+  /// its keys until a write copies one up (ReplicaStore). Contract: call at
+  /// most once, before any traffic — a CheckError if any store already
+  /// holds a key (a second preload, or one after a completed write).
   void preload_range(std::uint64_t count, std::uint32_t size);
 
   /// Sentinel origin: the client is homed in the DC it contacts.
@@ -363,6 +365,8 @@ class Cluster {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
+  /// Bytes every replica holds: the preload's count · rf · size plus what
+  /// each store holds beyond its base.
   std::uint64_t storage_bytes() const;
   /// Replica-level storage operations served (reads+digests+writes).
   std::uint64_t replica_ops() const { return sum(&ShardState::replica_ops); }
@@ -773,6 +777,8 @@ class Cluster {
   /// TokenRing::arc_of), one NTS walk per arc at construction. Immutable, so
   /// every shard reads it without synchronization.
   std::vector<ReplicaList> placement_;
+  /// count · rf · size of preload_range: the bytes the stores' bases hold.
+  std::uint64_t preload_bytes_ = 0;
 
   /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -1,7 +1,5 @@
 #include "cluster/replica_store.h"
 
-#include <bit>
-
 #include "common/check.h"
 
 namespace harmony::cluster {
@@ -18,7 +16,7 @@ bool ReplicaStore::apply(Key key, const VersionedValue& value) {
     // First write to a preloaded key: copy the base version up, then
     // reconcile against it like any stored version.
     *stored = base_.value(key);
-    --base_unwritten_;
+    ++base_copies_;
   }
   if (value.version.newer_than(stored->version)) {
     stored_bytes_ += value.size_bytes;
@@ -39,22 +37,16 @@ std::optional<VersionedValue> ReplicaStore::read(Key key) const {
   return std::nullopt;
 }
 
-void ReplicaStore::set_base(PreloadBase base) {
-  HARMONY_CHECK_MSG(base_.count == 0 && table_.empty(),
+void ReplicaStore::set_base(const PreloadBase& base) {
+  HARMONY_CHECK_MSG(empty(),
                     "a replica store takes its preload base once, empty");
-  HARMONY_CHECK(base.bits.size() == (base.count + 63) / 64);
-  std::uint64_t keys = 0;
-  for (const std::uint64_t w : base.bits) keys += std::popcount(w);
-  base_ = std::move(base);
-  base_unwritten_ = keys;
-  stored_bytes_ += keys * base_.size;
-  writes_applied_ += keys;
+  base_ = base;
 }
 
 void ReplicaStore::clear() {
   table_.clear();
   base_ = PreloadBase{};
-  base_unwritten_ = 0;
+  base_copies_ = 0;
   stored_bytes_ = 0;
   reads_ = 0;
   writes_applied_ = 0;

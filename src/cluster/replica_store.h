@@ -10,36 +10,34 @@
 //     load, never-erase) holding every key a write, repair or hint has
 //     reached — no per-insert allocation between growth doublings;
 //   * a read-only preload base (PreloadBase): the dataset loaded before
-//     traffic, one bit per key this node replicates plus the closed-form
-//     version the load gave it. A base key is copied into the table the
-//     first time a write reaches it (copy-on-write), so the table holds only
-//     the keys the run writes: 2M records on 12 nodes at rf 3 cost 250 KB
-//     of bitmap per node instead of a 64 MiB table.
-// Counters treat base keys exactly as if each had been applied as a write,
-// so key_count(), stored_bytes() and the bill are the same either way.
+//     traffic, four words whatever its key count. A base key is copied into
+//     the table the first time a write reaches it (copy-on-write), so the
+//     table holds only the keys the run writes.
+// The base knows no placement: it holds every key below its count. A store
+// is asked only about keys its node replicates (every Cluster read, write,
+// repair and hint targets replicas_for(key)), so that is exact wherever it
+// is asked (docs/INVARIANTS.md, "Immutable placement and the preload
+// base"). The counters count only what a store holds beyond its base; the
+// base's own bytes are Cluster::storage_bytes()'s closed form.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "cluster/versioned_value.h"
 #include "common/flat_table.h"
 
 namespace harmony::cluster {
 
-/// The preloaded dataset as one node holds it. Key k is in the base iff
-/// k < count and bit k is set; its value is {{0, seq0 + k * stride}, size}.
+/// The preloaded dataset as a replica holds it: every key below count, key
+/// k at {{0, seq0 + k * stride}, size}.
 struct PreloadBase {
   std::uint64_t count = 0;
   std::uint64_t seq0 = 0;
   std::uint64_t stride = 0;
   std::uint32_t size = 0;
-  std::vector<std::uint64_t> bits;  ///< ceil(count / 64) words
 
-  bool contains(Key key) const {
-    return key < count && ((bits[key >> 6] >> (key & 63)) & 1) != 0;
-  }
+  bool contains(Key key) const { return key < count; }
   VersionedValue value(Key key) const {
     return {Version{0, seq0 + key * stride}, size};
   }
@@ -52,10 +50,17 @@ class ReplicaStore {
 
   std::optional<VersionedValue> read(Key key) const;
 
-  /// Install the preload base. The store must be empty (no base, no key).
-  void set_base(PreloadBase base);
+  /// Install the preload base. The store must be empty().
+  void set_base(const PreloadBase& base);
 
-  std::size_t key_count() const { return table_.size() + base_unwritten_; }
+  /// No base and no written key.
+  bool empty() const { return base_.count == 0 && table_.empty(); }
+
+  /// Keys held beyond the base: written keys at or above its count.
+  std::size_t key_count() const { return table_.size() - base_copies_; }
+  /// Bytes held beyond the base: those keys' values, plus each written base
+  /// key's size change, modulo 2^64 (a write that shrinks a base key takes
+  /// bytes off).
   std::uint64_t stored_bytes() const { return stored_bytes_; }
 
   std::uint64_t reads() const { return reads_; }
@@ -72,7 +77,7 @@ class ReplicaStore {
   std::uint64_t writes_applied_ = 0;
   std::uint64_t writes_superseded_ = 0;
   PreloadBase base_;
-  std::uint64_t base_unwritten_ = 0;  ///< base keys not yet in table_
+  std::uint64_t base_copies_ = 0;  ///< base keys copied into table_
 };
 
 }  // namespace harmony::cluster

@@ -28,8 +28,8 @@
 // in eight stays empty and every probe ends. Values are small plain structs,
 // copied on growth; they must be cheap to default-construct (empty slots
 // hold one). There is no bulk reserve: tables only grow by doubling as keys
-// arrive (a preloaded dataset lives in ReplicaStore's bitmap base, not
-// here).
+// arrive (a preloaded dataset lives in ReplicaStore's closed-form base,
+// not here).
 #pragma once
 
 #include <bit>

@@ -1,8 +1,7 @@
-// How many threads this process may use, and how many the set-up loops over
-// large inputs start: ZipfianKeys::zeta's term sum and
-// Cluster::preload_range's bitmap fill, the two O(keys) loops before a
-// run's first event. Both run their threads on a ThreadPool and give the
-// bytes of their serial loop at any thread count (docs/INVARIANTS.md,
+// How many threads this process may use, and how many the set-up loop over
+// a large input starts: ZipfianKeys::zeta's term sum, the one O(keys) loop
+// before a run's first event. It runs its threads on a ThreadPool and gives
+// the bytes of its serial loop at any thread count (docs/INVARIANTS.md,
 // "Cross-thread structures").
 #pragma once
 
@@ -15,9 +14,9 @@ namespace harmony {
 /// ThreadPool(0), the sharded executor's spin choice and setup_threads().
 unsigned usable_cpus();
 
-/// Inputs (keys, zeta terms) below which a set-up loop stays serial: a
-/// loop this short takes about a millisecond, so starting threads would
-/// save little, and it reads no CPU count.
+/// Zeta terms below which the set-up sum stays serial: a loop this short
+/// takes about a millisecond, so starting threads would save little, and it
+/// reads no CPU count.
 inline constexpr std::uint64_t kParallelSetupMin = std::uint64_t{1} << 16;
 
 /// True on a ThreadPool worker (its worker loop sets it). A parallel sweep

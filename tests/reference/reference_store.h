@@ -4,14 +4,14 @@
 // Models the store before it had a preload base: an ordered map that loads
 // every preloaded key as an explicit last-write-wins apply of its
 // closed-form version {0, seq0 + k * stride}. The harness drives both stores
-// through the same schedule and demands identical reads, apply results and
-// counters — the copy-on-write base must be unobservable.
+// through the same schedule and demands identical reads and apply results,
+// and counters that differ by exactly the base (the store counts only what
+// it holds beyond it) — the copy-on-write base must be unobservable.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "cluster/versioned_value.h"
 
@@ -20,11 +20,11 @@ namespace harmony::testing {
 class ReferenceStore {
  public:
   /// Explicitly apply {0, seq0 + k * stride} of `size` bytes for every
-  /// k < member.size() with member[k] set.
-  void load(std::uint64_t seq0, std::uint64_t stride, std::uint32_t size,
-            const std::vector<bool>& member) {
-    for (std::uint64_t k = 0; k < member.size(); ++k) {
-      if (member[k]) apply(k, {cluster::Version{0, seq0 + k * stride}, size});
+  /// k < count.
+  void load(std::uint64_t count, std::uint64_t seq0, std::uint64_t stride,
+            std::uint32_t size) {
+    for (std::uint64_t k = 0; k < count; ++k) {
+      apply(k, {cluster::Version{0, seq0 + k * stride}, size});
     }
   }
 

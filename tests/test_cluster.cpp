@@ -308,9 +308,9 @@ TEST(Cluster, DeterministicAcrossRuns) {
 
 TEST(Cluster, PlacementSurvivesMembershipChanges) {
   // Placement is a pure function of key, ring and rf — liveness is not an
-  // input — so the placement table is built once and the preload base
-  // bitmaps never go stale: 1,000 keys' replica sets survive a kill and the
-  // revive.
+  // input — so the placement table is built once and the preload base's
+  // routing contract survives faults: 1,000 keys' replica sets survive a
+  // kill and the revive.
   sim::Simulation sim(5);
   Cluster c(sim, small_config());
   constexpr Key kKeys = 1000;

@@ -3,7 +3,7 @@
 // After warm-up (event-queue slab, pending-request slot pools, oracle key
 // table and commit log, replica-store tables all grown — a store's table is
 // allocated and grown by the warm-up writes that copy preloaded keys out of
-// its bitmap base, not by the preload), a closed loop of client reads and
+// its preload base, not by the preload), a closed loop of client reads and
 // writes — schedule, route, replica service, commit, staleness judgement,
 // completion — must touch the heap exactly zero times, at CL=ONE and at
 // CL=QUORUM. This is the contract that lets the sweep runner push millions of

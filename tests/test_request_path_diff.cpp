@@ -20,8 +20,8 @@
 //     through stale handles of recycled slots, against a unique-id map;
 //   * preload-base schedules — a replica store with a random copy-on-write
 //     preload base against a map that loaded every base key explicitly:
-//     ties and near-ties with base versions, unset bits, keys past the
-//     base, clears, and enough written keys to grow the store's table;
+//     ties and near-ties with base versions, keys past the base, clears,
+//     and enough written keys to grow the store's table;
 //   * flat-table schedules — common/flat_table.h against std::unordered_map
 //     through several doublings, checked at each 7/8-load boundary and one
 //     key past it: dense, random and hash-colliding keys, 0 and ~0, values
@@ -706,6 +706,7 @@ void run_store_schedule(std::uint64_t seed, std::size_t& most_written) {
   std::uint64_t count = 0;
   std::uint64_t seq0 = 0;
   std::uint64_t stride = 1;
+  std::uint32_t size = 0;
   // A quarter of the schedules write a few thousand keys over a wider
   // range, clearing rarely, so the store's table grows past its first 1,024
   // slots (896 keys at 7/8 load) and again.
@@ -714,31 +715,28 @@ void run_store_schedule(std::uint64_t seed, std::size_t& most_written) {
   const double clear_below = wide ? 0.9995 : 0.98;
   std::unordered_set<cluster::Key> written;
 
-  // A random base: the store gets the bitmap, the reference applies every
-  // member key explicitly. seq0 has the preload's (w0 + 1) * S + id shape.
+  // A random base of every key below count: the store gets the closed
+  // form, the reference applies each key explicitly. seq0 has the
+  // preload's (w0 + 1) * S + id shape.
   auto install_base = [&] {
     count = rng.uniform_u64(wide ? 4001 : 301);
     stride = 1 + rng.uniform_u64(4);
     seq0 = (1 + rng.uniform_u64(64)) * stride + rng.uniform_u64(stride);
-    const auto size = static_cast<std::uint32_t>(1 + rng.uniform_u64(1024));
-    const double density = rng.uniform();
-    std::vector<bool> member(count);
-    cluster::PreloadBase base{count, seq0, stride, size,
-                              std::vector<std::uint64_t>((count + 63) / 64)};
-    for (std::uint64_t k = 0; k < count; ++k) {
-      if (!rng.chance(density)) continue;
-      member[k] = true;
-      base.bits[k >> 6] |= 1ULL << (k & 63);
-    }
-    prod.set_base(std::move(base));
-    ref.load(seq0, stride, size, member);
+    size = static_cast<std::uint32_t>(1 + rng.uniform_u64(1024));
+    prod.set_base({count, seq0, stride, size});
+    ref.load(count, seq0, stride, size);
   };
 
+  // The store counts only what it holds beyond its base, so the reference's
+  // counters are the store's plus the base's count keys of size bytes each,
+  // every one an applied write.
   auto expect_same_counters = [&] {
-    EXPECT_EQ(prod.key_count(), ref.key_count()) << "seed " << seed;
-    EXPECT_EQ(prod.stored_bytes(), ref.stored_bytes()) << "seed " << seed;
+    EXPECT_EQ(prod.key_count() + count, ref.key_count()) << "seed " << seed;
+    EXPECT_EQ(prod.stored_bytes() + count * size, ref.stored_bytes())
+        << "seed " << seed;
     EXPECT_EQ(prod.reads(), ref.reads()) << "seed " << seed;
-    EXPECT_EQ(prod.writes_applied(), ref.writes_applied()) << "seed " << seed;
+    EXPECT_EQ(prod.writes_applied() + count, ref.writes_applied())
+        << "seed " << seed;
     EXPECT_EQ(prod.writes_superseded(), ref.writes_superseded())
         << "seed " << seed;
   };

@@ -53,23 +53,32 @@ TEST(ReplicaStore, ClearResets) {
 
 TEST(ReplicaStore, PreloadBaseReadsAndCopiesOnWrite) {
   ReplicaStore s;
-  // Keys 0 and 2 of 3 are preloaded: versions {0, 10 + 4k}, 50 bytes.
-  s.set_base({3, 10, 4, 50, {0b101}});
-  EXPECT_EQ(s.key_count(), 2u);
-  EXPECT_EQ(s.stored_bytes(), 100u);
-  EXPECT_EQ(s.writes_applied(), 2u);
-  ASSERT_TRUE(s.read(2).has_value());
+  // Keys 0..2 are preloaded: versions {0, 10 + 4k}, 50 bytes. The counters
+  // count only what the store holds beyond its base.
+  s.set_base({3, 10, 4, 50});
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.key_count(), 0u);
+  EXPECT_EQ(s.stored_bytes(), 0u);
+  EXPECT_EQ(s.writes_applied(), 0u);
+  ASSERT_TRUE(s.read(1).has_value());
   EXPECT_EQ(s.read(2)->version, (Version{0, 18}));
-  EXPECT_FALSE(s.read(1).has_value());  // bit unset
+  EXPECT_EQ(s.read(2)->size_bytes, 50u);
   EXPECT_FALSE(s.read(3).has_value());  // past count
   EXPECT_FALSE(s.apply(2, {{0, 17}, 9}));  // older than the base version
   EXPECT_EQ(s.writes_superseded(), 1u);
+  EXPECT_EQ(s.read(2)->version, (Version{0, 18}));
   EXPECT_TRUE(s.apply(0, {{1, 1}, 70}));  // newer: replaces 50 bytes
-  EXPECT_EQ(s.stored_bytes(), 120u);
-  EXPECT_EQ(s.key_count(), 2u);
-  EXPECT_THROW(s.set_base({3, 10, 4, 50, {0b101}}), CheckError);
+  EXPECT_EQ(s.stored_bytes(), 20u);
+  EXPECT_TRUE(s.apply(1, {{1, 1}, 30}));  // 30 over 50 bytes: 20 off
+  EXPECT_EQ(s.stored_bytes(), 0u);
+  EXPECT_EQ(s.key_count(), 0u);  // keys 0 and 1 are still base keys
+  EXPECT_TRUE(s.apply(5, {{1, 1}, 40}));
+  EXPECT_EQ(s.key_count(), 1u);
+  EXPECT_EQ(s.stored_bytes(), 40u);
+  EXPECT_EQ(s.writes_applied(), 3u);
+  EXPECT_THROW(s.set_base({3, 10, 4, 50}), CheckError);
   s.clear();
-  EXPECT_EQ(s.key_count(), 0u);
+  EXPECT_TRUE(s.empty());
   EXPECT_FALSE(s.read(2).has_value());
 }
 

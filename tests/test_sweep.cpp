@@ -184,9 +184,9 @@ TEST(Sweep, ShardedCellsClampToSerialUnderParallelGrid) {
 }
 
 TEST(Sweep, LargeCellsMatchWithAndWithoutSetUpThreads) {
-  // At 100,000 records a cell's zeta sum and preload fill run on set-up
-  // threads when the cell runs on the calling thread (jobs=1) and stay
-  // serial on a pool worker (jobs=2). The results must not differ.
+  // At 100,000 records a cell's zeta sum runs on set-up threads when the
+  // cell runs on the calling thread (jobs=1) and stays serial on a pool
+  // worker (jobs=2). The results must not differ.
   const auto grid = [](std::size_t jobs) {
     SweepOptions opts;
     opts.seeds = 1;
