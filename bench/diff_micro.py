@@ -2,14 +2,14 @@
 """Compare google-benchmark JSON reports and fail on regressions.
 
 Usage:
-    bench/diff_micro.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-    bench/diff_micro.py --baseline-dir DIR CANDIDATE.json [--threshold 0.10]
+    bench/diff_micro.py PARENT.json CHANGE.json [--threshold 0.10]
 
-Both reports should hold several repetitions per benchmark
-(bench/run_micro.sh runs --benchmark_repetitions=5). The per-repetition
-rows are grouped by run_name, and each benchmark is compared on
-items_per_second (falling back to cpu_time, where lower is better), the way
-google-benchmark's tools/compare.py does:
+bench/run_micro.sh --parent writes both reports: one row per benchmark per
+round, ten alternated rounds per side. The per-repetition rows are grouped
+by run_name, and each benchmark is compared on items_per_second (falling
+back to cpu_time, where lower is better), the way google-benchmark's
+tools/compare.py does. PARENT.json is the baseline, CHANGE.json the
+candidate:
 
   * REGRESSION: the candidate's median is worse than the baseline's median
     by more than --threshold (default 10%).
@@ -19,6 +19,7 @@ google-benchmark's tools/compare.py does:
     but does not fail.
   * (new): a benchmark only the candidate has. Its median is printed with
     nothing to compare it to; it never fails.
+  * a benchmark only the baseline has (dropped from the candidate) fails.
 
 Beside each shared row's verdict it prints the paired ratio: the k-th
 repetition of a row in one report is paired with the k-th in the other
@@ -36,33 +37,14 @@ numbers differ for reasons that have nothing to do with the code. So the
 script first compares the two reports' host context (CPU model, CPU count,
 MHz per CPU, cache sizes); on a mismatch it prints both contexts and exits 2
 without comparing a single number. Exit codes: 0 no regression, 1
-regression (or a tracked benchmark dropped), 2 baseline from another host.
-
-With --baseline-dir (what bench/run_micro.sh runs), DIR holds one baseline
-per host, named by its host key: the CPU model (the `cpu_model` context
-field run_micro.sh adds), CPUs, MHz and cache sizes, e.g.
-`amd-epyc-4cpu-3295mhz-l1d48k-l1i32k-l2u1024k-l3u32768k.json`. The
-candidate is gated against its own host's file, and that file alone is
-ever written:
-
-  * no file for the host yet: the candidate becomes its first baseline;
-  * no regression: the candidate replaces the host's baseline;
-  * regression: the baseline stays and the exit code is 1, unless
-    HARMONY_BENCH_ALLOW_REGRESSION=1 accepts this same-host trade (say why
-    in the PR), which replaces it;
-  * the file's context differs from the candidate's (a file renamed or
-    copied by hand): exit 2, and the file is never replaced.
+regression (or a tracked benchmark dropped), 2 reports from two hosts.
 """
 
 import argparse
 import json
-import os
 import random
-import re
-import shutil
 import statistics
 import sys
-from pathlib import Path
 
 
 # The parts of google-benchmark's context block that identify the host.
@@ -79,17 +61,6 @@ def host_context(report):
     caches = sorted((c.get("type"), c.get("level"), c.get("size"))
                     for c in ctx.get("caches", []))
     return {**{k: ctx.get(k) for k in HOST_KEYS}, "caches": caches}
-
-
-def host_key(host):
-    """Baseline file stem of a host_context(), e.g.
-    amd-epyc-4cpu-3295mhz-l1d48k-l1i32k-l2u1024k-l3u32768k."""
-    model = re.sub(r"[^a-z0-9]+", "-",
-                   str(host["cpu_model"] or "unknown").lower()).strip("-")
-    caches = "-".join(f"l{level}{str(kind)[:1].lower()}{size // 1024}k"
-                      for kind, level, size in host["caches"])
-    return (f"{model}-{host['num_cpus']}cpu-{host['mhz_per_cpu']}mhz-"
-            f"{caches}")
 
 
 def metric(row):
@@ -197,8 +168,7 @@ def compare(base_report, cand_report, threshold):
 
     only_base = sorted(set(base) - set(cand))
     if only_base:
-        # Losing a tracked benchmark entirely is worse than a slowdown: fail
-        # (renames/removals take the same explicit override as regressions).
+        # Losing a tracked benchmark entirely is worse than a slowdown: fail.
         print(f"diff_micro: benchmark(s) dropped from candidate: "
               f"{', '.join(only_base)}", file=sys.stderr)
         regressions.extend((name, -1.0) for name in only_base)
@@ -218,47 +188,13 @@ def compare(base_report, cand_report, threshold):
     return 0
 
 
-def gate(baseline_dir, candidate_path, threshold):
-    """Gate a report against its host's baseline in baseline_dir; replace
-    that baseline only as the module docstring says."""
-    cand = read(candidate_path)
-    key = host_key(host_context(cand))
-    baseline = Path(baseline_dir) / f"{key}.json"
-    if not baseline.exists():
-        baseline.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(candidate_path, baseline)
-        print(f"diff_micro: no baseline for host {key} yet; recorded this "
-              f"run as its first: {baseline}")
-        return 0
-    print(f"diff_micro: host {key}, baseline {baseline}")
-    code = compare(read(baseline), cand, threshold)
-    if code == 1 and os.environ.get("HARMONY_BENCH_ALLOW_REGRESSION") == "1":
-        print("diff_micro: WARNING: regression accepted via "
-              "HARMONY_BENCH_ALLOW_REGRESSION=1", file=sys.stderr)
-        code = 0
-    if code == 0:
-        shutil.copyfile(candidate_path, baseline)
-        print(f"diff_micro: wrote {baseline}")
-    else:
-        print(f"diff_micro: kept {baseline}", file=sys.stderr)
-    return code
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline", nargs="?",
-                    help="baseline report (omit with --baseline-dir)")
-    ap.add_argument("candidate")
-    ap.add_argument("--baseline-dir",
-                    help="per-host baselines: gate against, and update, "
-                         "the candidate host's file")
+    ap.add_argument("baseline", help="the parent's report")
+    ap.add_argument("candidate", help="the change's report")
     ap.add_argument("--threshold", type=float, default=0.10,
                     help="max tolerated fractional regression (default 0.10)")
     args = ap.parse_args()
-    if (args.baseline is None) == (args.baseline_dir is None):
-        ap.error("give either BASELINE or --baseline-dir, not both")
-    if args.baseline_dir:
-        return gate(args.baseline_dir, args.candidate, args.threshold)
     return compare(read(args.baseline), read(args.candidate), args.threshold)
 
 

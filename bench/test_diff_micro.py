@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
-"""Self-test for bench/diff_micro.py (ctest label: lint).
+"""Self-test for bench/diff_micro.py and bench/run_micro.sh (ctest: lint).
 
 Writes small google-benchmark reports with five repetitions per benchmark
 and checks diff_micro's verdicts: a clean pair passes, a real median
 regression fails, a baseline noisier than the bound is reported as
 "unresolved" without failing, a candidate-only benchmark is shown as "(new)"
-with its median without failing, and a report from another host (other
-CPU count or CPU model) is refused. Beside each verdict, the paired ratio:
-the median of the per-round speed ratios and its bootstrap interval, on
-rounds that move together and rounds that spread.
+with its median without failing, a benchmark the candidate dropped fails,
+and a report from another host (other CPU count or CPU model) is refused.
+Beside each verdict, the paired ratio: the median of the per-round speed
+ratios and its bootstrap interval, on rounds that move together and rounds
+that spread.
 
-Then the per-host gate (--baseline-dir): the host key names the file, a
-host with no file records its first baseline, a second host never touches
-the first one's file, a same-host regression keeps the baseline unless
-HARMONY_BENCH_ALLOW_REGRESSION=1 accepts it, and a file whose context is
-not the candidate's host is refused and never replaced, override or not.
-
-Last, run_micro.sh --parent, on two stub bench_micro programs: its ten
+Then run_micro.sh --parent, on two stub bench_micro programs: its ten
 rounds alternate which side runs first, both sides get the extra flags and
 a 1 s minimum time, single-threaded rows run pinned to one CPU (when
 taskset is installed) while the rows that start threads
 (BM_KeyRangeShardedThroughput, BM_ZipfianBuild) run in their own unpinned
 pass, both reports are written with one row per round, a slower change
-fails, and bench/micro_baseline/ is left as it was.
+fails, and a flag where the build directory would be is a flag, with the
+build directory defaulting to build. A missing --parent, a directory
+without bench_micro and flags that select no benchmark each exit 2 with one
+line naming the problem, before any benchmark runs.
 """
 
 from __future__ import annotations
@@ -38,15 +36,12 @@ from pathlib import Path
 
 DIFF = Path(__file__).resolve().parent / "diff_micro.py"
 RUN_MICRO = Path(__file__).resolve().parent / "run_micro.sh"
-BASELINE_DIR = Path(__file__).resolve().parent / "micro_baseline"
 
 HOST = {"cpu_model": "AMD EPYC 7763 64-Core Processor", "num_cpus": 4,
         "mhz_per_cpu": 2100,
         "caches": [{"type": "Unified", "level": 3, "size": 33554432},
                    {"type": "Data", "level": 1, "size": 49152}]}
-HOST_KEY = "amd-epyc-7763-64-core-processor-4cpu-2100mhz-l1d48k-l3u32768k"
 OTHER_HOST = {**HOST, "cpu_model": "Intel(R) Xeon(R) CPU @ 2.10GHz"}
-OTHER_KEY = "intel-r-xeon-r-cpu-2-10ghz-4cpu-2100mhz-l1d48k-l3u32768k"
 
 
 def report(rows, host=HOST):
@@ -65,71 +60,19 @@ def report(rows, host=HOST):
     return {"context": host, "benchmarks": benchmarks}
 
 
-def diff(*args, allow_regression=False):
-    env = {k: v for k, v in os.environ.items()
-           if k != "HARMONY_BENCH_ALLOW_REGRESSION"}
-    if allow_regression:
-        env["HARMONY_BENCH_ALLOW_REGRESSION"] = "1"
-    proc = subprocess.run([sys.executable, str(DIFF), *map(str, args)],
-                          capture_output=True, text=True, check=False,
-                          env=env)
-    return proc.returncode, proc.stdout + proc.stderr
-
-
 def run(tmp, base, cand):
     paths = []
     for label, rep in (("base", base), ("cand", cand)):
         p = Path(tmp) / f"{label}.json"
         p.write_text(json.dumps(rep))
         paths.append(p)
-    return diff(*paths)
+    proc = subprocess.run([sys.executable, str(DIFF), *map(str, paths)],
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 STEADY = [100.0, 101.0, 99.0, 100.5, 99.5]
 SLOWER = [80.0, 81.0, 79.0, 80.5, 79.5]
-
-
-def gate_cases(tmp):
-    """(name, ok, output) of each --baseline-dir step, in order: the steps
-    share one baseline directory."""
-    base_dir = Path(tmp) / "baselines"
-    cand = Path(tmp) / "candidate.json"
-    mine = base_dir / f"{HOST_KEY}.json"
-    other = base_dir / f"{OTHER_KEY}.json"
-
-    def gate(rep, allow_regression=False):
-        cand.write_text(json.dumps(rep))
-        return diff("--baseline-dir", base_dir, cand,
-                    allow_regression=allow_regression)
-
-    def rows(path):
-        return json.loads(path.read_text())["benchmarks"][0]["items_per_second"]
-
-    out = []
-    code, text = gate(report({"BM_A": STEADY}))
-    out.append(("unseen host records its first baseline under the key",
-                code == 0 and "no baseline for host" in text and
-                sorted(p.name for p in base_dir.iterdir()) == [mine.name],
-                text))
-    code, text = gate(report({"BM_A": STEADY}, OTHER_HOST))
-    out.append(("a second host gets its own file",
-                code == 0 and other.exists() and rows(mine) == STEADY[0],
-                text))
-    code, text = gate(report({"BM_A": SLOWER}))
-    out.append(("same-host regression keeps the baseline",
-                code == 1 and "REGRESSION" in text and
-                rows(mine) == STEADY[0], text))
-    code, text = gate(report({"BM_A": SLOWER}), allow_regression=True)
-    out.append(("override accepts a same-host regression",
-                code == 0 and rows(mine) == SLOWER[0] and
-                rows(other) == STEADY[0], text))
-    # A file under this host's key that holds the other host's report.
-    mine.write_text(other.read_text())
-    code, text = gate(report({"BM_A": STEADY}), allow_regression=True)
-    out.append(("override never replaces another host's file",
-                code == 2 and "different hosts" in text and
-                json.loads(mine.read_text())["context"] == OTHER_HOST, text))
-    return out
 
 
 STUB = """#!{python}
@@ -165,30 +108,24 @@ ROUNDS = 10  # run_micro.sh --parent's alternated rounds
 
 
 def parent_cases(tmp):
-    """(name, ok, output) of run_micro.sh --parent on stub binaries."""
-    def baseline_state():
-        return sorted((p.name, p.stat().st_mtime_ns)
-                      for p in BASELINE_DIR.glob("*"))
-
-    def run_pair(label, rows, change_ips, flags):
-        root = Path(tmp) / f"parent-mode-{label}"
+    """(name, ok, output) of run_micro.sh on stub binaries."""
+    def run_micro(label, rows, change_ips, args):
+        """Runs run_micro.sh ARGS in a fresh directory that holds the
+        parent's stub in parent/ and the change's in build/."""
+        root = Path(tmp) / f"run-micro-{label}"
         log = root / "order.log"
-        dirs = {}
-        for side, ips in (("parent", 100.0), ("change", change_ips)):
-            d = root / side
-            d.mkdir(parents=True)
-            stub = d / "bench_micro"
+        for side, d, ips in (("parent", "parent", 100.0),
+                             ("change", "build", change_ips)):
+            stub = root / d / "bench_micro"
+            stub.parent.mkdir(parents=True)
             stub.write_text(STUB.format(python=sys.executable, log=str(log),
                                         side=side, host=HOST, ips=ips,
                                         rows=rows))
             stub.chmod(0o755)
-            dirs[side] = d
-        proc = subprocess.run(
-            ["bash", str(RUN_MICRO), "--parent", str(dirs["parent"]),
-             str(dirs["change"]), *flags],
-            capture_output=True, text=True, check=False)
+        proc = subprocess.run(["bash", str(RUN_MICRO), *args], cwd=root,
+                              capture_output=True, text=True, check=False)
         order = log.read_text().split("\n")[:-1] if log.exists() else []
-        paths = [dirs["change"] / f"bench_micro_{side}.json"
+        paths = [root / "build" / f"bench_micro_{side}.json"
                  for side in ("parent", "change")]
         reports = [json.loads(p.read_text()) for p in paths if p.exists()]
         return proc, proc.stdout + proc.stderr, order, reports
@@ -196,34 +133,41 @@ def parent_cases(tmp):
     def sides(r):
         return ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
 
+    def usage_error(label, args, problem):
+        """ok when run_micro.sh ARGS exits 2 before any benchmark runs,
+        with one line that names the problem."""
+        proc, text, order, _ = run_micro(label, ["BM_A"], 100.0, args)
+        return (proc.returncode == 2 and not order and
+                len(text.strip().splitlines()) == 1 and problem in text), text
+
     # With taskset the single-threaded pass runs on one CPU; without it (or
     # on a one-CPU host) both passes see this process's CPUs.
     pinned_cpus = 1 if shutil.which("taskset") else len(os.sched_getaffinity(0))
     free = f"cpus={len(os.sched_getaffinity(0))}"
     pinned = f"cpus={pinned_cpus}"
+    filtered = [f"{side} filtered ^(BM_A)$ 1s {pinned}"
+                for r in range(ROUNDS) for side in sides(r)]
 
     out = []
-    before = baseline_state()
     # BM_A/2 and BM_AB share BM_A's prefix: each pass keeps exactly the
     # rows the given filter selects.
-    proc, text, order, reports = run_pair("equal",
-                                          ["BM_A", "BM_A/2", "BM_AB", "BM_B"],
-                                          100.0, ["--benchmark_filter=BM_A$"])
-    want = [f"{side} filtered ^(BM_A)$ 1s {pinned}"
-            for r in range(ROUNDS) for side in sides(r)]
+    proc, text, order, reports = run_micro(
+        "equal", ["BM_A", "BM_A/2", "BM_AB", "BM_B"], 100.0,
+        ["--parent", "parent", "build", "--benchmark_filter=BM_A$"])
     out.append(("--parent alternates the sides and passes the flags, pinned "
-                "at 1 s", order == want, text + "\n".join(order)))
+                "at 1 s", order == filtered, text + "\n".join(order)))
     out.append(("--parent writes both reports, one row per round",
                 all(len(r["benchmarks"]) == ROUNDS and
                     {b["name"] for b in r["benchmarks"]} == {"BM_A"}
                     for r in reports) and
                 len(reports) == 2 and proc.returncode == 0 and "OK" in text,
                 text))
-    proc, text, order, reports = run_pair("slower", ["BM_A"], 80.0, [])
+    proc, text, order, reports = run_micro("slower", ["BM_A"], 80.0,
+                                           ["--parent", "parent", "build"])
     out.append(("--parent fails a slower change",
                 proc.returncode == 1 and "REGRESSION" in text, text))
-    proc, text, order, reports = run_pair("threaded", ["BM_A", *THREADED],
-                                          100.0, [])
+    proc, text, order, reports = run_micro(
+        "threaded", ["BM_A", *THREADED], 100.0, ["--parent", "parent", "build"])
     want = [line for r in range(ROUNDS) for side in sides(r) for line in (
         f"{side} - ^(BM_A)$ 1s {pinned}",
         f"{side} - ^({'|'.join(THREADED)})$ 1s {free}")]
@@ -234,8 +178,26 @@ def parent_cases(tmp):
                     len(r["benchmarks"]) == (1 + len(THREADED)) * ROUNDS
                     for r in reports) and len(reports) == 2,
                 text + "\n".join(order)))
-    out.append(("--parent never touches bench/micro_baseline/",
-                baseline_state() == before, ""))
+    proc, text, order, reports = run_micro(
+        "default-build", ["BM_A", "BM_B"], 100.0,
+        ["--parent", "parent", "--benchmark_filter=BM_A$"])
+    out.append(("a flag where the build dir would be is a flag, and the "
+                "build dir defaults to build",
+                order == filtered and proc.returncode == 0 and
+                len(reports) == 2, text + "\n".join(order)))
+    out.append(("a missing --parent exits 2",
+                *usage_error("no-parent", ["--benchmark_filter=BM_A$"],
+                             "--parent PARENT_BUILD is required")))
+    # "." is the directory that holds parent/ and build/, and no stub.
+    for slot, args in (("parent", ["--parent", ".", "build"]),
+                       ("build", ["--parent", "parent", "."])):
+        out.append((f"a {slot} dir without bench_micro exits 2",
+                    *usage_error(f"no-{slot}-binary", args,
+                                 "no bench_micro in .")))
+    out.append(("flags that select no benchmark exit 2",
+                *usage_error("empty", ["--parent", "parent", "build",
+                                       "--benchmark_filter=BM_NONE"],
+                             "lists no benchmark")))
     return out
 
 
@@ -271,6 +233,8 @@ def main():
         ("new row beside a regression", {"BM_A": STEADY},
          {"BM_A": SLOWER, "BM_B": STEADY},
          HOST, 1, r"BM_B .*\(new\)"),
+        ("dropped row", {"BM_A": STEADY, "BM_B": STEADY}, {"BM_A": STEADY},
+         HOST, 1, "dropped from candidate: BM_B"),
         ("host mismatch", {"BM_A": STEADY}, {"BM_A": STEADY},
          {**HOST, "num_cpus": 8}, 2, "different hosts"),
         ("cpu model mismatch", {"BM_A": STEADY}, {"BM_A": STEADY},
@@ -286,8 +250,8 @@ def main():
             if not ok:
                 print(text)
                 failures += 1
-        for name, ok, text in gate_cases(tmp) + parent_cases(tmp):
-            print(f"{'ok  ' if ok else 'FAIL'} gate: {name}")
+        for name, ok, text in parent_cases(tmp):
+            print(f"{'ok  ' if ok else 'FAIL'} run_micro.sh: {name}")
             if not ok:
                 print(text)
                 failures += 1
